@@ -1,10 +1,9 @@
 /// Rank-k throughput: randomized truncated SVD (src/rsvd) vs the dense
 /// pipeline with SvdJob::Thin — the speedup that motivates the subsystem
 /// (PCA scores, LoRA rank selection and low-rank compression only need the
-/// top k singular triplets) — plus the TALL-THIN section comparing the
-/// dense QR-first path against the generic accumulate-through path at the
-/// same Thin job (time AND peak accumulator memory: the QR-first claim is
-/// O(m_pad * n_pad) instead of O(m_pad^2)).
+/// top k singular triplets) — plus the TALL-THIN section timing the dense
+/// tall path at the Thin job per precision (time AND peak accumulator
+/// memory: the path's claim is O(m_pad * n_pad), never O(m_pad^2)).
 ///
 /// Usage: bench_rank_k_throughput [m] [n] [rank] [repeats] [--json <path>]
 ///
@@ -24,7 +23,6 @@
 #include "bench_util.hpp"
 #include "common/linalg_ref.hpp"
 #include "core/svd.hpp"
-#include "core/tuner.hpp"
 #include "rand/matrix_gen.hpp"
 #include "rand/rng.hpp"
 
@@ -90,54 +88,28 @@ void run_case(benchutil::JsonSink& sink, const Matrix<double>& a64,
   sink.record(base + "/resid_vs_opt", ratio, "ratio");
 }
 
-/// Tall-thin dense section: the QR-first path (tall-panel QR + small R
-/// solve + backward replay of Q onto U_R) vs the generic path threading an
-/// m_pad^2 accumulator through Stages 1-3, both at SvdJob::Thin. Peak
-/// bytes come from the matrix high-water counter (common/matrix.hpp);
-/// values are bit-identical between the two paths (tests/test_qr_first.cpp
-/// enforces it — here we just report the max deviation as a sanity column).
+/// Tall-thin dense section: the one tall vector path (panel QR with
+/// retained reflectors, the square pipeline on R, U = Q * U_R composed by
+/// blocked backward replay) at SvdJob::Thin. Peak bytes come from the
+/// matrix high-water counter (common/matrix.hpp).
 template <class T>
 void run_tall_thin_case(benchutil::JsonSink& sink, const Matrix<double>& a64,
                         int repeats, const char* tag) {
   const Matrix<T> a = rnd::round_to<T>(a64);
-
-  const auto measure = [&](double aspect, SvdReport& rep, std::size_t& peak) {
-    SvdConfig cfg;
-    cfg.job = SvdJob::Thin;
-    cfg.qr_first_aspect = aspect;
-    matrix_reset_peak();
-    const double t = best_of(repeats, [&] {
-      rep = SvdReport{};  // the previous repeat's retained factors must not
-                          // sit under this solve's peak measurement
-      rep = svd_values_report<T>(a.view(), cfg);
-    });
-    peak = matrix_peak_bytes();
-    return t;
-  };
-
-  SvdReport qrep;
-  SvdReport grep;
-  std::size_t qpeak = 0;
-  std::size_t gpeak = 0;
-  const double t_qr = measure(1.0, qrep, qpeak);  // forced on
-  const std::vector<double> qvalues = qrep.values;
-  qrep = SvdReport{};  // free the retained factors: they must not sit under
-                       // the generic run's peak baseline
-  const double t_gen = measure(core::kQrFirstAspectNever, grep, gpeak); // forced off
-
-  double maxdiff = 0.0;
-  for (std::size_t i = 0; i < grep.values.size(); ++i) {
-    maxdiff = std::max(maxdiff, std::abs(grep.values[i] - qvalues[i]));
-  }
-  std::printf("  %-5s %10.1f %10.1f %8.2fx %9.1f %9.1f %11.3e\n", tag,
-              1e3 * t_qr, 1e3 * t_gen, t_gen / t_qr, qpeak / 1e6, gpeak / 1e6,
-              maxdiff);
-  const std::string base = std::string("qr_first/") + tag;
-  sink.record(base + "/qr_first", t_qr, "s");
-  sink.record(base + "/generic", t_gen, "s");
-  sink.record(base + "/speedup", t_gen / t_qr, "x");
-  sink.record(base + "/qr_first_peak", qpeak / 1e6, "MB");
-  sink.record(base + "/generic_peak", gpeak / 1e6, "MB");
+  SvdConfig cfg;
+  cfg.job = SvdJob::Thin;
+  SvdReport rep;
+  matrix_reset_peak();
+  const double t = best_of(repeats, [&] {
+    rep = SvdReport{};  // the previous repeat's retained factors must not
+                        // sit under this solve's peak measurement
+    rep = svd_values_report<T>(a.view(), cfg);
+  });
+  const double peak_mb = static_cast<double>(matrix_peak_bytes()) / 1e6;
+  std::printf("  %-5s %10.1f %9.1f\n", tag, 1e3 * t, peak_mb);
+  const std::string base = std::string("tall_thin/") + tag;
+  sink.record(base + "/seconds", t, "s");
+  sink.record(base + "/peak", peak_mb, "MB");
 }
 
 }  // namespace
@@ -189,27 +161,25 @@ int main(int argc, char** argv) {
     run_case<float>(sink, a64, sigma, k, repeats, "FP32");
   }
 
-  // Tall-thin dense section: QR-first vs generic svd(Thin) at this shape.
-  // Runs for tall inputs (the wide case rides the lazy transpose anyway).
+  // Tall-thin dense section: the tall Thin path at this shape, one row per
+  // precision. Runs for tall inputs (the wide case rides the lazy transpose).
   if (m > n) {
     std::printf(
-        "\nTall-thin dense path at %lld x %lld (SvdJob::Thin, FP32/FP16):\n"
-        "QR-first = tall-panel QR + %lld x %lld pipeline + backward replay;\n"
-        "generic  = m_pad^2 accumulator threaded through Stages 1-3.\n",
+        "\nTall-thin dense path at %lld x %lld (SvdJob::Thin): panel QR +\n"
+        "%lld x %lld pipeline on R + backward replay of Q onto U_R.\n",
         static_cast<long long>(m), static_cast<long long>(n),
         static_cast<long long>(n), static_cast<long long>(n));
-    std::printf("  %-5s %10s %10s %9s %9s %9s %11s\n", "prec", "qr1st ms",
-                "generic ms", "speedup", "qr1st MB", "gen MB", "max|dsigma|");
+    std::printf("  %-5s %10s %9s\n", "prec", "ms", "peak MB");
     run_tall_thin_case<float>(sink, a64, repeats, "FP32");
     run_tall_thin_case<Half>(sink, a64, repeats, "FP16");
+    run_tall_thin_case<double>(sink, a64, repeats, "FP64");
   }
 
   std::printf(
       "\nExpected: >= 3x speedup at the default 2048x256 FP32 rank-32 case\n"
-      "(the ISSUE acceptance gate), residuals within ~1.5x of the optimal\n"
-      "rank-k error, and the advantage growing with m/rank. The tall-thin\n"
-      "section shows the QR-first dense path beating the generic one in both\n"
-      "time and peak accumulator memory (O(m_pad*n_pad) vs O(m_pad^2)),\n"
-      "with bit-identical singular values.\n");
+      "(the acceptance gate), residuals within ~1.5x of the optimal rank-k\n"
+      "error, and the advantage growing with m/rank. The tall-thin section\n"
+      "shows peak memory of a few m_pad x n_pad panels: no solve allocates\n"
+      "an m_pad^2 accumulator.\n");
   return sink.flush() ? 0 : 1;
 }

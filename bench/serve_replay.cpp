@@ -1,6 +1,6 @@
 /// Traffic-replay stress harness for the serving layer (serve::SvdService):
 /// a seeded multi-tenant workload — tiny fused-path problems, square
-/// pipeline problems, tall QR-first problems and randomized truncated
+/// pipeline problems, tall panel-QR problems and randomized truncated
 /// requests drawn from a fixed pool — replayed against the service in
 /// closed loop (each client waits for its result before submitting the
 /// next) and open loop (clients fire every request up front and the
@@ -78,7 +78,7 @@ Workload make_workload(std::uint64_t seed, std::size_t jobs) {
   // 56 distinct problems: the serving-traffic shape is many repeats of a
   // bounded request universe (exactly what makes a result cache earn its
   // keep). Mix: 24 tiny (fused path), 16 square (full pipeline), 8 tall
-  // (QR-first territory), 8 truncated.
+  // (panel-QR tall path), 8 truncated.
   for (int i = 0; i < 24; ++i) {
     const index_t n = rand_in(6, 28);
     w.pool.push_back({rnd::round_to<float>(

@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
   // gets a measurement-backed default, the runtime analogue of the
   // compile-time sim::tuned_kernel_config device tables.
   core::TuningTable table = core::TuningTable::load("unisvd_tuning.txt");
-  table.set_kernels(be.name(), Precision::FP32, result.best);
+  table.set<core::Knob::Kernels>(be.name(), Precision::FP32, result.best);
   if (table.save("unisvd_tuning.txt")) {
     std::printf("persisted to unisvd_tuning.txt (kernels %s FP32)\n",
                 std::string(be.name()).c_str());
@@ -48,7 +48,8 @@ int main(int argc, char** argv) {
   const auto a64 = rnd::gaussian_matrix(n, n, rng);
   const auto a = rnd::round_to<float>(a64);
   SvdConfig cfg;
-  cfg.kernels = table.kernels_or(be.name(), Precision::FP32, result.best);
+  cfg.kernels =
+      table.get_or<core::Knob::Kernels>(be.name(), Precision::FP32, result.best);
   const auto rep = svd_values_report<float>(a.view(), cfg, be);
   std::printf("full pipeline with tuned config: %.1f ms (sigma_1 = %.4f)\n",
               1e3 * rep.stage_times.total(), rep.values.front());

@@ -321,7 +321,7 @@ std::vector<Svd<T>> svd_batched(std::span<const ConstMatrixView<T>> batch,
   std::vector<Svd<T>> out;
   out.reserve(rep.reports.size());
   for (const auto& r : rep.reports) {
-    out.push_back(detail::narrow_svd<T>(r));
+    out.push_back(detail::narrow_factors<Svd, T>(r));
   }
   return out;
 }
@@ -383,7 +383,7 @@ std::vector<SvdTrunc<T>> svd_truncated_batched(
   std::vector<SvdTrunc<T>> out;
   out.reserve(rep.reports.size());
   for (const auto& r : rep.reports) {
-    out.push_back(detail::narrow_trunc<T>(r));
+    out.push_back(detail::narrow_factors<SvdTrunc, T>(r));
   }
   return out;
 }

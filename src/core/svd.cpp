@@ -81,12 +81,12 @@ std::vector<index_t> select_real_rows(const Matrix<CT>& acc, index_t real,
 }
 
 /// Stream the composition U = Q * [U_r; I_completion] through the backward
-/// reflector replay in n_pad-column slabs: each slab is seeded (the small
-/// factor's columns for j < n via `seed_col`, the identity for the Full
-/// job's completion range j in [n, m)), replayed through panel_apply_q,
-/// and extracted into `dest` before the next slab is seeded — so no job
-/// ever materializes an m_pad x m_pad working set; peak composition memory
-/// is O(m_pad * n_pad).
+/// reflector replay in n_pad-column slabs: each slab is seeded (for j < n
+/// with row usel[j] of the R solve's transposed left accumulator `ut_acc`,
+/// for the Full job's completion range j in [n, m) with the identity),
+/// replayed through panel_apply_q, and extracted into `dest` before the
+/// next slab is seeded — so no job ever materializes an m_pad x m_pad
+/// working set; peak composition memory is O(m_pad * n_pad).
 ///
 /// The panel's padded rows are exactly zero, so every reflector component
 /// there is zero and Q acts as the identity on the padding subspace:
@@ -95,15 +95,15 @@ std::vector<index_t> select_real_rows(const Matrix<CT>& acc, index_t real,
 /// (j in [m, mpad) would reproduce pure padding vectors, so they are
 /// neither seeded nor extracted).
 ///
-/// `seed_col(comp, local_j, global_j)` writes small-factor column global_j
-/// (< n) into comp column local_j. `dest` receives column j of U in its
-/// column j (`dest_transposed` false — the tall-input U target) or in its
-/// row j (`dest_transposed` true — the wide-input V^T target).
-template <class T, class CT, class SeedFn>
+/// `dest` receives column j of U in its column j (`dest_transposed` false —
+/// the tall-input U target) or in its row j (`dest_transposed` true — the
+/// wide-input V^T target).
+template <class T, class CT>
 void compose_left_blocked(ka::Backend& backend, MatrixView<T> panel,
                           MatrixView<T> tau_all,
                           const qr::KernelConfig& kernels,
-                          ka::StageTimes& times, const SeedFn& seed_col,
+                          ka::StageTimes& times, const Matrix<CT>& ut_acc,
+                          const std::vector<index_t>& usel,
                           index_t m, index_t n, bool full,
                           Matrix<double>& dest, bool dest_transposed) {
   const int ts = kernels.tilesize;
@@ -119,7 +119,8 @@ void compose_left_blocked(ka::Backend& backend, MatrixView<T> panel,
       for (index_t i = 0; i < mpad; ++i) comp(i, j) = CT(0);
     }
     for (index_t j = c0; j < std::min(c0 + w, n); ++j) {
-      seed_col(comp, j - c0, j);
+      const index_t src = usel[static_cast<std::size_t>(j)];
+      for (index_t i = 0; i < npad; ++i) comp(i, j - c0) = ut_acc(src, i);
     }
     if (full) {
       for (index_t j = std::max(c0, n); j < std::min(c0 + w, m); ++j) {
@@ -144,103 +145,6 @@ void compose_left_blocked(ka::Backend& backend, MatrixView<T> panel,
   }
 }
 
-/// The QR-first tall path (vector jobs, aspect >= SvdConfig::
-/// qr_first_aspect). Instead of threading an m_pad x m_pad left accumulator
-/// through Stages 1-3, factor the tall orientation A/scale = Q R with the
-/// REPLAYABLE tall-panel QR (every sweep's tau block retained), solve the
-/// small n x n R factor by the ordinary square pipeline — whose band is
-/// bit-identical to the generic tall path's, so the singular values are too
-/// — and compose U = Q * U_R by replaying the reflectors backward onto an
-/// m_pad x n_pad target (panel_apply_q). Peak left-side memory drops from
-/// O(m_pad^2) to O(m_pad * n_pad): the panel, its tau blocks, and the
-/// composition target are the only m_pad-row buffers.
-///
-/// `at` is the tall orientation (rows >= cols); `wide` records whether the
-/// caller's input was transposed into it, so the factors swap back at
-/// extraction exactly as in the generic path.
-template <class T>
-SvdReport qr_first_solve(ConstMatrixView<T> at, bool wide,
-                         const SvdConfig& config, ka::Backend& backend) {
-  using CT = compute_t<T>;
-  const index_t m = at.rows();
-  const index_t n = at.cols();
-
-  SvdReport rep;
-  rep.qr_first = true;
-  if (config.auto_scale) {
-    rep.scale_factor = ref::auto_scale_divisor(at);
-  }
-
-  const int ts = config.kernels.tilesize;
-  const index_t npad = tile::TileLayout::make(n, ts).n;
-  const index_t mpad = tile::TileLayout::make(m, ts).n;
-  rep.padded_n = npad;
-
-  // Tall-panel QR with retained reflectors: A/scale = Q R, Q implicit.
-  Matrix<T> work(mpad, npad, T(0));
-  copy_scaled(at, work, rep.scale_factor);
-  Matrix<T> tau_all(qr::panel_tau_rows(mpad / ts, npad / ts), ts, T(0));
-  qr::panel_qr_factor<T>(backend, work.view(), tau_all.view(), config.kernels,
-                         &rep.stage_times);
-
-  // Solve R (n x n, upper triangular) by the square pipeline. The recursive
-  // call re-pads R to the same n_pad grid the generic path reduces, with
-  // identical padded entries (the panel's padded columns factor to exact
-  // zeros), so the values stay bit-identical across paths. R is square, so
-  // a Thin job already yields the complete n x n U_R — Full only changes
-  // the composition below.
-  Matrix<T> r(n, n, T(0));
-  for (index_t j = 0; j < n; ++j) {
-    for (index_t i = 0; i <= j; ++i) {
-      r(i, j) = work(i, j);
-    }
-  }
-  SvdConfig inner = config;
-  inner.job = SvdJob::Thin;
-  inner.check_finite = false;  // validated by the caller
-  inner.auto_scale = false;    // the panel copy is already scaled
-  const SvdReport small = svd_values_report<T>(r.view(), inner, backend);
-  rep.stage_times += small.stage_times;
-  rep.chase_stats = small.chase_stats;
-  rep.stage3_dc = small.stage3_dc;
-  rep.values = small.values;
-  if (rep.scale_factor != 1.0) {
-    for (auto& v : rep.values) v *= rep.scale_factor;
-  }
-
-  // Compose U = Q * [U_R; 0] by blocked backward reflector replay (see
-  // compose_left_blocked): the Full job streams its completion columns in
-  // n_pad-wide slabs instead of materializing an m_pad x m_pad working
-  // set. In the tall orientation U = the composed columns and V^T = the
-  // small problem's V^T; a wide input swaps the factor roles
-  // (A = at^T  =>  A's U = V_t, A's V^T = U_t^T).
-  const bool full = config.job == SvdJob::Full;
-  const index_t ucols = full ? m : n;
-  const auto seed = [&](Matrix<CT>& comp, index_t lj, index_t gj) {
-    for (index_t i = 0; i < n; ++i) {
-      comp(i, lj) = static_cast<CT>(small.u(i, gj));
-    }
-  };
-  const auto t0 = std::chrono::steady_clock::now();
-  if (!wide) {
-    rep.u = Matrix<double>(m, ucols);
-    rep.vt = small.vt;
-  } else {
-    rep.u = Matrix<double>(n, small.vt.rows());
-    for (index_t j = 0; j < rep.u.cols(); ++j) {
-      for (index_t i = 0; i < n; ++i) {
-        rep.u(i, j) = small.vt(j, i);
-      }
-    }
-    rep.vt = Matrix<double>(ucols, m);
-  }
-  rep.stage_times.add(ka::Stage::VectorAccumulation, seconds_since(t0));
-  compose_left_blocked<T, CT>(backend, work.view(), tau_all.view(),
-                              config.kernels, rep.stage_times, seed, m, n,
-                              full, wide ? rep.vt : rep.u, wide);
-  return rep;
-}
-
 }  // namespace
 
 template <class T>
@@ -258,7 +162,7 @@ SvdReport svd_values_report(ConstMatrixView<T> a, const SvdConfig& config,
   // Fused tiny-problem path: min(m, n) at or below the tunable threshold
   // skips the whole tiled pipeline — one stack-resident Jacobi kernel
   // produces values and vectors with no padding and no per-stage launches.
-  // Shape-only and ahead of the QR-first test, so every job and every
+  // Shape-only and ahead of the tall-panel QR, so every job and every
   // caller (direct, truncated-projected, batched) dispatches identically.
   if (smallsvd::small_svd_applicable(a.rows(), a.cols(),
                                      config.small_svd_threshold)) {
@@ -272,16 +176,6 @@ SvdReport svd_values_report(ConstMatrixView<T> a, const SvdConfig& config,
   const ConstMatrixView<T> at = wide ? a.transposed() : a;
   const index_t m = at.rows();
   const index_t n = at.cols();
-
-  // QR-first tall path: vector jobs whose aspect ratio clears the tunable
-  // threshold compose two factorizations (tall-panel QR, then the square
-  // pipeline on R) instead of accumulating through an m_pad^2 buffer.
-  // ValuesOnly keeps the historic path byte-for-byte; its values match the
-  // QR-first ones bit-for-bit anyway (tested).
-  if (want_vectors && m > n &&
-      static_cast<double>(m) >= config.qr_first_aspect * static_cast<double>(n)) {
-    return qr_first_solve<T>(at, wide, config, backend);
-  }
 
   SvdReport rep;
   if (config.auto_scale) {
@@ -329,14 +223,13 @@ SvdReport svd_values_report(ConstMatrixView<T> a, const SvdConfig& config,
 
   if (m == n) {
     copy_scaled(at, square, rep.scale_factor);
-  } else if (want_vectors) {
-    // Tall vector job below the QR-first aspect: factor A = Q R with the
-    // REPLAYABLE panel QR (same kernel arithmetic as tall_qr, so R — and
-    // therefore the values — is bit-identical to the historic path) and
-    // keep the reflectors. The stages then run with n_pad-sized
-    // accumulators and U is composed afterwards by blocked replay: peak
-    // left-side memory is O(m_pad * n_pad) instead of the m_pad^2
-    // accumulator the eager mirror needed.
+  } else {
+    // Tall input: factor A = Q R with the REPLAYABLE panel QR and keep the
+    // reflectors. Every job factors the same panel with the same kernels,
+    // so R — and therefore the values — is bit-identical across jobs. The
+    // stages then run with n_pad-sized accumulators and a vector job's U
+    // is composed afterwards by blocked replay: peak left-side memory is
+    // O(m_pad * n_pad), never an m_pad^2 accumulator.
     const auto row_layout = tile::TileLayout::make(m, ts);
     panel = Matrix<T>(row_layout.n, npad, T(0));
     copy_scaled(at, panel, rep.scale_factor);
@@ -349,19 +242,11 @@ SvdReport svd_values_report(ConstMatrixView<T> a, const SvdConfig& config,
         square(i, j) = panel(i, j);
       }
     }
-  } else {
-    // Tall values-only: tiled QR first (same kernels), then reduce R; the
-    // reflectors are consumed immediately, nothing is retained.
-    const auto row_layout = tile::TileLayout::make(m, ts);
-    Matrix<T> work(row_layout.n, npad, T(0));
-    copy_scaled(at, work, rep.scale_factor);
-    Matrix<T> qr_tau(row_layout.ntiles, ts, T(0));
-    qr::tall_qr<T>(backend, work.view(), qr_tau.view(), config.kernels,
-                   &rep.stage_times, nullptr);
-    for (index_t j = 0; j < npad; ++j) {  // R = upper triangle
-      for (index_t i = 0; i <= j; ++i) {
-        square(i, j) = work(i, j);
-      }
+    if (!want_vectors) {
+      // Nothing replays Q for a values-only solve: release the panel and
+      // its tau blocks before Stage 1 so they never sit under its peak.
+      panel = Matrix<T>();
+      panel_tau = Matrix<T>();
     }
   }
 
@@ -468,12 +353,6 @@ SvdReport svd_values_report(ConstMatrixView<T> a, const SvdConfig& config,
       rep.stage_times.add(ka::Stage::VectorAccumulation, seconds_since(t0));
       const bool full = config.job == SvdJob::Full;
       const index_t ucols = full ? m : n;
-      const auto seed = [&](Matrix<CT>& comp, index_t lj, index_t gj) {
-        const index_t src = usel[static_cast<std::size_t>(gj)];
-        for (index_t i = 0; i < npad; ++i) {
-          comp(i, lj) = ut_acc(src, i);
-        }
-      };
       t0 = std::chrono::steady_clock::now();
       if (!wide) {
         rep.u = Matrix<double>(m, ucols);
@@ -496,39 +375,24 @@ SvdReport svd_values_report(ConstMatrixView<T> a, const SvdConfig& config,
       }
       rep.stage_times.add(ka::Stage::VectorAccumulation, seconds_since(t0));
       compose_left_blocked<T, CT>(backend, panel.view(), panel_tau.view(),
-                                  config.kernels, rep.stage_times, seed, m, n,
-                                  full, wide ? rep.vt : rep.u, wide);
+                                  config.kernels, rep.stage_times, ut_acc, usel, m,
+                                  n, full, wide ? rep.vt : rep.u, wide);
       return rep;
     }
-    if (!wide) {
-      rep.u = Matrix<double>(m, static_cast<index_t>(usel.size()));
-      for (index_t j = 0; j < rep.u.cols(); ++j) {
-        const index_t src = usel[static_cast<std::size_t>(j)];
-        for (index_t i = 0; i < m; ++i) {
-          rep.u(i, j) = static_cast<double>(ut_acc(src, i));
-        }
+    // Square input (never wide): both factors unpad directly from their
+    // accumulator rows.
+    rep.u = Matrix<double>(m, static_cast<index_t>(usel.size()));
+    for (index_t j = 0; j < rep.u.cols(); ++j) {
+      const index_t src = usel[static_cast<std::size_t>(j)];
+      for (index_t i = 0; i < m; ++i) {
+        rep.u(i, j) = static_cast<double>(ut_acc(src, i));
       }
-      rep.vt = Matrix<double>(static_cast<index_t>(vsel.size()), n);
-      for (index_t j = 0; j < n; ++j) {
-        for (index_t i = 0; i < rep.vt.rows(); ++i) {
-          rep.vt(i, j) =
-              static_cast<double>(vt_acc(vsel[static_cast<std::size_t>(i)], j));
-        }
-      }
-    } else {
-      rep.u = Matrix<double>(n, static_cast<index_t>(vsel.size()));
-      for (index_t j = 0; j < rep.u.cols(); ++j) {
-        const index_t src = vsel[static_cast<std::size_t>(j)];
-        for (index_t i = 0; i < n; ++i) {
-          rep.u(i, j) = static_cast<double>(vt_acc(src, i));
-        }
-      }
-      rep.vt = Matrix<double>(static_cast<index_t>(usel.size()), m);
-      for (index_t j = 0; j < m; ++j) {
-        for (index_t i = 0; i < rep.vt.rows(); ++i) {
-          rep.vt(i, j) =
-              static_cast<double>(ut_acc(usel[static_cast<std::size_t>(i)], j));
-        }
+    }
+    rep.vt = Matrix<double>(static_cast<index_t>(vsel.size()), n);
+    for (index_t j = 0; j < n; ++j) {
+      for (index_t i = 0; i < rep.vt.rows(); ++i) {
+        rep.vt(i, j) =
+            static_cast<double>(vt_acc(vsel[static_cast<std::size_t>(i)], j));
       }
     }
     rep.stage_times.add(ka::Stage::VectorAccumulation, seconds_since(t0));

@@ -34,10 +34,9 @@ enum class SvdJob {
                ///< allocated, no accumulation kernels launch)
   Thin,        ///< U is m x min(m, n), Vt is min(m, n) x n — the economy
                ///< factorization that PCA / low-rank use. Tall (or wide, on
-               ///< the lazy transpose) inputs past SvdConfig::qr_first_aspect
-               ///< take the QR-first path, whose accumulators peak at
-               ///< O(m_pad * n_pad) instead of O(max(m,n)_pad^2); inputs
-               ///< below the threshold still pay the square accumulator
+               ///< the lazy transpose) inputs compose U = Q * U_R from the
+               ///< retained panel QR, so accumulators peak at
+               ///< O(m_pad * n_pad), never O(max(m,n)_pad^2)
   Full         ///< U is m x m, Vt is n x n (orthonormal completions of the
                ///< thin factors; O(m^2) memory for tall inputs)
 };
@@ -100,23 +99,10 @@ struct SvdConfig {
   /// once Auto sends a vector job to divide-and-conquer its values agree
   /// with the values-only solve within the accuracy gates, not bitwise.
   SvdJob job = SvdJob::ValuesOnly;
-  /// Aspect-ratio threshold of the QR-first tall path (vector jobs only):
-  /// when max(m, n) >= qr_first_aspect * min(m, n), the solver factors the
-  /// tall orientation A = Q R with the replayable tall-panel QR
-  /// (qr/panel_qr.hpp), runs the three-stage pipeline on the small
-  /// n_pad x n_pad R factor, and composes U = Q * U_R by backward reflector
-  /// replay — cutting peak left-accumulator memory from O(m_pad^2) to
-  /// O(m_pad * n_pad) and skipping the m_pad-wide accumulation work in
-  /// Stages 1-3. Singular values are bit-identical to the generic path
-  /// (enforced by tests/test_qr_first.cpp). Set <= 1 to force the path for
-  /// every rectangular vector solve, or a huge value (e.g.
-  /// core::kQrFirstAspectNever) to disable it; core::learn_qr_first_aspect
-  /// measures and persists the crossover per backend/precision.
-  double qr_first_aspect = 1.6;
   /// Fused tiny-problem threshold: problems with min(m, n) <= this take the
   /// stack-resident one-sided Jacobi path (src/small) — one fused kernel,
   /// no tile padding, no per-stage launches — for every job, before the
-  /// QR-first aspect test. Values match the pipeline within the storage
+  /// tall-panel QR. Values match the pipeline within the storage
   /// precision's accuracy gates and stay bit-identical across jobs on the
   /// fused path itself; SvdReport::small_path records the dispatch. Set 0
   /// to force the pipeline everywhere; core::learn_small_svd_threshold
@@ -143,9 +129,6 @@ struct SvdConfig {
 
   void validate() const {
     kernels.validate();
-    UNISVD_REQUIRE(qr_first_aspect > 0.0 && qr_first_aspect == qr_first_aspect,
-                   "SvdConfig: qr_first_aspect must be positive (set a huge "
-                   "value to disable the QR-first path, not 0 or NaN)");
     UNISVD_REQUIRE(small_svd_threshold >= 0,
                    "SvdConfig: small_svd_threshold must be >= 0 (0 disables "
                    "the fused tiny-problem path)");
@@ -204,18 +187,13 @@ struct SvdReport {
   ka::StageTimes stage_times;   ///< wall clock per pipeline stage
   band::ChaseStats chase_stats; ///< Stage-2 rotation counts
   index_t padded_n = 0;         ///< square working extent after padding
-  /// True when this solve took the QR-first tall path (vector job, aspect
-  /// ratio >= SvdConfig::qr_first_aspect): tall-panel QR, pipeline on R,
-  /// U = Q * U_R composed by backward reflector replay.
-  bool qr_first = false;
   /// True when this solve took the fused tiny-problem path (min(m, n) <=
   /// SvdConfig::small_svd_threshold): one stack-resident one-sided Jacobi
   /// kernel, no tile padding — padded_n reports min(m, n) — and all wall
   /// clock under ka::Stage::FusedSmall.
   bool small_path = false;
   /// True when Stage 3 ran the divide-and-conquer engine (src/dc) —
-  /// explicit Stage3Solver::DivideConquer, or Auto past the crossover. The
-  /// QR-first tall path reports its inner square solve's dispatch.
+  /// explicit Stage3Solver::DivideConquer, or Auto past the crossover.
   bool stage3_dc = false;
   double scale_factor = 1.0;    ///< auto_scale divisor applied to the input
   SvdStatus status = SvdStatus::Ok;  ///< per-problem outcome (batched Isolate)
@@ -225,7 +203,8 @@ struct SvdReport {
 /// Singular values with per-stage diagnostics. Rectangular inputs are
 /// supported: wide matrices run on the lazy transpose (sigma(A) ==
 /// sigma(A^T)); tall matrices are first reduced to square triangular form
-/// by a tiled tall QR built from the same GEQRT/TSQRT/UNMQR/TSMQR kernels.
+/// by the replayable tall-panel QR (qr/panel_qr.hpp) built from the same
+/// GEQRT/TSQRT/UNMQR/TSMQR kernels.
 template <class T>
 SvdReport svd_values_report(ConstMatrixView<T> a, const SvdConfig& config = {},
                             ka::Backend& backend = ka::default_backend());
@@ -254,11 +233,12 @@ struct Svd {
 
 namespace detail {
 
-/// Narrow a vector-carrying report into storage precision (empty factors
-/// pass through empty — the batched Isolate failure shape).
-template <class T>
-Svd<T> narrow_svd(const SvdReport& rep) {
-  Svd<T> out;
+/// Narrow a factor-carrying report (SvdReport into Svd, TruncReport into
+/// SvdTrunc) into storage precision (empty factors pass through empty —
+/// the batched Isolate failure shape).
+template <template <class> class Out, class T, class Report>
+Out<T> narrow_factors(const Report& rep) {
+  Out<T> out;
   out.values.resize(rep.values.size());
   for (std::size_t i = 0; i < out.values.size(); ++i) {
     out.values[i] = narrow_from_double<T>(rep.values[i]);
@@ -301,7 +281,7 @@ SvdReport svd_report(ConstMatrixView<T> a, SvdConfig config = {},
 template <class T>
 Svd<T> svd(ConstMatrixView<T> a, const SvdConfig& config = {},
            ka::Backend& backend = ka::default_backend()) {
-  return detail::narrow_svd<T>(svd_report(a, config, backend));
+  return detail::narrow_factors<Svd, T>(svd_report(a, config, backend));
 }
 
 // ---------------------------------------------------------------------------
@@ -402,34 +382,6 @@ TruncReport svd_truncated_report(ConstMatrixView<T> a,
                                  const TruncConfig& config = {},
                                  ka::Backend& backend = ka::default_backend());
 
-namespace detail {
-
-/// Narrow a truncated report into storage precision (empty factors pass
-/// through empty — the batched Isolate failure shape).
-template <class T>
-SvdTrunc<T> narrow_trunc(const TruncReport& rep) {
-  SvdTrunc<T> out;
-  out.values.resize(rep.values.size());
-  for (std::size_t i = 0; i < out.values.size(); ++i) {
-    out.values[i] = narrow_from_double<T>(rep.values[i]);
-  }
-  out.u = Matrix<T>(rep.u.rows(), rep.u.cols());
-  for (index_t j = 0; j < rep.u.cols(); ++j) {
-    for (index_t i = 0; i < rep.u.rows(); ++i) {
-      out.u(i, j) = narrow_from_double<T>(rep.u(i, j));
-    }
-  }
-  out.vt = Matrix<T>(rep.vt.rows(), rep.vt.cols());
-  for (index_t j = 0; j < rep.vt.cols(); ++j) {
-    for (index_t i = 0; i < rep.vt.rows(); ++i) {
-      out.vt(i, j) = narrow_from_double<T>(rep.vt(i, j));
-    }
-  }
-  return out;
-}
-
-}  // namespace detail
-
 /// Randomized truncated SVD in storage precision: the top-k factorization
 /// A ~= u * diag(values) * vt at a fraction of the dense pipeline's cost —
 /// the PCA / LoRA / low-rank-compression entry point. See TruncConfig for
@@ -438,7 +390,7 @@ SvdTrunc<T> narrow_trunc(const TruncReport& rep) {
 template <class T>
 SvdTrunc<T> svd_truncated(ConstMatrixView<T> a, const TruncConfig& config = {},
                           ka::Backend& backend = ka::default_backend()) {
-  return detail::narrow_trunc<T>(svd_truncated_report(a, config, backend));
+  return detail::narrow_factors<SvdTrunc, T>(svd_truncated_report(a, config, backend));
 }
 
 }  // namespace unisvd

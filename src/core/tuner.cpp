@@ -41,6 +41,162 @@
 
 namespace unisvd::core {
 
+namespace {
+
+/// Wall-clock seconds of one call of `f`.
+template <class F>
+double time_call(const F& f) {
+  const auto t0 = std::chrono::steady_clock::now();
+  f();
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+}
+
+/// How a threshold tuner turns per-size wins into its learned threshold.
+enum class WinRule {
+  /// The largest probed size up to which the candidate won at EVERY probe
+  /// from the smallest up: a noisy win above a real loss does not extend it.
+  Prefix,
+  /// The smallest probed size from which the candidate won at EVERY probe
+  /// up to the largest: a noisy win below a real loss does not lower it.
+  Suffix
+};
+
+/// The probe protocol the threshold tuners share. Non-positive `repeats`
+/// and sizes below `min_size` are rejected (`name` prefixes the errors);
+/// the sizes then run ascending and de-duplicated. Per size, `prepare(n)`
+/// builds that size's probe and returns `time(bool candidate) -> seconds`.
+/// One untimed run of each side absorbs pool wake-up and first-touch costs,
+/// then `repeats` rounds alternate which side is timed first — so neither
+/// side systematically pays residual warmup — keeping each side's best in
+/// the `baseline` / `candidate` field of a Sample appended to `samples`. A
+/// tie counts as a candidate win. Returns the threshold under `rule`, or
+/// `none` when no probe qualifies.
+template <class Sample, class Prepare>
+index_t search_threshold(const char* name, std::vector<index_t> sizes, index_t min_size,
+                         int repeats, WinRule rule, index_t none,
+                         std::vector<Sample>& samples, double Sample::*baseline,
+                         double Sample::*candidate, const Prepare& prepare) {
+  UNISVD_REQUIRE(repeats >= 1, std::string(name) + ": repeats must be positive");
+  for (const index_t n : sizes) {
+    UNISVD_REQUIRE(n >= min_size, std::string(name) + ": probed sizes must be >= " +
+                                      std::to_string(min_size));
+  }
+  std::sort(sizes.begin(), sizes.end());
+  sizes.erase(std::unique(sizes.begin(), sizes.end()), sizes.end());
+
+  for (const index_t n : sizes) {
+    const auto time = prepare(n);
+    (void)time(false);
+    (void)time(true);
+    Sample& sample = samples.emplace_back();
+    sample.n = n;
+    sample.*baseline = sample.*candidate = std::numeric_limits<double>::infinity();
+    for (int r = 0; r < repeats; ++r) {
+      const bool candidate_first = r % 2 == 0;
+      for (const bool side : {candidate_first, !candidate_first}) {
+        double& best = sample.*(side ? candidate : baseline);
+        best = std::min(best, time(side));
+      }
+    }
+  }
+  const auto won = [&](const Sample& s) { return s.*candidate <= s.*baseline; };
+  index_t threshold = none;
+  if (rule == WinRule::Prefix) {
+    for (auto it = samples.begin(); it != samples.end() && won(*it); ++it) {
+      threshold = it->n;
+    }
+  } else {
+    for (auto it = samples.rbegin(); it != samples.rend() && won(*it); ++it) {
+      threshold = it->n;
+    }
+  }
+  return threshold;
+}
+
+std::optional<Precision> parse_precision(const std::string& tok) {
+  if (tok == "FP16") return Precision::FP16;
+  if (tok == "FP32") return Precision::FP32;
+  if (tok == "FP64") return Precision::FP64;
+  return std::nullopt;
+}
+
+/// Fallback precisions, nearest first. FP16 and FP32 prefer each other
+/// (they share the FP32 compute path, so tuned values transfer well) before
+/// falling back to FP64, and vice versa.
+std::array<Precision, 2> precision_neighbors(Precision p) {
+  switch (p) {
+    case Precision::FP16: return {Precision::FP32, Precision::FP64};
+    case Precision::FP32: return {Precision::FP16, Precision::FP64};
+    case Precision::FP64: return {Precision::FP32, Precision::FP16};
+  }
+  return {Precision::FP32, Precision::FP64};
+}
+
+/// One directive of the text format: its name, how many integer fields it
+/// carries, and the check every stored or parsed value must pass (throws
+/// unisvd::Error with the reason).
+struct Directive {
+  std::string_view name;
+  std::size_t fields;
+  void (*check)(const KnobFields&);
+};
+
+/// Every field is a count, threshold or flag: a non-negative value that
+/// fits the int fields it may be narrowed into.
+void check_non_negative(const KnobFields& f) {
+  for (const index_t v : f) {
+    UNISVD_REQUIRE(v >= 0 && v <= std::numeric_limits<int>::max(),
+                   "TuningTable: entry fields must be non-negative integers");
+  }
+}
+
+/// Indexed by Knob, which also fixes the order write() emits them in.
+const std::array<Directive, 5> kDirectives{{
+    {"crossover", 1, check_non_negative},
+    {"kernels", 4,
+     [](const KnobFields& f) {
+       check_non_negative(f);
+       KnobTraits<Knob::Kernels>::decode(f).validate();
+     }},
+    {"rsvd", 2, check_non_negative},
+    {"small_svd", 1, check_non_negative},
+    {"stage3", 1, check_non_negative},
+}};
+
+const Directive& directive_of(Knob knob) {
+  return kDirectives[static_cast<std::size_t>(knob)];
+}
+
+/// The directive's fields from the rest of a line, or nullopt when one is
+/// missing or the directive's check rejects them.
+std::optional<KnobFields> parse_fields(std::istream& is, const Directive& d) {
+  KnobFields fields{};
+  for (std::size_t i = 0; i < d.fields; ++i) {
+    if (!(is >> fields[i])) return std::nullopt;
+  }
+  try {
+    d.check(fields);
+  } catch (const Error&) {
+    return std::nullopt;
+  }
+  return fields;
+}
+
+/// The table's measured SvdConfig knobs — Phase-1 kernels, the fused
+/// small-path threshold and the Stage-3 crossover — applied over `svd`
+/// (fields without an entry keep their value). Shared by
+/// tuned_batch_config and tuned_trunc_config.
+SvdConfig tuned_svd_config(const TuningTable& table, std::string_view backend,
+                           Precision p, SvdConfig svd) {
+  svd.kernels = table.get_or<Knob::Kernels>(backend, p, svd.kernels);
+  svd.small_svd_threshold =
+      table.get_or<Knob::SmallSvdThreshold>(backend, p, svd.small_svd_threshold);
+  svd.dc_crossover = table.get_or<Knob::Stage3Crossover>(backend, p, svd.dc_crossover);
+  return svd;
+}
+
+}  // namespace
+
 std::vector<qr::KernelConfig> default_candidates(index_t n) {
   std::vector<qr::KernelConfig> out;
   for (int ts : {16, 32, 64}) {
@@ -88,10 +244,8 @@ TuneResult autotune(ka::Backend& backend, index_t n,
         }
       }
       Matrix<T> tau(layout.ntiles, cfg.tilesize, T(0));
-      const auto t0 = std::chrono::steady_clock::now();
-      qr::band_reduction<T>(backend, work.view(), tau.view(), cfg);
-      const double dt =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+      const double dt = time_call(
+          [&] { qr::band_reduction<T>(backend, work.view(), tau.view(), cfg); });
       best = (r == 0) ? dt : std::min(best, dt);
     }
     result.all.push_back(TuneEntry{cfg, best});
@@ -101,13 +255,6 @@ TuneResult autotune(ka::Backend& backend, index_t n,
   result.best = result.all.front().config;
   return result;
 }
-
-template TuneResult autotune<Half>(ka::Backend&, index_t, std::vector<qr::KernelConfig>,
-                                   int, std::uint64_t);
-template TuneResult autotune<float>(ka::Backend&, index_t, std::vector<qr::KernelConfig>,
-                                    int, std::uint64_t);
-template TuneResult autotune<double>(ka::Backend&, index_t,
-                                     std::vector<qr::KernelConfig>, int, std::uint64_t);
 
 template <class T>
 BatchCrossoverResult tune_batch_crossover(ka::Backend& backend,
@@ -123,297 +270,70 @@ BatchCrossoverResult tune_batch_crossover(ka::Backend& backend,
                  "must not be called from inside one of its own pool jobs");
   UNISVD_REQUIRE(problems_per_size >= 1,
                  "tune_batch_crossover: problems_per_size must be positive");
-  UNISVD_REQUIRE(repeats >= 1, "tune_batch_crossover: repeats must be positive");
   if (sizes.empty()) sizes = {32, 64, 128, 256};
-  for (const index_t n : sizes) {
-    UNISVD_REQUIRE(n >= 1, "tune_batch_crossover: probed sizes must be positive");
-  }
-  std::sort(sizes.begin(), sizes.end());
-  sizes.erase(std::unique(sizes.begin(), sizes.end()), sizes.end());
 
-  BatchCrossoverResult result;
   rnd::Xoshiro256 rng(seed);
-  // The crossover only extends while inter wins at every probed size from
-  // the bottom up: a noisy inter win above a real loss must not drag
-  // intermediate sizes (where intra measured faster) into the inter regime.
-  bool inter_prefix = true;
-  for (const index_t n : sizes) {
-    std::vector<Matrix<T>> problems;
-    problems.reserve(problems_per_size);
-    std::vector<ConstMatrixView<T>> views;
-    views.reserve(problems_per_size);
-    for (std::size_t p = 0; p < problems_per_size; ++p) {
-      problems.push_back(rnd::round_to<T>(rnd::gaussian_matrix(n, n, rng)));
-      views.push_back(problems.back().view());
-    }
-
-    const auto run = [&](BatchSchedule schedule) {
-      BatchConfig bc;
-      bc.svd = config;
-      bc.schedule = schedule;
-      const auto t0 = std::chrono::steady_clock::now();
-      (void)svd_values_batched_report<T>(views, bc, backend);
-      return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-    };
-
-    BatchCrossoverSample sample;
-    sample.n = n;
-    // Best of `repeats` per schedule (same protocol as autotune above). An
-    // untimed warmup run absorbs worker wake-up and first-touch costs, and
-    // the schedule order alternates per repeat so neither side systematically
-    // pays any residual warmup.
-    (void)run(BatchSchedule::InterProblem);
-    sample.inter_seconds = std::numeric_limits<double>::infinity();
-    sample.intra_seconds = std::numeric_limits<double>::infinity();
-    for (int r = 0; r < repeats; ++r) {
-      const bool inter_first = r % 2 == 0;
-      const BatchSchedule order[] = {
-          inter_first ? BatchSchedule::InterProblem : BatchSchedule::IntraProblem,
-          inter_first ? BatchSchedule::IntraProblem : BatchSchedule::InterProblem};
-      for (const BatchSchedule schedule : order) {
-        double& best = schedule == BatchSchedule::InterProblem ? sample.inter_seconds
-                                                               : sample.intra_seconds;
-        best = std::min(best, run(schedule));
-      }
-    }
-    if (sample.inter_seconds <= sample.intra_seconds && inter_prefix) {
-      result.crossover_n = n;
-    } else {
-      inter_prefix = false;
-    }
-    result.samples.push_back(sample);
-  }
+  std::vector<Matrix<T>> problems;
+  std::vector<ConstMatrixView<T>> views;
+  // Candidate: the inter-problem schedule; baseline: intra. Prefix-win, so
+  // a noisy inter win above a real loss cannot drag intermediate sizes
+  // (where intra measured faster) into the inter regime.
+  BatchCrossoverResult result;
+  result.crossover_n = search_threshold(
+      "tune_batch_crossover", std::move(sizes), 1, repeats, WinRule::Prefix, 0,
+      result.samples, &BatchCrossoverSample::intra_seconds,
+      &BatchCrossoverSample::inter_seconds, [&](index_t n) {
+        problems.clear();
+        views.clear();
+        for (std::size_t p = 0; p < problems_per_size; ++p) {
+          problems.push_back(rnd::round_to<T>(rnd::gaussian_matrix(n, n, rng)));
+        }
+        for (const auto& problem : problems) views.push_back(problem.view());
+        return [&](bool inter) {
+          BatchConfig bc;
+          bc.svd = config;
+          bc.schedule = inter ? BatchSchedule::InterProblem : BatchSchedule::IntraProblem;
+          return time_call(
+              [&] { (void)svd_values_batched_report<T>(views, bc, backend); });
+        };
+      });
   return result;
 }
 
-template BatchCrossoverResult tune_batch_crossover<Half>(ka::Backend&,
-                                                         std::vector<index_t>,
-                                                         std::size_t, int,
-                                                         const SvdConfig&,
-                                                         std::uint64_t);
-template BatchCrossoverResult tune_batch_crossover<float>(ka::Backend&,
-                                                          std::vector<index_t>,
-                                                          std::size_t, int,
-                                                          const SvdConfig&,
-                                                          std::uint64_t);
-template BatchCrossoverResult tune_batch_crossover<double>(ka::Backend&,
-                                                           std::vector<index_t>,
-                                                           std::size_t, int,
-                                                           const SvdConfig&,
-                                                           std::uint64_t);
-
-namespace {
-
-std::optional<Precision> parse_precision(const std::string& tok) {
-  if (tok == "FP16") return Precision::FP16;
-  if (tok == "FP32") return Precision::FP32;
-  if (tok == "FP64") return Precision::FP64;
-  return std::nullopt;
+void TuningTable::set_fields(Knob knob, std::string_view backend, Precision p,
+                             const KnobFields& fields) {
+  directive_of(knob).check(fields);
+  UNISVD_REQUIRE(backend.find_first_of(" \t\n#") == std::string_view::npos,
+                 "TuningTable: backend names must be free of whitespace and '#' "
+                 "(the text format's separators and comment marker)");
+  entries_[Key{knob, std::string(backend), p}] = fields;
 }
 
-/// Fallback precisions, nearest first. FP16 and FP32 prefer each other
-/// (they share the FP32 compute path, so tuned values transfer well) before
-/// falling back to FP64, and vice versa.
-std::array<Precision, 2> precision_neighbors(Precision p) {
-  switch (p) {
-    case Precision::FP16: return {Precision::FP32, Precision::FP64};
-    case Precision::FP32: return {Precision::FP16, Precision::FP64};
-    case Precision::FP64: return {Precision::FP32, Precision::FP16};
-  }
-  return {Precision::FP32, Precision::FP64};
-}
-
-}  // namespace
-
-template <class V>
-const V* TuningTable::lookup(const std::map<Key, V>& entries, std::string_view backend,
-                             Precision p) {
-  const auto exact = entries.find(Key{std::string(backend), p});
-  if (exact != entries.end()) return &exact->second;
+const KnobFields* TuningTable::find(Knob knob, std::string_view backend, Precision p,
+                                    bool nearest) const {
+  const auto exact = entries_.find(Key{knob, std::string(backend), p});
+  if (exact != entries_.end()) return &exact->second;
+  if (!nearest) return nullptr;
   for (const Precision q : precision_neighbors(p)) {
-    const auto near = entries.find(Key{std::string(backend), q});
-    if (near != entries.end()) return &near->second;
+    const auto near = entries_.find(Key{knob, std::string(backend), q});
+    if (near != entries_.end()) return &near->second;
   }
   return nullptr;
 }
 
-void TuningTable::set_batch_crossover(std::string_view backend, Precision p,
-                                      index_t crossover_n) {
-  UNISVD_REQUIRE(crossover_n >= 0, "TuningTable: crossover must be >= 0");
-  UNISVD_REQUIRE(backend.find_first_of(" \t\n#") == std::string_view::npos,
-                 "TuningTable: backend names must be free of whitespace and '#' "
-                 "(the text format's separators and comment marker)");
-  crossovers_[Key{std::string(backend), p}] = crossover_n;
-}
-
-std::optional<index_t> TuningTable::batch_crossover(std::string_view backend,
-                                                    Precision p) const {
-  const auto it = crossovers_.find(Key{std::string(backend), p});
-  if (it == crossovers_.end()) return std::nullopt;
-  return it->second;
-}
-
-index_t TuningTable::batch_crossover_or(std::string_view backend, Precision p,
-                                        index_t fallback) const {
-  const index_t* hit = lookup(crossovers_, backend, p);
-  return hit != nullptr ? *hit : fallback;
-}
-
-void TuningTable::set_kernels(std::string_view backend, Precision p,
-                              const qr::KernelConfig& cfg) {
-  cfg.validate();
-  UNISVD_REQUIRE(backend.find_first_of(" \t\n#") == std::string_view::npos,
-                 "TuningTable: backend names must be free of whitespace and '#' "
-                 "(the text format's separators and comment marker)");
-  kernel_configs_[Key{std::string(backend), p}] = cfg;
-}
-
-std::optional<qr::KernelConfig> TuningTable::kernels(std::string_view backend,
-                                                     Precision p) const {
-  const auto it = kernel_configs_.find(Key{std::string(backend), p});
-  if (it == kernel_configs_.end()) return std::nullopt;
-  return it->second;
-}
-
-qr::KernelConfig TuningTable::kernels_or(std::string_view backend, Precision p,
-                                         const qr::KernelConfig& fallback) const {
-  const qr::KernelConfig* hit = lookup(kernel_configs_, backend, p);
-  return hit != nullptr ? *hit : fallback;
-}
-
-void TuningTable::set_rsvd(std::string_view backend, Precision p,
-                           const RsvdDefaults& d) {
-  UNISVD_REQUIRE(d.oversample >= 0 && d.power_iters >= 0,
-                 "TuningTable: rsvd defaults must be non-negative");
-  UNISVD_REQUIRE(backend.find_first_of(" \t\n#") == std::string_view::npos,
-                 "TuningTable: backend names must be free of whitespace and '#' "
-                 "(the text format's separators and comment marker)");
-  rsvd_defaults_[Key{std::string(backend), p}] = d;
-}
-
-std::optional<TuningTable::RsvdDefaults> TuningTable::rsvd(std::string_view backend,
-                                                           Precision p) const {
-  const auto it = rsvd_defaults_.find(Key{std::string(backend), p});
-  if (it == rsvd_defaults_.end()) return std::nullopt;
-  return it->second;
-}
-
-TuningTable::RsvdDefaults TuningTable::rsvd_or(std::string_view backend, Precision p,
-                                               const RsvdDefaults& fallback) const {
-  const RsvdDefaults* hit = lookup(rsvd_defaults_, backend, p);
-  return hit != nullptr ? *hit : fallback;
-}
-
-void TuningTable::set_qr_first_aspect(std::string_view backend, Precision p,
-                                      double aspect) {
-  UNISVD_REQUIRE(std::isfinite(aspect) && aspect > 0.0,
-                 "TuningTable: qr_first aspect must be finite and positive "
-                 "(use kQrFirstAspectNever for 'never faster')");
-  UNISVD_REQUIRE(backend.find_first_of(" \t\n#") == std::string_view::npos,
-                 "TuningTable: backend names must be free of whitespace and '#' "
-                 "(the text format's separators and comment marker)");
-  qr_first_aspects_[Key{std::string(backend), p}] = aspect;
-}
-
-std::optional<double> TuningTable::qr_first_aspect(std::string_view backend,
-                                                   Precision p) const {
-  const auto it = qr_first_aspects_.find(Key{std::string(backend), p});
-  if (it == qr_first_aspects_.end()) return std::nullopt;
-  return it->second;
-}
-
-double TuningTable::qr_first_aspect_or(std::string_view backend, Precision p,
-                                       double fallback) const {
-  const double* hit = lookup(qr_first_aspects_, backend, p);
-  return hit != nullptr ? *hit : fallback;
-}
-
-void TuningTable::set_stage3_crossover(std::string_view backend, Precision p,
-                                       index_t n) {
-  UNISVD_REQUIRE(n >= 0,
-                 "TuningTable: stage3 crossover must be >= 0 (use "
-                 "kStage3CrossoverNever for 'never faster')");
-  UNISVD_REQUIRE(backend.find_first_of(" \t\n#") == std::string_view::npos,
-                 "TuningTable: backend names must be free of whitespace and '#' "
-                 "(the text format's separators and comment marker)");
-  stage3_crossovers_[Key{std::string(backend), p}] = n;
-}
-
-std::optional<index_t> TuningTable::stage3_crossover(std::string_view backend,
-                                                     Precision p) const {
-  const auto it = stage3_crossovers_.find(Key{std::string(backend), p});
-  if (it == stage3_crossovers_.end()) return std::nullopt;
-  return it->second;
-}
-
-index_t TuningTable::stage3_crossover_or(std::string_view backend, Precision p,
-                                         index_t fallback) const {
-  const index_t* hit = lookup(stage3_crossovers_, backend, p);
-  return hit != nullptr ? *hit : fallback;
-}
-
-void TuningTable::set_small_svd_threshold(std::string_view backend, Precision p,
-                                          index_t threshold) {
-  UNISVD_REQUIRE(threshold >= 0,
-                 "TuningTable: small_svd threshold must be >= 0 (0 disables "
-                 "the fused tiny-problem path)");
-  UNISVD_REQUIRE(backend.find_first_of(" \t\n#") == std::string_view::npos,
-                 "TuningTable: backend names must be free of whitespace and '#' "
-                 "(the text format's separators and comment marker)");
-  small_svd_thresholds_[Key{std::string(backend), p}] = threshold;
-}
-
-std::optional<index_t> TuningTable::small_svd_threshold(std::string_view backend,
-                                                        Precision p) const {
-  const auto it = small_svd_thresholds_.find(Key{std::string(backend), p});
-  if (it == small_svd_thresholds_.end()) return std::nullopt;
-  return it->second;
-}
-
-index_t TuningTable::small_svd_threshold_or(std::string_view backend, Precision p,
-                                            index_t fallback) const {
-  const index_t* hit = lookup(small_svd_thresholds_, backend, p);
-  return hit != nullptr ? *hit : fallback;
-}
-
 void TuningTable::write(std::ostream& os) const {
   // The text format is locale-independent by contract: a process that set a
-  // global locale with ',' decimal points (or digit grouping on integers)
-  // must not corrupt the table it saves. Pin the classic "C" locale for the
-  // whole write and restore the caller's on exit.
+  // global locale with digit grouping on integers must not corrupt the table
+  // it saves. Pin the classic "C" locale for the whole write and restore the
+  // caller's on exit.
   const std::locale caller_locale = os.imbue(std::locale::classic());
   os << "# unisvd tuning table v1\n";
-  for (const auto& [key, crossover] : crossovers_) {
-    os << "crossover " << key.first << ' ' << to_string(key.second) << ' '
-       << crossover << '\n';
-  }
-  for (const auto& [key, cfg] : kernel_configs_) {
-    os << "kernels " << key.first << ' ' << to_string(key.second) << ' '
-       << cfg.tilesize << ' ' << cfg.colperblock << ' ' << cfg.splitk << ' '
-       << (cfg.fused ? 1 : 0) << '\n';
-  }
-  for (const auto& [key, d] : rsvd_defaults_) {
-    os << "rsvd " << key.first << ' ' << to_string(key.second) << ' '
-       << d.oversample << ' ' << d.power_iters << '\n';
-  }
-  // The aspect is the format's only floating-point field: write it at
-  // max_digits10 so every double survives the save/load round trip
-  // (restoring the caller's stream precision afterwards).
-  const auto old_precision = os.precision();
-  os.precision(std::numeric_limits<double>::max_digits10);
-  for (const auto& [key, aspect] : qr_first_aspects_) {
-    os << "qr_first " << key.first << ' ' << to_string(key.second) << ' '
-       << aspect << '\n';
-  }
-  os.precision(old_precision);
-  for (const auto& [key, threshold] : small_svd_thresholds_) {
-    os << "small_svd " << key.first << ' ' << to_string(key.second) << ' '
-       << threshold << '\n';
-  }
-  for (const auto& [key, n] : stage3_crossovers_) {
-    os << "stage3 " << key.first << ' ' << to_string(key.second) << ' ' << n
-       << '\n';
+  for (const auto& [key, fields] : entries_) {
+    const Directive& d = directive_of(std::get<Knob>(key));
+    os << d.name << ' ' << std::get<std::string>(key) << ' '
+       << to_string(std::get<Precision>(key));
+    for (std::size_t i = 0; i < d.fields; ++i) os << ' ' << fields[i];
+    os << '\n';
   }
   os.imbue(caller_locale);
 }
@@ -421,21 +341,15 @@ void TuningTable::write(std::ostream& os) const {
 TuningTable TuningTable::read(std::istream& is, std::size_t* malformed_lines) {
   TuningTable table;
   std::size_t malformed = 0;
-  // A line whose KNOWN directive fails to parse is corruption (a truncated
-  // write, a hand-edit gone wrong) and is counted — as is a directive that
-  // is a torn PREFIX of a known one ("crossov": a write cut off inside the
-  // token itself). Genuinely unknown directives pass silently so newer
-  // tables still load on older code.
-  const auto known = [](const std::string& d) {
-    for (const char* full :
-         {"crossover", "kernels", "rsvd", "qr_first", "small_svd", "stage3"}) {
-      const std::string_view f(full);
-      if (d == f || (!d.empty() && d.size() < f.size() &&
-                     f.substr(0, d.size()) == d)) {
-        return true;
-      }
-    }
-    return false;
+  // A line whose KNOWN directive fails to parse or validate is corruption (a
+  // truncated write, a hand-edit gone wrong) and is counted — as is a
+  // directive that is a torn PREFIX of a known one ("crossov": a write cut
+  // off inside the token itself). Genuinely unknown directives pass silently
+  // so newer tables still load on older code.
+  const auto torn_prefix = [](const std::string& token) {
+    return std::any_of(kDirectives.begin(), kDirectives.end(), [&](const Directive& d) {
+      return token.size() < d.name.size() && d.name.starts_with(token);
+    });
   };
   std::string line;
   while (std::getline(is, line)) {
@@ -443,75 +357,29 @@ TuningTable TuningTable::read(std::istream& is, std::size_t* malformed_lines) {
     if (hash != std::string::npos) line.erase(hash);
     std::istringstream ls(line);
     // Parse under the classic "C" locale whatever the process global is:
-    // `>> double` in a de_DE-style locale would stop at the '.' of "1.5"
-    // and silently load aspect 1 (and grouping locales can mangle the
-    // integer fields). Mirrors the imbue in write().
+    // grouping locales can mangle the integer fields. Mirrors the imbue in
+    // write().
     ls.imbue(std::locale::classic());
-    std::string directive;
-    if (!(ls >> directive)) continue;  // blank line
+    std::string token;
+    if (!(ls >> token)) continue;  // blank line
+    const auto known = std::find_if(kDirectives.begin(), kDirectives.end(),
+                                    [&](const Directive& d) { return d.name == token; });
+    if (known == kDirectives.end()) {
+      if (torn_prefix(token)) ++malformed;
+      continue;  // unknown directives are ignored (forward compatibility)
+    }
     std::string backend;
     std::string prec_tok;
-    std::optional<Precision> p;
-    if ((ls >> backend >> prec_tok)) p = parse_precision(prec_tok);
-    if (!p) {
-      if (known(directive)) ++malformed;  // truncated / garbled key: skip
+    ls >> backend >> prec_tok;  // a missing token leaves prec_tok empty
+    const std::optional<Precision> p = parse_precision(prec_tok);
+    const std::optional<KnobFields> fields =
+        p ? parse_fields(ls, *known) : std::nullopt;
+    if (!p || !fields) {
+      ++malformed;  // corrupt entry: skip, keep the rest of the table
       continue;
     }
-    if (directive == "crossover") {
-      index_t crossover = -1;
-      if (!(ls >> crossover) || crossover < 0) {
-        ++malformed;
-        continue;
-      }
-      table.crossovers_[Key{backend, *p}] = crossover;
-    } else if (directive == "kernels") {
-      qr::KernelConfig cfg;
-      int fused = 0;
-      if (!(ls >> cfg.tilesize >> cfg.colperblock >> cfg.splitk >> fused)) {
-        ++malformed;
-        continue;
-      }
-      cfg.fused = fused != 0;
-      try {
-        cfg.validate();
-      } catch (const Error&) {
-        ++malformed;  // corrupt entry: skip, keep the rest of the table
-        continue;
-      }
-      table.kernel_configs_[Key{backend, *p}] = cfg;
-    } else if (directive == "rsvd") {
-      RsvdDefaults d;
-      if (!(ls >> d.oversample >> d.power_iters) || d.oversample < 0 ||
-          d.power_iters < 0) {
-        ++malformed;
-        continue;
-      }
-      table.rsvd_defaults_[Key{backend, *p}] = d;
-    } else if (directive == "qr_first") {
-      double aspect = 0.0;
-      if (!(ls >> aspect) || !std::isfinite(aspect) || aspect <= 0.0) {
-        ++malformed;
-        continue;
-      }
-      table.qr_first_aspects_[Key{backend, *p}] = aspect;
-    } else if (directive == "small_svd") {
-      index_t threshold = -1;
-      if (!(ls >> threshold) || threshold < 0) {
-        ++malformed;
-        continue;
-      }
-      table.small_svd_thresholds_[Key{backend, *p}] = threshold;
-    } else if (directive == "stage3") {
-      index_t n = -1;
-      if (!(ls >> n) || n < 0) {
-        ++malformed;
-        continue;
-      }
-      table.stage3_crossovers_[Key{backend, *p}] = n;
-    } else if (known(directive)) {
-      ++malformed;  // torn prefix of a known directive, args intact
-    }
-    // Unknown directives are ignored (forward compatibility).
+    const auto knob = static_cast<Knob>(known - kDirectives.begin());
+    table.entries_[Key{knob, backend, *p}] = *fields;
   }
   if (malformed_lines != nullptr) *malformed_lines = malformed;
   return table;
@@ -564,138 +432,13 @@ TuningTable TuningTable::load(const std::string& path) {
   return table;
 }
 
-template <class T>
-index_t learn_batch_crossover(TuningTable& table, ka::Backend& backend,
-                              std::vector<index_t> sizes,
-                              std::size_t problems_per_size, int repeats,
-                              const SvdConfig& config, std::uint64_t seed) {
-  const BatchCrossoverResult result = tune_batch_crossover<T>(
-      backend, std::move(sizes), problems_per_size, repeats, config, seed);
-  table.set_batch_crossover(backend.name(), precision_of<T>, result.crossover_n);
-  return result.crossover_n;
-}
-
-template index_t learn_batch_crossover<Half>(TuningTable&, ka::Backend&,
-                                             std::vector<index_t>, std::size_t, int,
-                                             const SvdConfig&, std::uint64_t);
-template index_t learn_batch_crossover<float>(TuningTable&, ka::Backend&,
-                                              std::vector<index_t>, std::size_t, int,
-                                              const SvdConfig&, std::uint64_t);
-template index_t learn_batch_crossover<double>(TuningTable&, ka::Backend&,
-                                               std::vector<index_t>, std::size_t, int,
-                                               const SvdConfig&, std::uint64_t);
-
 BatchConfig tuned_batch_config(const TuningTable& table, const ka::Backend& backend,
                                Precision p, BatchConfig base) {
-  base.crossover_n = table.batch_crossover_or(backend.name(), p, base.crossover_n);
-  base.svd.kernels = table.kernels_or(backend.name(), p, base.svd.kernels);
-  base.svd.qr_first_aspect =
-      table.qr_first_aspect_or(backend.name(), p, base.svd.qr_first_aspect);
-  base.svd.small_svd_threshold = table.small_svd_threshold_or(
-      backend.name(), p, base.svd.small_svd_threshold);
-  base.svd.dc_crossover =
-      table.stage3_crossover_or(backend.name(), p, base.svd.dc_crossover);
+  base.crossover_n =
+      table.get_or<Knob::BatchCrossover>(backend.name(), p, base.crossover_n);
+  base.svd = tuned_svd_config(table, backend.name(), p, base.svd);
   return base;
 }
-
-template <class T>
-QrFirstAspectResult tune_qr_first_aspect(ka::Backend& backend, index_t n,
-                                         std::vector<double> aspects, int repeats,
-                                         const SvdConfig& config,
-                                         std::uint64_t seed) {
-  UNISVD_REQUIRE(backend.executes(),
-                 "tune_qr_first_aspect: backend must execute kernels");
-  UNISVD_REQUIRE(n >= 2, "tune_qr_first_aspect: probe extent must be >= 2");
-  UNISVD_REQUIRE(repeats >= 1, "tune_qr_first_aspect: repeats must be positive");
-  if (aspects.empty()) aspects = {1.25, 1.5, 2.0, 3.0, 4.0};
-  for (const double a : aspects) {
-    UNISVD_REQUIRE(std::isfinite(a) && a > 1.0,
-                   "tune_qr_first_aspect: probed aspects must be > 1");
-  }
-  std::sort(aspects.begin(), aspects.end());
-  aspects.erase(std::unique(aspects.begin(), aspects.end()), aspects.end());
-
-  rnd::Xoshiro256 rng(seed);
-  QrFirstAspectResult result;
-  for (const double aspect : aspects) {
-    const index_t m = std::max<index_t>(
-        n + 1, static_cast<index_t>(std::llround(aspect * static_cast<double>(n))));
-    const Matrix<T> probe = rnd::round_to<T>(rnd::gaussian_matrix(m, n, rng));
-
-    const auto run = [&](double forced_aspect) {
-      SvdConfig cfg = config;
-      cfg.job = SvdJob::Thin;
-      cfg.qr_first_aspect = forced_aspect;
-      double best = std::numeric_limits<double>::infinity();
-      for (int r = 0; r < repeats; ++r) {
-        const auto t0 = std::chrono::steady_clock::now();
-        (void)svd_values_report<T>(probe.view(), cfg, backend);
-        best = std::min(
-            best, std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-                      .count());
-      }
-      return best;
-    };
-
-    QrFirstSample sample;
-    sample.aspect = aspect;
-    sample.m = m;
-    // Untimed warmup (pool wake-up, first-touch) so the first TIMED run —
-    // which would otherwise always be the generic side of the smallest
-    // aspect — carries no session-start bias; same protocol as
-    // tune_batch_crossover's warmup batch.
-    (void)run(kQrFirstAspectNever);
-    sample.generic_seconds = run(kQrFirstAspectNever);  // path disabled
-    sample.qr_first_seconds = run(1.0);                 // path forced
-    result.samples.push_back(sample);
-  }
-
-  // The threshold only descends through a contiguous winning SUFFIX: the
-  // QR-first path must win from the learned aspect all the way up, so a
-  // noisy win below a real loss cannot drag the crossover down.
-  result.aspect = kQrFirstAspectNever;
-  for (auto it = result.samples.rbegin(); it != result.samples.rend(); ++it) {
-    if (it->qr_first_seconds <= it->generic_seconds) {
-      result.aspect = it->aspect;
-    } else {
-      break;
-    }
-  }
-  return result;
-}
-
-template QrFirstAspectResult tune_qr_first_aspect<Half>(ka::Backend&, index_t,
-                                                        std::vector<double>, int,
-                                                        const SvdConfig&,
-                                                        std::uint64_t);
-template QrFirstAspectResult tune_qr_first_aspect<float>(ka::Backend&, index_t,
-                                                         std::vector<double>, int,
-                                                         const SvdConfig&,
-                                                         std::uint64_t);
-template QrFirstAspectResult tune_qr_first_aspect<double>(ka::Backend&, index_t,
-                                                          std::vector<double>, int,
-                                                          const SvdConfig&,
-                                                          std::uint64_t);
-
-template <class T>
-double learn_qr_first_aspect(TuningTable& table, ka::Backend& backend, index_t n,
-                             std::vector<double> aspects, int repeats,
-                             const SvdConfig& config, std::uint64_t seed) {
-  const QrFirstAspectResult result = tune_qr_first_aspect<T>(
-      backend, n, std::move(aspects), repeats, config, seed);
-  table.set_qr_first_aspect(backend.name(), precision_of<T>, result.aspect);
-  return result.aspect;
-}
-
-template double learn_qr_first_aspect<Half>(TuningTable&, ka::Backend&, index_t,
-                                            std::vector<double>, int,
-                                            const SvdConfig&, std::uint64_t);
-template double learn_qr_first_aspect<float>(TuningTable&, ka::Backend&, index_t,
-                                             std::vector<double>, int,
-                                             const SvdConfig&, std::uint64_t);
-template double learn_qr_first_aspect<double>(TuningTable&, ka::Backend&, index_t,
-                                              std::vector<double>, int,
-                                              const SvdConfig&, std::uint64_t);
 
 template <class T>
 SmallSvdThresholdResult tune_small_svd_threshold(ka::Backend& backend,
@@ -705,82 +448,29 @@ SmallSvdThresholdResult tune_small_svd_threshold(ka::Backend& backend,
                                                  std::uint64_t seed) {
   UNISVD_REQUIRE(backend.executes(),
                  "tune_small_svd_threshold: backend must execute kernels");
-  UNISVD_REQUIRE(repeats >= 1, "tune_small_svd_threshold: repeats must be positive");
   if (sizes.empty()) sizes = {8, 16, 24, 32, 48, 64};
-  for (const index_t n : sizes) {
-    UNISVD_REQUIRE(n >= 1, "tune_small_svd_threshold: probed sizes must be positive");
-  }
-  std::sort(sizes.begin(), sizes.end());
-  sizes.erase(std::unique(sizes.begin(), sizes.end()), sizes.end());
 
   rnd::Xoshiro256 rng(seed);
+  Matrix<T> probe;
+  // Candidate: the fused path forced at the probed size; baseline: the
+  // pipeline. Prefix-win, like tune_batch_crossover: a noisy fused win above
+  // a real pipeline win cannot drag intermediate sizes into the fused regime.
   SmallSvdThresholdResult result;
-  // Prefix-win, like tune_batch_crossover: the threshold only extends while
-  // the fused path wins at every probed size from the smallest up, so a
-  // noisy fused win above a real pipeline win cannot drag intermediate
-  // sizes into the fused regime.
-  bool fused_prefix = true;
-  for (const index_t n : sizes) {
-    const Matrix<T> probe = rnd::round_to<T>(rnd::gaussian_matrix(n, n, rng));
-
-    const auto run = [&](index_t threshold) {
-      SvdConfig cfg = config;
-      cfg.job = SvdJob::Thin;
-      cfg.small_svd_threshold = threshold;
-      double best = std::numeric_limits<double>::infinity();
-      for (int r = 0; r < repeats; ++r) {
-        const auto t0 = std::chrono::steady_clock::now();
-        (void)svd_values_report<T>(probe.view(), cfg, backend);
-        best = std::min(
-            best, std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-                      .count());
-      }
-      return best;
-    };
-
-    SmallSvdSample sample;
-    sample.n = n;
-    // Untimed warmup (pool wake-up, first-touch), same protocol as the
-    // qr_first and batch-crossover tuners.
-    (void)run(0);
-    sample.pipeline_seconds = run(0);  // fused path disabled
-    sample.fused_seconds = run(n);     // fused path forced at this size
-    if (sample.fused_seconds <= sample.pipeline_seconds && fused_prefix) {
-      result.threshold = n;
-    } else {
-      fused_prefix = false;
-    }
-    result.samples.push_back(sample);
-  }
+  result.threshold = search_threshold(
+      "tune_small_svd_threshold", std::move(sizes), 1, repeats, WinRule::Prefix, 0,
+      result.samples, &SmallSvdSample::pipeline_seconds, &SmallSvdSample::fused_seconds,
+      [&](index_t n) {
+        probe = rnd::round_to<T>(rnd::gaussian_matrix(n, n, rng));
+        return [&, n](bool fused) {
+          SvdConfig cfg = config;
+          cfg.job = SvdJob::Thin;
+          cfg.small_svd_threshold = fused ? n : 0;
+          return time_call(
+              [&] { (void)svd_values_report<T>(probe.view(), cfg, backend); });
+        };
+      });
   return result;
 }
-
-template SmallSvdThresholdResult tune_small_svd_threshold<Half>(
-    ka::Backend&, std::vector<index_t>, int, const SvdConfig&, std::uint64_t);
-template SmallSvdThresholdResult tune_small_svd_threshold<float>(
-    ka::Backend&, std::vector<index_t>, int, const SvdConfig&, std::uint64_t);
-template SmallSvdThresholdResult tune_small_svd_threshold<double>(
-    ka::Backend&, std::vector<index_t>, int, const SvdConfig&, std::uint64_t);
-
-template <class T>
-index_t learn_small_svd_threshold(TuningTable& table, ka::Backend& backend,
-                                  std::vector<index_t> sizes, int repeats,
-                                  const SvdConfig& config, std::uint64_t seed) {
-  const SmallSvdThresholdResult result = tune_small_svd_threshold<T>(
-      backend, std::move(sizes), repeats, config, seed);
-  table.set_small_svd_threshold(backend.name(), precision_of<T>, result.threshold);
-  return result.threshold;
-}
-
-template index_t learn_small_svd_threshold<Half>(TuningTable&, ka::Backend&,
-                                                 std::vector<index_t>, int,
-                                                 const SvdConfig&, std::uint64_t);
-template index_t learn_small_svd_threshold<float>(TuningTable&, ka::Backend&,
-                                                  std::vector<index_t>, int,
-                                                  const SvdConfig&, std::uint64_t);
-template index_t learn_small_svd_threshold<double>(TuningTable&, ka::Backend&,
-                                                   std::vector<index_t>, int,
-                                                   const SvdConfig&, std::uint64_t);
 
 template <class T>
 Stage3CrossoverResult tune_stage3_crossover(ka::Backend& backend,
@@ -789,93 +479,37 @@ Stage3CrossoverResult tune_stage3_crossover(ka::Backend& backend,
                                             std::uint64_t seed) {
   UNISVD_REQUIRE(backend.executes(),
                  "tune_stage3_crossover: backend must execute kernels");
-  UNISVD_REQUIRE(repeats >= 1, "tune_stage3_crossover: repeats must be positive");
   if (sizes.empty()) sizes = {64, 96, 128, 192};
-  for (const index_t n : sizes) {
-    UNISVD_REQUIRE(n >= 2, "tune_stage3_crossover: probed sizes must be >= 2");
-  }
-  std::sort(sizes.begin(), sizes.end());
-  sizes.erase(std::unique(sizes.begin(), sizes.end()), sizes.end());
 
   rnd::Xoshiro256 rng(seed);
+  Matrix<T> probe;
+  // Candidate: divide-and-conquer; baseline: implicit QR. Suffix-win: D&C
+  // must win from the learned extent all the way up, so a noisy win below a
+  // real loss cannot drag the crossover down.
   Stage3CrossoverResult result;
-  for (const index_t n : sizes) {
-    const Matrix<T> probe = rnd::round_to<T>(rnd::gaussian_matrix(n, n, rng));
-
-    const auto run = [&](Stage3Solver solver) {
-      SvdConfig cfg = config;
-      cfg.job = SvdJob::Thin;
-      cfg.stage3 = solver;
-      // The probe measures the Stage-3 engines, not the dispatch heuristics
-      // around them: keep the tiny-problem shortcut out of the way.
-      cfg.small_svd_threshold = 0;
-      double best = std::numeric_limits<double>::infinity();
-      for (int r = 0; r < repeats; ++r) {
-        const auto t0 = std::chrono::steady_clock::now();
-        (void)svd_values_report<T>(probe.view(), cfg, backend);
-        best = std::min(
-            best, std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-                      .count());
-      }
-      return best;
-    };
-
-    Stage3Sample sample;
-    sample.n = n;
-    // Untimed warmup (pool wake-up, first-touch), same protocol as the
-    // qr_first and batch-crossover tuners.
-    (void)run(Stage3Solver::QR);
-    sample.qr_seconds = run(Stage3Solver::QR);
-    sample.dc_seconds = run(Stage3Solver::DivideConquer);
-    result.samples.push_back(sample);
-  }
-
-  // The crossover only descends through a contiguous winning SUFFIX: D&C
-  // must win from the learned extent all the way up, so a noisy win below
-  // a real loss cannot drag the crossover down (mirrors
-  // tune_qr_first_aspect).
-  result.crossover = kStage3CrossoverNever;
-  for (auto it = result.samples.rbegin(); it != result.samples.rend(); ++it) {
-    if (it->dc_seconds <= it->qr_seconds) {
-      result.crossover = it->n;
-    } else {
-      break;
-    }
-  }
+  result.crossover = search_threshold(
+      "tune_stage3_crossover", std::move(sizes), 2, repeats, WinRule::Suffix,
+      kStage3CrossoverNever, result.samples, &Stage3Sample::qr_seconds,
+      &Stage3Sample::dc_seconds, [&](index_t n) {
+        probe = rnd::round_to<T>(rnd::gaussian_matrix(n, n, rng));
+        return [&](bool dc) {
+          SvdConfig cfg = config;
+          cfg.job = SvdJob::Thin;
+          cfg.stage3 = dc ? Stage3Solver::DivideConquer : Stage3Solver::QR;
+          // The probe measures the Stage-3 engines, not the dispatch heuristics
+          // around them: keep the tiny-problem shortcut out of the way.
+          cfg.small_svd_threshold = 0;
+          return time_call(
+              [&] { (void)svd_values_report<T>(probe.view(), cfg, backend); });
+        };
+      });
   return result;
 }
 
-template Stage3CrossoverResult tune_stage3_crossover<Half>(
-    ka::Backend&, std::vector<index_t>, int, const SvdConfig&, std::uint64_t);
-template Stage3CrossoverResult tune_stage3_crossover<float>(
-    ka::Backend&, std::vector<index_t>, int, const SvdConfig&, std::uint64_t);
-template Stage3CrossoverResult tune_stage3_crossover<double>(
-    ka::Backend&, std::vector<index_t>, int, const SvdConfig&, std::uint64_t);
-
-template <class T>
-index_t learn_stage3_crossover(TuningTable& table, ka::Backend& backend,
-                               std::vector<index_t> sizes, int repeats,
-                               const SvdConfig& config, std::uint64_t seed) {
-  const Stage3CrossoverResult result = tune_stage3_crossover<T>(
-      backend, std::move(sizes), repeats, config, seed);
-  table.set_stage3_crossover(backend.name(), precision_of<T>, result.crossover);
-  return result.crossover;
-}
-
-template index_t learn_stage3_crossover<Half>(TuningTable&, ka::Backend&,
-                                              std::vector<index_t>, int,
-                                              const SvdConfig&, std::uint64_t);
-template index_t learn_stage3_crossover<float>(TuningTable&, ka::Backend&,
-                                               std::vector<index_t>, int,
-                                               const SvdConfig&, std::uint64_t);
-template index_t learn_stage3_crossover<double>(TuningTable&, ka::Backend&,
-                                                std::vector<index_t>, int,
-                                                const SvdConfig&, std::uint64_t);
-
 template <class T>
 RsvdTuneResult tune_rsvd(ka::Backend& backend, index_t m, index_t n, index_t rank,
-                         std::vector<TuningTable::RsvdDefaults> candidates,
-                         int repeats, double accuracy_budget, std::uint64_t seed) {
+                         std::vector<RsvdDefaults> candidates, int repeats,
+                         double accuracy_budget, std::uint64_t seed) {
   UNISVD_REQUIRE(backend.executes(), "tune_rsvd: backend must execute kernels");
   UNISVD_REQUIRE(m >= n && n >= 2 * rank && rank >= 2,
                  "tune_rsvd: probe needs m >= n >= 2*rank, rank >= 2");
@@ -884,7 +518,7 @@ RsvdTuneResult tune_rsvd(ka::Backend& backend, index_t m, index_t n, index_t ran
   if (candidates.empty()) {
     for (const index_t p : {index_t{4}, index_t{8}, index_t{16}}) {
       for (const int q : {0, 1, 2}) {
-        candidates.push_back(TuningTable::RsvdDefaults{p, q});
+        candidates.push_back(RsvdDefaults{p, q});
       }
     }
   }
@@ -920,12 +554,9 @@ RsvdTuneResult tune_rsvd(ka::Backend& backend, index_t m, index_t n, index_t ran
     sample.seconds = std::numeric_limits<double>::infinity();
     TruncReport rep;
     for (int r = 0; r < repeats; ++r) {
-      const auto t0 = std::chrono::steady_clock::now();
-      rep = svd_truncated_report<T>(probe.view(), cfg, backend);
-      sample.seconds = std::min(
-          sample.seconds,
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-              .count());
+      sample.seconds = std::min(sample.seconds, time_call([&] {
+        rep = svd_truncated_report<T>(probe.view(), cfg, backend);
+      }));
     }
     // Rank-k residual RELATIVE to the optimal rank-k error (the probe's
     // noise tail guarantees optimal > 0): 1.0 is perfect, accuracy_budget
@@ -960,50 +591,13 @@ RsvdTuneResult tune_rsvd(ka::Backend& backend, index_t m, index_t n, index_t ran
   return result;
 }
 
-template RsvdTuneResult tune_rsvd<Half>(ka::Backend&, index_t, index_t, index_t,
-                                        std::vector<TuningTable::RsvdDefaults>, int,
-                                        double, std::uint64_t);
-template RsvdTuneResult tune_rsvd<float>(ka::Backend&, index_t, index_t, index_t,
-                                         std::vector<TuningTable::RsvdDefaults>, int,
-                                         double, std::uint64_t);
-template RsvdTuneResult tune_rsvd<double>(ka::Backend&, index_t, index_t, index_t,
-                                          std::vector<TuningTable::RsvdDefaults>,
-                                          int, double, std::uint64_t);
-
-template <class T>
-TuningTable::RsvdDefaults learn_rsvd(TuningTable& table, ka::Backend& backend,
-                                     index_t m, index_t n, index_t rank, int repeats,
-                                     double accuracy_budget, std::uint64_t seed) {
-  const RsvdTuneResult result =
-      tune_rsvd<T>(backend, m, n, rank, {}, repeats, accuracy_budget, seed);
-  table.set_rsvd(backend.name(), precision_of<T>, result.best);
-  return result.best;
-}
-
-template TuningTable::RsvdDefaults learn_rsvd<Half>(TuningTable&, ka::Backend&,
-                                                    index_t, index_t, index_t, int,
-                                                    double, std::uint64_t);
-template TuningTable::RsvdDefaults learn_rsvd<float>(TuningTable&, ka::Backend&,
-                                                     index_t, index_t, index_t, int,
-                                                     double, std::uint64_t);
-template TuningTable::RsvdDefaults learn_rsvd<double>(TuningTable&, ka::Backend&,
-                                                      index_t, index_t, index_t, int,
-                                                      double, std::uint64_t);
-
 TruncConfig tuned_trunc_config(const TuningTable& table, const ka::Backend& backend,
                                Precision p, TruncConfig base) {
-  const TuningTable::RsvdDefaults d = table.rsvd_or(
-      backend.name(), p,
-      TuningTable::RsvdDefaults{base.oversample, base.power_iters});
+  const RsvdDefaults d = table.get_or<Knob::Rsvd>(
+      backend.name(), p, RsvdDefaults{base.oversample, base.power_iters});
   base.oversample = d.oversample;
   base.power_iters = d.power_iters;
-  base.svd.kernels = table.kernels_or(backend.name(), p, base.svd.kernels);
-  base.svd.qr_first_aspect =
-      table.qr_first_aspect_or(backend.name(), p, base.svd.qr_first_aspect);
-  base.svd.small_svd_threshold = table.small_svd_threshold_or(
-      backend.name(), p, base.svd.small_svd_threshold);
-  base.svd.dc_crossover =
-      table.stage3_crossover_or(backend.name(), p, base.svd.dc_crossover);
+  base.svd = tuned_svd_config(table, backend.name(), p, base.svd);
   return base;
 }
 
@@ -1057,14 +651,27 @@ index_t learn_batch_crossover(ka::Backend& backend, std::vector<index_t> sizes,
   return crossover;
 }
 
-template index_t learn_batch_crossover<Half>(ka::Backend&, std::vector<index_t>,
-                                             std::size_t, int, const SvdConfig&,
-                                             std::uint64_t);
-template index_t learn_batch_crossover<float>(ka::Backend&, std::vector<index_t>,
-                                              std::size_t, int, const SvdConfig&,
-                                              std::uint64_t);
-template index_t learn_batch_crossover<double>(ka::Backend&, std::vector<index_t>,
-                                               std::size_t, int, const SvdConfig&,
-                                               std::uint64_t);
+// Explicit instantiations: every tuner is compiled into the library for each
+// supported storage precision.
+#define UNISVD_INSTANTIATE_TUNERS(T)                                               \
+  template TuneResult autotune<T>(ka::Backend&, index_t,                           \
+                                  std::vector<qr::KernelConfig>, int, std::uint64_t); \
+  template BatchCrossoverResult tune_batch_crossover<T>(                           \
+      ka::Backend&, std::vector<index_t>, std::size_t, int, const SvdConfig&,      \
+      std::uint64_t);                                                              \
+  template SmallSvdThresholdResult tune_small_svd_threshold<T>(                    \
+      ka::Backend&, std::vector<index_t>, int, const SvdConfig&, std::uint64_t);   \
+  template Stage3CrossoverResult tune_stage3_crossover<T>(                         \
+      ka::Backend&, std::vector<index_t>, int, const SvdConfig&, std::uint64_t);   \
+  template RsvdTuneResult tune_rsvd<T>(ka::Backend&, index_t, index_t, index_t,    \
+                                       std::vector<RsvdDefaults>, int, double,     \
+                                       std::uint64_t);                             \
+  template index_t learn_batch_crossover<T>(ka::Backend&, std::vector<index_t>,    \
+                                            std::size_t, int, const SvdConfig&,    \
+                                            std::uint64_t);
+UNISVD_INSTANTIATE_TUNERS(Half)
+UNISVD_INSTANTIATE_TUNERS(float)
+UNISVD_INSTANTIATE_TUNERS(double)
+#undef UNISVD_INSTANTIATE_TUNERS
 
 }  // namespace unisvd::core

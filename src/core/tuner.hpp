@@ -8,11 +8,14 @@
 /// backend) and picks the fastest Phase-1 configuration — the same
 /// procedure the paper runs per hardware/precision combination.
 
+#include <array>
 #include <iosfwd>
 #include <map>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/matrix.hpp"
@@ -75,12 +78,65 @@ template <class T>
     std::size_t problems_per_size = 8, int repeats = 2,
     const SvdConfig& config = {}, std::uint64_t seed = 42);
 
-/// Persisted empirical-tuning results, keyed by (backend name, precision) —
-/// the runtime counterpart of the compile-time device tables in
-/// sim/tuning.hpp. Holds the learned batch-schedule crossover
-/// (tune_batch_crossover) and the fastest Phase-1 kernel configuration
-/// (autotune), so BatchConfig::crossover_n and SvdConfig::kernels defaults
-/// come from measurements instead of hardcoded constants.
+/// Measured randomized-truncated-SVD defaults (core::tune_rsvd): the
+/// cheapest (oversample, power_iters) pair that still met the accuracy
+/// gate on the probe problem. Dropped into TruncConfig by
+/// core::tuned_trunc_config.
+struct RsvdDefaults {
+  index_t oversample = 8;
+  int power_iters = 2;
+};
+
+/// The persisted tuning knobs, one per directive of the text format (in
+/// format order): `crossover`, `kernels`, `rsvd`, `small_svd` and `stage3`,
+/// learned by tune_batch_crossover, autotune, tune_rsvd,
+/// tune_small_svd_threshold and tune_stage3_crossover respectively.
+enum class Knob { BatchCrossover, Kernels, Rsvd, SmallSvdThreshold, Stage3Crossover };
+
+/// Every directive's value is a fixed-size tuple of integers; unused
+/// trailing fields stay 0.
+using KnobFields = std::array<index_t, 4>;
+
+/// A knob's value type and its conversion to and from the directive's
+/// integer fields. The three threshold knobs are plain index_t values.
+template <Knob K>
+struct KnobTraits {
+  using value_type = index_t;
+  static KnobFields encode(index_t v) { return {v}; }
+  static index_t decode(const KnobFields& f) { return f[0]; }
+};
+
+template <>
+struct KnobTraits<Knob::Kernels> {
+  using value_type = qr::KernelConfig;
+  static KnobFields encode(const qr::KernelConfig& c) {
+    return {c.tilesize, c.colperblock, c.splitk, c.fused ? 1 : 0};
+  }
+  static qr::KernelConfig decode(const KnobFields& f) {
+    return {static_cast<int>(f[0]), static_cast<int>(f[1]), static_cast<int>(f[2]),
+            f[3] != 0};
+  }
+};
+
+template <>
+struct KnobTraits<Knob::Rsvd> {
+  using value_type = RsvdDefaults;
+  static KnobFields encode(const RsvdDefaults& d) {
+    return {d.oversample, d.power_iters};
+  }
+  static RsvdDefaults decode(const KnobFields& f) {
+    return {f[0], static_cast<int>(f[1])};
+  }
+};
+
+template <Knob K>
+using knob_value_t = typename KnobTraits<K>::value_type;
+
+/// Persisted empirical-tuning results, keyed by (knob, backend name,
+/// precision) — the runtime counterpart of the compile-time device tables in
+/// sim/tuning.hpp, so BatchConfig::crossover_n, SvdConfig::kernels and the
+/// other knob defaults come from measurements instead of hardcoded
+/// constants.
 ///
 /// Lookups fall back sim::tuned_kernel_config-style: exact (backend,
 /// precision) first, then the same backend's nearest precision (FP16 and
@@ -92,7 +148,6 @@ template <class T>
 ///   crossover <backend> <FP16|FP32|FP64> <n>
 ///   kernels <backend> <FP16|FP32|FP64> <tilesize> <colperblock> <splitk> <fused 0|1>
 ///   rsvd <backend> <FP16|FP32|FP64> <oversample> <power_iters>
-///   qr_first <backend> <FP16|FP32|FP64> <aspect>
 ///   small_svd <backend> <FP16|FP32|FP64> <threshold>
 ///   stage3 <backend> <FP16|FP32|FP64> <crossover_n>
 /// Backend names must be free of whitespace and '#' — the format's
@@ -107,73 +162,30 @@ template <class T>
 /// one stderr warning instead of failing the caller.
 class TuningTable {
  public:
-  /// Learned BatchConfig::crossover_n for one backend/precision.
-  void set_batch_crossover(std::string_view backend, Precision p, index_t crossover_n);
-  [[nodiscard]] std::optional<index_t> batch_crossover(std::string_view backend,
-                                                       Precision p) const;
-  /// Crossover with fallback rules applied; `fallback` when nothing matches.
-  [[nodiscard]] index_t batch_crossover_or(std::string_view backend, Precision p,
-                                           index_t fallback) const;
-
-  /// Fastest measured Phase-1 kernel configuration (core::autotune).
-  void set_kernels(std::string_view backend, Precision p, const qr::KernelConfig& cfg);
-  [[nodiscard]] std::optional<qr::KernelConfig> kernels(std::string_view backend,
-                                                        Precision p) const;
-  [[nodiscard]] qr::KernelConfig kernels_or(std::string_view backend, Precision p,
-                                            const qr::KernelConfig& fallback) const;
-
-  /// Measured randomized-truncated-SVD defaults (core::tune_rsvd): the
-  /// cheapest (oversample, power_iters) pair that still met the accuracy
-  /// gate on the probe problem. Dropped into TruncConfig by
-  /// core::tuned_trunc_config.
-  struct RsvdDefaults {
-    index_t oversample = 8;
-    int power_iters = 2;
-  };
-  void set_rsvd(std::string_view backend, Precision p, const RsvdDefaults& d);
-  [[nodiscard]] std::optional<RsvdDefaults> rsvd(std::string_view backend,
-                                                 Precision p) const;
-  [[nodiscard]] RsvdDefaults rsvd_or(std::string_view backend, Precision p,
-                                     const RsvdDefaults& fallback) const;
-
-  /// Measured SvdConfig::qr_first_aspect threshold of the dense QR-first
-  /// tall path (core::tune_qr_first_aspect): the smallest probed aspect
-  /// ratio from which the QR-first formulation stayed faster than the
-  /// generic accumulate-through path. kQrFirstAspectNever records "never
-  /// faster on this backend".
-  void set_qr_first_aspect(std::string_view backend, Precision p, double aspect);
-  [[nodiscard]] std::optional<double> qr_first_aspect(std::string_view backend,
-                                                      Precision p) const;
-  [[nodiscard]] double qr_first_aspect_or(std::string_view backend, Precision p,
-                                          double fallback) const;
-
-  /// Measured SvdConfig::dc_crossover of the Stage-3 divide-and-conquer
-  /// engine (core::tune_stage3_crossover): the smallest probed extent from
-  /// which D&C stayed faster than the implicit-QR vector kernel.
-  /// kStage3CrossoverNever records "never faster on this backend".
-  void set_stage3_crossover(std::string_view backend, Precision p, index_t n);
-  [[nodiscard]] std::optional<index_t> stage3_crossover(std::string_view backend,
-                                                        Precision p) const;
-  [[nodiscard]] index_t stage3_crossover_or(std::string_view backend, Precision p,
-                                            index_t fallback) const;
-
-  /// Measured SvdConfig::small_svd_threshold of the fused tiny-problem path
-  /// (core::tune_small_svd_threshold): the largest probed min(m, n) up to
-  /// which the fused one-sided Jacobi kernel beat the tiled pipeline.
-  /// 0 records "never faster on this backend" (path disabled).
-  void set_small_svd_threshold(std::string_view backend, Precision p,
-                               index_t threshold);
-  [[nodiscard]] std::optional<index_t> small_svd_threshold(std::string_view backend,
-                                                           Precision p) const;
-  [[nodiscard]] index_t small_svd_threshold_or(std::string_view backend, Precision p,
-                                               index_t fallback) const;
-
-  [[nodiscard]] std::size_t size() const noexcept {
-    return crossovers_.size() + kernel_configs_.size() + rsvd_defaults_.size() +
-           qr_first_aspects_.size() + small_svd_thresholds_.size() +
-           stage3_crossovers_.size();
+  /// Record a measured value. Throws unisvd::Error when the value fails its
+  /// directive's validation or the backend name contains whitespace or '#'.
+  template <Knob K>
+  void set(std::string_view backend, Precision p, const knob_value_t<K>& value) {
+    set_fields(K, backend, p, KnobTraits<K>::encode(value));
   }
-  [[nodiscard]] bool empty() const noexcept { return size() == 0; }
+  /// The exact (backend, precision) entry, if one was recorded.
+  template <Knob K>
+  [[nodiscard]] std::optional<knob_value_t<K>> get(std::string_view backend,
+                                                   Precision p) const {
+    const KnobFields* hit = find(K, backend, p, /*nearest=*/false);
+    if (hit == nullptr) return std::nullopt;
+    return KnobTraits<K>::decode(*hit);
+  }
+  /// The entry with the fallback rules applied; `fallback` when nothing matches.
+  template <Knob K>
+  [[nodiscard]] knob_value_t<K> get_or(std::string_view backend, Precision p,
+                                       const knob_value_t<K>& fallback) const {
+    const KnobFields* hit = find(K, backend, p, /*nearest=*/true);
+    return hit != nullptr ? KnobTraits<K>::decode(*hit) : fallback;
+  }
+
+  [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
+  [[nodiscard]] bool empty() const noexcept { return entries_.empty(); }
 
   void write(std::ostream& os) const;
   /// Parse a stream; lines that name a known directive but fail to parse
@@ -194,17 +206,13 @@ class TuningTable {
   [[nodiscard]] static TuningTable load(const std::string& path);
 
  private:
-  using Key = std::pair<std::string, Precision>;
-  template <class V>
-  static const V* lookup(const std::map<Key, V>& entries, std::string_view backend,
-                         Precision p);
+  using Key = std::tuple<Knob, std::string, Precision>;
+  void set_fields(Knob knob, std::string_view backend, Precision p,
+                  const KnobFields& fields);
+  [[nodiscard]] const KnobFields* find(Knob knob, std::string_view backend,
+                                       Precision p, bool nearest) const;
 
-  std::map<Key, index_t> crossovers_;
-  std::map<Key, qr::KernelConfig> kernel_configs_;
-  std::map<Key, RsvdDefaults> rsvd_defaults_;
-  std::map<Key, double> qr_first_aspects_;
-  std::map<Key, index_t> small_svd_thresholds_;
-  std::map<Key, index_t> stage3_crossovers_;
+  std::map<Key, KnobFields> entries_;
 };
 
 /// Run tune_batch_crossover and deposit the learned crossover into `table`
@@ -213,19 +221,24 @@ template <class T>
 index_t learn_batch_crossover(TuningTable& table, ka::Backend& backend,
                               std::vector<index_t> sizes = {},
                               std::size_t problems_per_size = 8, int repeats = 2,
-                              const SvdConfig& config = {}, std::uint64_t seed = 42);
+                              const SvdConfig& config = {}, std::uint64_t seed = 42) {
+  const index_t n = tune_batch_crossover<T>(backend, std::move(sizes), problems_per_size,
+                                            repeats, config, seed).crossover_n;
+  table.set<Knob::BatchCrossover>(backend.name(), precision_of<T>, n);
+  return n;
+}
 
-/// BatchConfig whose crossover_n (and Phase-1 kernels and QR-first aspect
-/// threshold, when measured) come from the table — the measurement-backed
-/// default for `backend`. Fields of `base` not covered by the table are
-/// preserved.
+/// BatchConfig whose crossover_n (and Phase-1 kernels, fused small-path
+/// threshold and Stage-3 crossover, when measured) come from the table —
+/// the measurement-backed default for `backend`. Fields of `base` not
+/// covered by the table are preserved.
 [[nodiscard]] BatchConfig tuned_batch_config(const TuningTable& table,
                                              const ka::Backend& backend, Precision p,
                                              BatchConfig base = {});
 
 /// One probed (oversample, power_iters) candidate of the rsvd tuner.
 struct RsvdSample {
-  TuningTable::RsvdDefaults defaults;
+  RsvdDefaults defaults;
   double seconds = 0.0;   ///< best-of-repeats wall clock of svd_truncated
   /// ||A - U S V^T||_F divided by the OPTIMAL rank-k error of the probe
   /// (1.0 = perfect; the probe's noise tail guarantees the denominator).
@@ -234,7 +247,7 @@ struct RsvdSample {
 };
 
 struct RsvdTuneResult {
-  TuningTable::RsvdDefaults best;   ///< cheapest accurate candidate
+  RsvdDefaults best;                ///< cheapest accurate candidate
   std::vector<RsvdSample> samples;  ///< every candidate, fastest first
 };
 
@@ -249,58 +262,20 @@ struct RsvdTuneResult {
 template <class T>
 [[nodiscard]] RsvdTuneResult tune_rsvd(
     ka::Backend& backend, index_t m = 384, index_t n = 96, index_t rank = 16,
-    std::vector<TuningTable::RsvdDefaults> candidates = {}, int repeats = 1,
+    std::vector<RsvdDefaults> candidates = {}, int repeats = 1,
     double accuracy_budget = 1.5, std::uint64_t seed = 42);
 
 /// Run tune_rsvd and deposit the winner into `table` under the backend's
 /// name and T's precision. Returns the winner.
 template <class T>
-TuningTable::RsvdDefaults learn_rsvd(TuningTable& table, ka::Backend& backend,
-                                     index_t m = 384, index_t n = 96,
-                                     index_t rank = 16, int repeats = 1,
-                                     double accuracy_budget = 1.5,
-                                     std::uint64_t seed = 42);
-
-/// Sentinel qr_first_aspect meaning "the QR-first tall path never won on
-/// this backend — keep the generic path for every aspect ratio". Finite so
-/// it serializes cleanly through the text table.
-inline constexpr double kQrFirstAspectNever = 1e9;
-
-/// One probed aspect ratio of the QR-first tuner.
-struct QrFirstSample {
-  double aspect = 0.0;          ///< probed m/n ratio
-  index_t m = 0;                ///< rows actually probed (aspect * n, tall)
-  double generic_seconds = 0.0; ///< Thin solve, accumulate-through path
-  double qr_first_seconds = 0.0;///< Thin solve, QR-first path forced
-};
-
-struct QrFirstAspectResult {
-  /// Learned SvdConfig::qr_first_aspect: the smallest probed aspect from
-  /// which the QR-first path won at EVERY probed aspect up to the largest
-  /// (a noisy win below a real loss does not lower the threshold), or
-  /// kQrFirstAspectNever when it never won.
-  double aspect = kQrFirstAspectNever;
-  std::vector<QrFirstSample> samples;  ///< ascending in aspect
-};
-
-/// Learn the QR-first aspect threshold for this backend and storage type:
-/// time a Thin-job solve of a random (aspect * n) x n matrix under both
-/// paths (forced via SvdConfig::qr_first_aspect) at each probed aspect,
-/// best of `repeats` runs each. Empty `aspects` probes a default ladder
-/// {1.25, 1.5, 2, 3, 4}. The result's aspect drops into
-/// SvdConfig::qr_first_aspect (tuned_batch_config applies it from a table).
-template <class T>
-[[nodiscard]] QrFirstAspectResult tune_qr_first_aspect(
-    ka::Backend& backend, index_t n = 64, std::vector<double> aspects = {},
-    int repeats = 1, const SvdConfig& config = {}, std::uint64_t seed = 42);
-
-/// Run tune_qr_first_aspect and deposit the learned threshold into `table`
-/// under the backend's name and T's precision. Returns the threshold.
-template <class T>
-double learn_qr_first_aspect(TuningTable& table, ka::Backend& backend,
-                             index_t n = 64, std::vector<double> aspects = {},
-                             int repeats = 1, const SvdConfig& config = {},
-                             std::uint64_t seed = 42);
+RsvdDefaults learn_rsvd(TuningTable& table, ka::Backend& backend, index_t m = 384,
+                        index_t n = 96, index_t rank = 16, int repeats = 1,
+                        double accuracy_budget = 1.5, std::uint64_t seed = 42) {
+  const RsvdDefaults best =
+      tune_rsvd<T>(backend, m, n, rank, {}, repeats, accuracy_budget, seed).best;
+  table.set<Knob::Rsvd>(backend.name(), precision_of<T>, best);
+  return best;
+}
 
 /// One probed size of the fused tiny-problem tuner.
 struct SmallSvdSample {
@@ -321,8 +296,8 @@ struct SmallSvdThresholdResult {
 /// Learn the fused tiny-problem threshold for this backend and storage
 /// type: time a Thin-job solve of a random n x n matrix with the fused path
 /// forced (small_svd_threshold = n) vs disabled (0) at each probed size,
-/// best of `repeats` runs each after one untimed warmup. Empty `sizes`
-/// probes {8, 16, 24, 32, 48, 64}. The result's threshold drops into
+/// best of `repeats` alternating runs each after one untimed warmup. Empty
+/// `sizes` probes {8, 16, 24, 32, 48, 64}. The result's threshold drops into
 /// SvdConfig::small_svd_threshold (tuned_batch_config / tuned_trunc_config
 /// apply it from a table).
 template <class T>
@@ -336,7 +311,12 @@ template <class T>
 index_t learn_small_svd_threshold(TuningTable& table, ka::Backend& backend,
                                   std::vector<index_t> sizes = {}, int repeats = 2,
                                   const SvdConfig& config = {},
-                                  std::uint64_t seed = 42);
+                                  std::uint64_t seed = 42) {
+  const index_t n = tune_small_svd_threshold<T>(backend, std::move(sizes), repeats,
+                                                config, seed).threshold;
+  table.set<Knob::SmallSvdThreshold>(backend.name(), precision_of<T>, n);
+  return n;
+}
 
 /// Sentinel SvdConfig::dc_crossover meaning "the divide-and-conquer Stage-3
 /// engine never won on this backend — keep implicit QR at every extent".
@@ -352,20 +332,20 @@ struct Stage3Sample {
 
 struct Stage3CrossoverResult {
   /// Learned SvdConfig::dc_crossover: the smallest probed extent from which
-  /// divide-and-conquer won at EVERY probed size up to the largest (a noisy
-  /// win below a real loss does not lower the crossover — the same
-  /// suffix-win rule as tune_qr_first_aspect), or kStage3CrossoverNever
-  /// when it never won.
+  /// divide-and-conquer won at EVERY probed size up to the largest (suffix-
+  /// win: a noisy win below a real loss does not lower the crossover), or
+  /// kStage3CrossoverNever when it never won.
   index_t crossover = kStage3CrossoverNever;
   std::vector<Stage3Sample> samples;  ///< ascending in n
 };
 
 /// Learn the Stage-3 engine crossover for this backend and storage type:
 /// time a Thin-job solve of a random n x n matrix with each engine forced
-/// (SvdConfig::stage3) at every probed extent, best of `repeats` runs each
-/// after one untimed warmup. Empty `sizes` probes {64, 96, 128, 192}. The
-/// result's crossover drops into SvdConfig::dc_crossover
-/// (tuned_batch_config / tuned_trunc_config apply it from a table).
+/// (SvdConfig::stage3) at every probed extent, best of `repeats` alternating
+/// runs each after one untimed warmup. Empty `sizes` probes
+/// {64, 96, 128, 192}. The result's crossover drops into
+/// SvdConfig::dc_crossover (tuned_batch_config / tuned_trunc_config apply it
+/// from a table).
 template <class T>
 [[nodiscard]] Stage3CrossoverResult tune_stage3_crossover(
     ka::Backend& backend, std::vector<index_t> sizes = {}, int repeats = 2,
@@ -377,12 +357,17 @@ template <class T>
 index_t learn_stage3_crossover(TuningTable& table, ka::Backend& backend,
                                std::vector<index_t> sizes = {}, int repeats = 2,
                                const SvdConfig& config = {},
-                               std::uint64_t seed = 42);
+                               std::uint64_t seed = 42) {
+  const index_t n = tune_stage3_crossover<T>(backend, std::move(sizes), repeats,
+                                             config, seed).crossover;
+  table.set<Knob::Stage3Crossover>(backend.name(), precision_of<T>, n);
+  return n;
+}
 
 /// TruncConfig whose oversample/power_iters come from the table's measured
 /// rsvd defaults (exact backend/precision match, then nearest precision,
-/// then `base` unchanged) — and whose Phase-1 kernels come from the
-/// table's autotune winner, like tuned_batch_config.
+/// then `base` unchanged) — and whose SvdConfig knobs come from the table
+/// exactly as in tuned_batch_config.
 [[nodiscard]] TruncConfig tuned_trunc_config(const TuningTable& table,
                                              const ka::Backend& backend, Precision p,
                                              TruncConfig base = {});

@@ -136,10 +136,10 @@ class CpuBackend : public Backend {
 /// that happens to be named "simd": fully functional, just not faster.
 ///
 /// The name is distinct on purpose: core::TuningTable keys every learned
-/// entry (batch crossover, kernel winners, rsvd defaults, qr_first aspect)
-/// by Backend::name(), so scalar and SIMD executions learn and look up
-/// separate tuning rows — crossovers genuinely differ when the per-problem
-/// kernels run several times faster.
+/// entry (batch crossover, kernel winners, rsvd defaults, small-path and
+/// Stage-3 thresholds) by Backend::name(), so scalar and SIMD executions
+/// learn and look up separate tuning rows — crossovers genuinely differ
+/// when the per-problem kernels run several times faster.
 class SimdCpuBackend : public CpuBackend {
  public:
   explicit SimdCpuBackend(unsigned num_threads = 0);

@@ -18,19 +18,11 @@ template void band_reduction<double>(ka::Backend&, MatrixView<double>,
                                      ka::StageTimes*, MatrixView<double>*,
                                      MatrixView<double>*);
 
-template void tall_qr<Half>(ka::Backend&, MatrixView<Half>, MatrixView<Half>,
-                            const KernelConfig&, ka::StageTimes*, MatrixView<float>*);
-template void tall_qr<float>(ka::Backend&, MatrixView<float>, MatrixView<float>,
-                             const KernelConfig&, ka::StageTimes*, MatrixView<float>*);
-template void tall_qr<double>(ka::Backend&, MatrixView<double>, MatrixView<double>,
-                              const KernelConfig&, ka::StageTimes*,
-                              MatrixView<double>*);
-
 template void schedule_band_reduction<Half>(index_t, const KernelConfig&,
-                                            ka::TraceRecorder&, bool);
+                                            ka::TraceRecorder&);
 template void schedule_band_reduction<float>(index_t, const KernelConfig&,
-                                             ka::TraceRecorder&, bool);
+                                             ka::TraceRecorder&);
 template void schedule_band_reduction<double>(index_t, const KernelConfig&,
-                                              ka::TraceRecorder&, bool);
+                                              ka::TraceRecorder&);
 
 }  // namespace unisvd::qr

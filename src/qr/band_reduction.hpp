@@ -85,33 +85,6 @@ void getsmqrt(ka::Backend& be, MatrixView<T> W, MatrixView<T> Tau, index_t k,
   qr_sweep(be, W, Tau, k, row0, ntiles, ntiles, cfg, times, acc);
 }
 
-/// Tall QR factorization: reduce an (ntrows x ntcols)-tile working view
-/// (ntrows >= ntcols) to upper triangular form by panel sweeps — the
-/// preprocessing step that extends the square pipeline to rectangular
-/// inputs (paper: "support for non-square matrices ... subject of further
-/// work"). On exit the upper triangle of the top ntcols x ntcols tiles
-/// holds R; the rest holds implicit reflectors.
-/// When `uacc` is non-null (an m_pad x m_pad compute-precision view,
-/// typically seeded with the identity), every sweep's Q^T is additionally
-/// accumulated into it: on exit uacc holds Q_tall^T on top of whatever it
-/// contained.
-template <class T>
-void tall_qr(ka::Backend& be, MatrixView<T> A, MatrixView<T> Tau,
-             const KernelConfig& cfg, ka::StageTimes* times = nullptr,
-             MatrixView<compute_t<T>>* uacc = nullptr) {
-  cfg.validate();
-  UNISVD_REQUIRE(A.rows() >= A.cols(), "tall_qr: matrix must be tall (rows >= cols)");
-  UNISVD_REQUIRE(A.rows() % cfg.tilesize == 0 && A.cols() % cfg.tilesize == 0,
-                 "tall_qr: extents must be multiples of TILESIZE");
-  const index_t ntrows = A.rows() / cfg.tilesize;
-  const index_t ntcols = A.cols() / cfg.tilesize;
-  UNISVD_REQUIRE(Tau.rows() >= ntrows && Tau.cols() >= cfg.tilesize,
-                 "tall_qr: Tau workspace too small");
-  for (index_t k = 0; k < ntcols; ++k) {
-    qr_sweep(be, A, Tau, k, k, ntrows, ntcols, cfg, times, uacc);
-  }
-}
-
 /// Reduce A (square, extent divisible by TILESIZE) to upper band form of
 /// bandwidth TILESIZE via alternating QR/LQ sweeps (Algorithm 2). Tau is an
 /// (ntiles x TILESIZE) workspace in storage precision, reused per sweep.
@@ -150,27 +123,16 @@ void band_reduction(ka::Backend& be, MatrixView<T> A, MatrixView<T> Tau,
 /// `trace` without executing kernels or touching matrix memory — used to
 /// drive the GPU performance model at sizes far beyond what is worth
 /// executing. The schedule is produced by the SAME orchestration code as
-/// the real run (tested equal). When `with_vector_accumulators` is set the
-/// schedule additionally records the ut/vt accumulator applies a
-/// SvdJob::Thin/Full solve launches (Stage::VectorAccumulation) — Stage
-/// 2/3 rotation mirroring runs rotation-at-a-time on the host and stays
-/// outside the launch-trace model.
+/// the real run (tested equal).
 template <class T>
 void schedule_band_reduction(index_t ntiles, const KernelConfig& cfg,
-                             ka::TraceRecorder& trace,
-                             bool with_vector_accumulators = false) {
+                             ka::TraceRecorder& trace) {
   ka::TraceBackend be;
   be.set_trace(&trace);
   const index_t n = ntiles * cfg.tilesize;
   MatrixView<T> a(nullptr, n, n, n);
   MatrixView<T> tau(nullptr, ntiles, cfg.tilesize, ntiles);
-  if (with_vector_accumulators) {
-    MatrixView<compute_t<T>> ut(nullptr, n, n, n);
-    MatrixView<compute_t<T>> vt(nullptr, n, n, n);
-    band_reduction<T>(be, a, tau, cfg, nullptr, &ut, &vt);
-  } else {
-    band_reduction<T>(be, a, tau, cfg);
-  }
+  band_reduction<T>(be, a, tau, cfg);
 }
 
 }  // namespace unisvd::qr

@@ -1,13 +1,11 @@
 #pragma once
 /// \file panel_qr.hpp
 /// Replayable tall-panel QR, built from the SAME GEQRT/TSQRT/UNMQR/TSMQR
-/// kernels as the dense pipeline's tall_qr — with two additions tall_qr
-/// does not need:
+/// kernels as the square band reduction:
 ///
-///   1. Every sweep keeps its OWN tau block (tall_qr reuses one workspace
-///      per sweep because the dense pipeline consumes reflectors
-///      immediately). Retaining them makes the factorization replayable:
-///      the implicit Q can be applied later, in either direction.
+///   1. Every sweep keeps its OWN tau block. Retaining them makes the
+///      factorization replayable: the implicit Q can be applied later, in
+///      either direction.
 ///   2. panel_apply_q replays the sweeps BACKWARD through the
 ///      ApplyDir::Backward kernel variants, composing C <- Q * C — the
 ///      ORGQR/ORMQR(trans='N') role. This is how both consumers expand a
@@ -16,15 +14,14 @@
 ///
 /// Two pipelines ride this file (which is why it lives in qr/, not rsvd/):
 /// the randomized truncated SVD factors its sketch panels here, and the
-/// dense driver's QR-first tall path (core/svd.cpp) factors the whole
-/// input panel A = Q R, solves the small R, and replays Q onto the thin
-/// factor — keeping Thin-job accumulators at m_pad x n_pad instead of
-/// m_pad^2.
+/// dense driver (core/svd.cpp) factors every tall input A = Q R here,
+/// solves the small R, and — for vector jobs — replays Q onto the thin
+/// factor, keeping accumulators at m_pad x n_pad instead of m_pad^2.
 ///
-/// Like tall_qr, an optional compute-precision side target `acc` receives
-/// Q^T * acc interleaved with the factorization (qr_sweep's accumulator
-/// hook). The range finder passes a padded copy of A here, so ONE pass
-/// yields both the factored panel and the projection B = Q_full^T A.
+/// An optional compute-precision side target `acc` receives Q^T * acc
+/// interleaved with the factorization (qr_sweep's accumulator hook). The
+/// range finder passes a padded copy of A here, so ONE pass yields both
+/// the factored panel and the projection B = Q_full^T A.
 
 #include "common/matrix.hpp"
 #include "common/precision.hpp"
@@ -47,7 +44,7 @@ namespace unisvd::qr {
 /// panel_tau_rows(ntrows, ntcols) x TILESIZE) holds one tau block per
 /// sweep, stacked by sweep index. When `acc` is non-null (compute
 /// precision, >= A.rows() rows, TILESIZE-multiple columns) it becomes
-/// Q_full^T * acc — same contract as tall_qr's accumulator.
+/// Q_full^T * acc.
 template <class T>
 void panel_qr_factor(ka::Backend& be, MatrixView<T> A, MatrixView<T> TauAll,
                      const qr::KernelConfig& cfg,
@@ -104,31 +101,6 @@ void panel_apply_q(ka::Backend& be, MatrixView<TS> A, MatrixView<TS> TauAll,
       }
     }
     qr::unmqr_apply_q(be, A, tau, C, k, k, 0, cnt, cfg, times);
-  }
-}
-
-/// Emit the exact launch schedule of panel_qr_factor on an
-/// (mtiles x ntiles)-tile panel — followed, when apply_tile_cols > 0, by
-/// the backward panel_apply_q replay over that many tile columns — into
-/// `trace` without executing kernels or touching matrix memory. Produced by
-/// the SAME orchestration code as the real run; feeds the trace-driven perf
-/// model with the QR-first tall path's panel and composition launches (the
-/// square pipeline on R comes from schedule_band_reduction).
-template <class T>
-void schedule_panel_qr(index_t mtiles, index_t ntiles, index_t apply_tile_cols,
-                       const KernelConfig& cfg, ka::TraceRecorder& trace) {
-  ka::TraceBackend be;
-  be.set_trace(&trace);
-  const index_t mpad = mtiles * cfg.tilesize;
-  const index_t npad = ntiles * cfg.tilesize;
-  MatrixView<T> a(nullptr, mpad, npad, mpad);
-  MatrixView<T> tau(nullptr, panel_tau_rows(mtiles, ntiles), cfg.tilesize,
-                    panel_tau_rows(mtiles, ntiles));
-  panel_qr_factor<T>(be, a, tau, cfg);
-  if (apply_tile_cols > 0) {
-    MatrixView<compute_t<T>> c(nullptr, mpad, apply_tile_cols * cfg.tilesize,
-                               mpad);
-    panel_apply_q<T, compute_t<T>>(be, a, tau, c, cfg);
   }
 }
 

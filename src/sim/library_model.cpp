@@ -5,7 +5,6 @@
 
 #include "common/half.hpp"
 #include "qr/band_reduction.hpp"
-#include "qr/panel_qr.hpp"
 #include "sim/tuning.hpp"
 #include "tile/tile_layout.hpp"
 
@@ -15,16 +14,16 @@ namespace {
 
 /// Dispatch the templated schedule generator on a runtime precision.
 void schedule_phase1(index_t ntiles, const qr::KernelConfig& cfg, Precision p,
-                     ka::TraceRecorder& trace, bool with_acc = false) {
+                     ka::TraceRecorder& trace) {
   switch (p) {
     case Precision::FP16:
-      qr::schedule_band_reduction<Half>(ntiles, cfg, trace, with_acc);
+      qr::schedule_band_reduction<Half>(ntiles, cfg, trace);
       return;
     case Precision::FP32:
-      qr::schedule_band_reduction<float>(ntiles, cfg, trace, with_acc);
+      qr::schedule_band_reduction<float>(ntiles, cfg, trace);
       return;
     case Precision::FP64:
-      qr::schedule_band_reduction<double>(ntiles, cfg, trace, with_acc);
+      qr::schedule_band_reduction<double>(ntiles, cfg, trace);
       return;
   }
 }
@@ -56,56 +55,6 @@ SimBreakdown simulate_unified(const DeviceSpec& dev, index_t n, Precision p) {
   const auto cfg = tuned_kernel_config(dev, p, n);
   const PerfModel model(dev);
   return model.simulate(unified_schedule(n, p, cfg));
-}
-
-namespace {
-
-/// Dispatch the templated panel-QR schedule generator on a runtime precision.
-void schedule_panel(index_t mtiles, index_t ntiles, index_t apply_tile_cols,
-                    const qr::KernelConfig& cfg, Precision p,
-                    ka::TraceRecorder& trace) {
-  switch (p) {
-    case Precision::FP16:
-      qr::schedule_panel_qr<Half>(mtiles, ntiles, apply_tile_cols, cfg, trace);
-      return;
-    case Precision::FP32:
-      qr::schedule_panel_qr<float>(mtiles, ntiles, apply_tile_cols, cfg, trace);
-      return;
-    case Precision::FP64:
-      qr::schedule_panel_qr<double>(mtiles, ntiles, apply_tile_cols, cfg, trace);
-      return;
-  }
-}
-
-}  // namespace
-
-std::vector<ka::LaunchDesc> qr_first_thin_schedule(index_t m, index_t n,
-                                                   Precision p,
-                                                   const qr::KernelConfig& cfg) {
-  const auto rows = tile::TileLayout::make(m, cfg.tilesize);
-  const auto cols = tile::TileLayout::make(n, cfg.tilesize);
-  ka::TraceRecorder trace;
-  // Panel factorization and the backward U = Q * U_R replay (n_pad target
-  // columns). The panel-QR launches are Stage-1 kernels; the replay's are
-  // the apply-Q variants, self-attributed to Stage::VectorAccumulation.
-  schedule_panel(rows.ntiles, cols.ntiles, cols.ntiles, cfg, p, trace);
-  // The R solve runs at SvdJob::Thin, so its Stage-1 sweeps also launch the
-  // n_pad-sized ut/vt accumulator applies — record them (Stage-2/3 rotation
-  // mirroring runs rotation-at-a-time on the host, outside the launch
-  // trace, like everything the analytic phase2/phase3 records cover).
-  schedule_phase1(cols.ntiles, cfg, p, trace, /*with_acc=*/true);
-  auto out = trace.records();
-  auto p2 = phase2_schedule(cols.n, cfg.tilesize, p);
-  out.insert(out.end(), p2.begin(), p2.end());
-  out.push_back(phase3_record(cols.n, p));
-  return out;
-}
-
-SimBreakdown simulate_qr_first_thin(const DeviceSpec& dev, index_t m, index_t n,
-                                    Precision p) {
-  const auto cfg = tuned_kernel_config(dev, p, n);
-  const PerfModel model(dev);
-  return model.simulate(qr_first_thin_schedule(m, n, p, cfg));
 }
 
 namespace {

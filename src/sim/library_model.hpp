@@ -39,23 +39,6 @@ namespace unisvd::sim {
 [[nodiscard]] SimBreakdown simulate_unified(const DeviceSpec& dev, index_t n,
                                             Precision p);
 
-/// Launch schedule of the dense QR-first tall path at SvdJob::Thin for an
-/// m x n problem (m >= n): replayable tall-panel QR on the padded panel
-/// (qr::schedule_panel_qr), the square pipeline on the n x n R factor WITH
-/// its Stage-1 ut/vt accumulator applies (the R solve runs as a Thin job),
-/// and the backward replay composing U = Q * U_R over n_pad columns — the
-/// same orchestration code core/svd.cpp executes, recorded without running
-/// kernels. Stage-2/3 rotation mirroring runs rotation-at-a-time on the
-/// host and is outside the launch-trace model (as for the whole sim).
-[[nodiscard]] std::vector<ka::LaunchDesc> qr_first_thin_schedule(
-    index_t m, index_t n, Precision p, const qr::KernelConfig& cfg);
-
-/// Simulated per-stage times of the QR-first tall path with tuned
-/// hyperparameters on a device — the tall-thin counterpart of
-/// simulate_unified (the replay launches land in SimBreakdown::vector_acc).
-[[nodiscard]] SimBreakdown simulate_qr_first_thin(const DeviceSpec& dev, index_t m,
-                                                  index_t n, Precision p);
-
 /// A solver whose runtime the model can predict on a device.
 class LibraryModel {
  public:

@@ -31,9 +31,9 @@ struct SimBreakdown {
   double band2bidiag = 0.0;
   double bidiag2diag = 0.0;
   /// Singular-vector accumulation (SvdJob::Thin/Full) — including the
-  /// QR-first tall path's backward reflector replay, whose apply-Q
-  /// launches self-attribute here (sim::simulate_qr_first_thin), and the
-  /// Stage-2 rotation-batch replay ("stage2_rot_batch").
+  /// tall path's backward reflector replay, whose apply-Q launches
+  /// self-attribute here, and the Stage-2 rotation-batch replay
+  /// ("stage2_rot_batch").
   double vector_acc = 0.0;
   /// Randomized range-finder sketch products (src/rsvd sketch_gemm):
   /// the truncated pipeline's Y = A * Omega and power-iteration GEMMs.

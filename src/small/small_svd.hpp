@@ -15,7 +15,7 @@
 /// all. All time books under ka::Stage::FusedSmall.
 ///
 /// Dispatch lives in svd_values_report (core/svd.cpp): shape-only, before
-/// the QR-first aspect test, so every entry point — svd_values, svd,
+/// the tall-panel QR, so every entry point — svd_values, svd,
 /// svd_truncated's projected solves, and the batched engine — inherits the
 /// path automatically. SvdReport::small_path records that it fired.
 

@@ -38,7 +38,7 @@ struct Shape {
 };
 
 // Tall, square and wide: exercises the lazy transpose, padding and (for the
-// tall vector job) the QR-first path boundary.
+// tall vector job) the panel-QR composition.
 constexpr Shape kShapes[] = {{48, 20, "tall"}, {40, 40, "square"}, {20, 48, "wide"}};
 
 template <class T>
@@ -247,15 +247,15 @@ TEST(BackendParityTuning, TuningTableKeysScalarAndSimdSeparately) {
   // rows must not shadow "cpu" rows and vice versa, so each backend looks
   // up what was actually measured on it.
   core::TuningTable table;
-  table.set_batch_crossover("cpu", Precision::FP32, 96);
-  table.set_batch_crossover("simd", Precision::FP32, 160);
-  ASSERT_TRUE(table.batch_crossover("cpu", Precision::FP32).has_value());
-  ASSERT_TRUE(table.batch_crossover("simd", Precision::FP32).has_value());
-  EXPECT_EQ(*table.batch_crossover("cpu", Precision::FP32), 96);
-  EXPECT_EQ(*table.batch_crossover("simd", Precision::FP32), 160);
+  table.set<core::Knob::BatchCrossover>("cpu", Precision::FP32, 96);
+  table.set<core::Knob::BatchCrossover>("simd", Precision::FP32, 160);
+  ASSERT_TRUE(table.get<core::Knob::BatchCrossover>("cpu", Precision::FP32).has_value());
+  ASSERT_TRUE(table.get<core::Knob::BatchCrossover>("simd", Precision::FP32).has_value());
+  EXPECT_EQ(*table.get<core::Knob::BatchCrossover>("cpu", Precision::FP32), 96);
+  EXPECT_EQ(*table.get<core::Knob::BatchCrossover>("simd", Precision::FP32), 160);
   // The name a learner would use comes straight from the backend object.
   EXPECT_EQ(ka::simd_backend().name(), "simd");
   // Nearest-precision fallback stays within the backend's own rows.
-  EXPECT_EQ(table.batch_crossover_or("simd", Precision::FP16, 7), 160);
-  EXPECT_EQ(table.batch_crossover_or("serial", Precision::FP32, 7), 7);
+  EXPECT_EQ(table.get_or<core::Knob::BatchCrossover>("simd", Precision::FP16, 7), 160);
+  EXPECT_EQ(table.get_or<core::Knob::BatchCrossover>("serial", Precision::FP32, 7), 7);
 }

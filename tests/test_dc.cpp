@@ -282,7 +282,7 @@ TYPED_TEST(DcDriverTyped, SigmaAgreesWithValuesOnlyOracleAcrossShapes) {
   // The acceptance gate: forced D&C values vs the historic ValuesOnly QR
   // oracle within 50*eps*max(m, n) relative to sigma_max, plus the full
   // residual/orthogonality gates on the composed factors — square, tall
-  // (below the QR-first aspect) and wide.
+  // and wide.
   using T = TypeParam;
   const struct { index_t m, n; std::uint64_t seed; } shapes[] = {
       {48, 48, 301}, {72, 40, 302}, {40, 72, 303}};
@@ -428,8 +428,8 @@ TEST(DcDriver, TunerLearnsAndPersistsCrossover) {
   core::TuningTable table;
   const index_t learned = core::learn_stage3_crossover<float>(
       table, backend, {32, 48}, 1, probe_cfg);
-  ASSERT_TRUE(table.stage3_crossover("cpu", Precision::FP32).has_value());
-  EXPECT_EQ(*table.stage3_crossover("cpu", Precision::FP32), learned);
+  ASSERT_TRUE(table.get<core::Knob::Stage3Crossover>("cpu", Precision::FP32).has_value());
+  EXPECT_EQ(*table.get<core::Knob::Stage3Crossover>("cpu", Precision::FP32), learned);
 
   // Text round-trip preserves the entry.
   std::ostringstream os;
@@ -438,8 +438,9 @@ TEST(DcDriver, TunerLearnsAndPersistsCrossover) {
   std::size_t malformed = 0;
   const auto loaded = core::TuningTable::read(is, &malformed);
   EXPECT_EQ(malformed, 0u);
-  ASSERT_TRUE(loaded.stage3_crossover("cpu", Precision::FP32).has_value());
-  EXPECT_EQ(*loaded.stage3_crossover("cpu", Precision::FP32), learned);
+  ASSERT_TRUE(
+      loaded.get<core::Knob::Stage3Crossover>("cpu", Precision::FP32).has_value());
+  EXPECT_EQ(*loaded.get<core::Knob::Stage3Crossover>("cpu", Precision::FP32), learned);
 
   // Config plumbing: exact precision, neighbor fallback, unknown backend.
   const BatchConfig tuned =

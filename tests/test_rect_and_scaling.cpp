@@ -1,4 +1,4 @@
-/// Tests for the extension features: tall QR preprocessing, rectangular
+/// Tests for the extension features: tall panel-QR preprocessing, rectangular
 /// svd_values (tall and wide), and automatic pre-scaling — the paper's
 /// future-work items "support for non-square matrices" and "default
 /// rescaling for matrices with singular values outside the target
@@ -10,7 +10,7 @@
 #include "common/linalg_ref.hpp"
 #include "core/svd.hpp"
 #include "ka/backend.hpp"
-#include "qr/band_reduction.hpp"
+#include "qr/panel_qr.hpp"
 #include "rand/matrix_gen.hpp"
 #include "rand/spectrum.hpp"
 #include "test_util.hpp"
@@ -41,12 +41,12 @@ TEST(TallQr, ReducesToTriangularWithSameSpectrum) {
   const auto a = rnd::rect_matrix_with_spectrum(m, n, sigma, rng);
 
   Matrix<double> work = a;
-  Matrix<double> tau(m / ts, ts, 0.0);
+  Matrix<double> tau(qr::panel_tau_rows(m / ts, n / ts), ts, 0.0);
   qr::KernelConfig kc;
   kc.tilesize = ts;
   kc.colperblock = 8;
   ka::CpuBackend be(4);
-  qr::tall_qr<double>(be, work.view(), tau.view(), kc);
+  qr::panel_qr_factor<double>(be, work.view(), tau.view(), kc);
 
   // R (top n x n upper triangle) carries exactly the singular values of A.
   Matrix<double> r(n, n, 0.0);
@@ -63,16 +63,16 @@ TEST(TallQr, UnfusedMatchesFused) {
   const auto a = rnd::gaussian_matrix(4 * ts, 2 * ts, rng);
   Matrix<double> w1 = a;
   Matrix<double> w2 = a;
-  Matrix<double> t1(4, ts, 0.0);
-  Matrix<double> t2(4, ts, 0.0);
+  Matrix<double> t1(qr::panel_tau_rows(4, 2), ts, 0.0);
+  Matrix<double> t2(qr::panel_tau_rows(4, 2), ts, 0.0);
   qr::KernelConfig kc;
   kc.tilesize = ts;
   kc.colperblock = 8;
   ka::SerialBackend be;
   kc.fused = true;
-  qr::tall_qr<double>(be, w1.view(), t1.view(), kc);
+  qr::panel_qr_factor<double>(be, w1.view(), t1.view(), kc);
   kc.fused = false;
-  qr::tall_qr<double>(be, w2.view(), t2.view(), kc);
+  qr::panel_qr_factor<double>(be, w2.view(), t2.view(), kc);
   for (index_t j = 0; j < w1.cols(); ++j) {
     for (index_t i = 0; i < w1.rows(); ++i) ASSERT_EQ(w1(i, j), w2(i, j));
   }
@@ -85,7 +85,7 @@ TEST(TallQr, RejectsWideInput) {
   kc.tilesize = 8;
   kc.colperblock = 8;
   ka::SerialBackend be;
-  EXPECT_THROW(qr::tall_qr<double>(be, wide.view(), tau.view(), kc), Error);
+  EXPECT_THROW(qr::panel_qr_factor<double>(be, wide.view(), tau.view(), kc), Error);
 }
 
 struct RectCase {

@@ -309,26 +309,3 @@ TEST(LibraryModels, OneMklCrossover) {
   EXPECT_LT(r_small, 1.0);
   EXPECT_GT(r_large, 1.0);
 }
-
-TEST(QrFirstSim, TallThinScheduleAndBreakdown) {
-  // The QR-first tall path's trace: panel-QR Stage-1 launches, the square
-  // pipeline on R, and the backward replay's apply-Q launches attributed to
-  // vector accumulation. The model must see all three buckets, and the
-  // panel cost must grow with m at fixed n while the R pipeline does not.
-  qr::KernelConfig cfg;
-  const auto trace = qr_first_thin_schedule(4096, 512, Precision::FP32, cfg);
-  EXPECT_FALSE(trace.empty());
-  const auto br = simulate_qr_first_thin(h100(), 4096, 512, Precision::FP32);
-  EXPECT_GT(br.panel, 0.0);
-  EXPECT_GT(br.trailing, 0.0);
-  EXPECT_GT(br.band2bidiag, 0.0);
-  EXPECT_GT(br.bidiag2diag, 0.0);
-  EXPECT_GT(br.vector_acc, 0.0);  // the U = Q * U_R replay
-
-  const auto taller = simulate_qr_first_thin(h100(), 16384, 512, Precision::FP32);
-  EXPECT_GT(taller.panel + taller.trailing + taller.vector_acc,
-            br.panel + br.trailing + br.vector_acc);
-  // Stage 2/3 run on the n x n R factor either way.
-  EXPECT_DOUBLE_EQ(taller.band2bidiag, br.band2bidiag);
-  EXPECT_DOUBLE_EQ(taller.bidiag2diag, br.bidiag2diag);
-}

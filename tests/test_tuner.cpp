@@ -9,7 +9,6 @@
 #include <filesystem>
 #include <fstream>
 #include <thread>
-#include <limits>
 #include <locale>
 #include <sstream>
 #include <string>
@@ -18,6 +17,7 @@
 #include "ka/backend.hpp"
 
 using namespace unisvd;
+using core::Knob;
 
 TEST(Tuner, DefaultCandidatesRespectConstraints) {
   const auto cands = core::default_candidates(64);
@@ -82,15 +82,15 @@ std::string temp_path(const std::string& name) {
 
 core::TuningTable sample_table() {
   core::TuningTable table;
-  table.set_batch_crossover("cpu", Precision::FP32, 160);
-  table.set_batch_crossover("cpu", Precision::FP64, 96);
-  table.set_batch_crossover("serial", Precision::FP16, 0);
+  table.set<Knob::BatchCrossover>("cpu", Precision::FP32, 160);
+  table.set<Knob::BatchCrossover>("cpu", Precision::FP64, 96);
+  table.set<Knob::BatchCrossover>("serial", Precision::FP16, 0);
   qr::KernelConfig cfg;
   cfg.tilesize = 16;
   cfg.colperblock = 8;
   cfg.splitk = 2;
   cfg.fused = false;
-  table.set_kernels("cpu", Precision::FP32, cfg);
+  table.set<Knob::Kernels>("cpu", Precision::FP32, cfg);
   return table;
 }
 
@@ -105,13 +105,14 @@ TEST(TuningTable, RoundTripSaveLoadIdentical) {
   EXPECT_EQ(loaded.size(), table.size());
   for (const Precision p : {Precision::FP16, Precision::FP32, Precision::FP64}) {
     for (const char* backend : {"cpu", "serial", "gpu-sim"}) {
-      EXPECT_EQ(loaded.batch_crossover(backend, p), table.batch_crossover(backend, p))
+      EXPECT_EQ(loaded.get<Knob::BatchCrossover>(backend, p),
+                table.get<Knob::BatchCrossover>(backend, p))
           << backend << " " << to_string(p);
-      EXPECT_EQ(loaded.kernels(backend, p).has_value(),
-                table.kernels(backend, p).has_value());
+      EXPECT_EQ(loaded.get<Knob::Kernels>(backend, p).has_value(),
+                table.get<Knob::Kernels>(backend, p).has_value());
     }
   }
-  const auto cfg = loaded.kernels("cpu", Precision::FP32);
+  const auto cfg = loaded.get<Knob::Kernels>("cpu", Precision::FP32);
   ASSERT_TRUE(cfg.has_value());
   EXPECT_EQ(cfg->tilesize, 16);
   EXPECT_EQ(cfg->colperblock, 8);
@@ -122,24 +123,28 @@ TEST(TuningTable, RoundTripSaveLoadIdentical) {
 TEST(TuningTable, FallbackRulesExactThenNearPrecisionThenDefault) {
   const auto table = sample_table();
   // Exact hit.
-  EXPECT_EQ(table.batch_crossover_or("cpu", Precision::FP32, 999), 160);
+  EXPECT_EQ(table.get_or<Knob::BatchCrossover>("cpu", Precision::FP32, 999), 160);
   // FP16 has no cpu entry: falls back to FP32 (shared compute path) first.
-  EXPECT_EQ(table.batch_crossover_or("cpu", Precision::FP16, 999), 160);
+  EXPECT_EQ(table.get_or<Knob::BatchCrossover>("cpu", Precision::FP16, 999), 160);
   // Unknown backend: the caller's default wins — no cross-backend leakage.
-  EXPECT_EQ(table.batch_crossover_or("gpu-sim", Precision::FP32, 999), 999);
+  EXPECT_EQ(table.get_or<Knob::BatchCrossover>("gpu-sim", Precision::FP32, 999), 999);
   // Same rules for kernel configs.
-  EXPECT_EQ(table.kernels_or("cpu", Precision::FP16, qr::KernelConfig{}).tilesize, 16);
-  EXPECT_EQ(table.kernels_or("gpu-sim", Precision::FP32, qr::KernelConfig{}).tilesize,
+  EXPECT_EQ(
+      table.get_or<Knob::Kernels>("cpu", Precision::FP16, qr::KernelConfig{}).tilesize,
+      16);
+  EXPECT_EQ(table.get_or<Knob::Kernels>("gpu-sim", Precision::FP32, qr::KernelConfig{})
+                .tilesize,
             qr::KernelConfig{}.tilesize);
   // A crossover of 0 ("always intra") is a real entry, not a missing one.
-  EXPECT_EQ(table.batch_crossover_or("serial", Precision::FP16, 999), 0);
+  EXPECT_EQ(table.get_or<Knob::BatchCrossover>("serial", Precision::FP16, 999), 0);
 }
 
 TEST(TuningTable, MissingFileLoadsEmptyAndFallsBack) {
   const auto table =
       core::TuningTable::load(temp_path("unisvd_tuning_does_not_exist.txt"));
   EXPECT_TRUE(table.empty());
-  EXPECT_EQ(table.batch_crossover_or("cpu", Precision::FP32, BatchConfig{}.crossover_n),
+  EXPECT_EQ(table.get_or<Knob::BatchCrossover>("cpu", Precision::FP32,
+                                               BatchConfig{}.crossover_n),
             BatchConfig{}.crossover_n);
 }
 
@@ -159,12 +164,12 @@ TEST(TuningTable, CorruptLinesAreSkippedGoodLinesSurvive) {
        << "crossover serial FP32 32  # trailing comment\n";
   }
   const auto table = core::TuningTable::load(path);
-  EXPECT_EQ(table.batch_crossover("cpu", Precision::FP32), 160);
-  EXPECT_EQ(table.batch_crossover("serial", Precision::FP32), 32);
-  EXPECT_FALSE(table.batch_crossover("cpu", Precision::FP64).has_value());
-  EXPECT_FALSE(table.kernels("cpu", Precision::FP32).has_value());
-  ASSERT_TRUE(table.kernels("cpu", Precision::FP64).has_value());
-  EXPECT_EQ(table.kernels("cpu", Precision::FP64)->tilesize, 16);
+  EXPECT_EQ(table.get<Knob::BatchCrossover>("cpu", Precision::FP32), 160);
+  EXPECT_EQ(table.get<Knob::BatchCrossover>("serial", Precision::FP32), 32);
+  EXPECT_FALSE(table.get<Knob::BatchCrossover>("cpu", Precision::FP64).has_value());
+  EXPECT_FALSE(table.get<Knob::Kernels>("cpu", Precision::FP32).has_value());
+  ASSERT_TRUE(table.get<Knob::Kernels>("cpu", Precision::FP64).has_value());
+  EXPECT_EQ(table.get<Knob::Kernels>("cpu", Precision::FP64)->tilesize, 16);
   EXPECT_EQ(table.size(), 3u);
 }
 
@@ -218,7 +223,7 @@ TEST(TuningTable, TruncatedTableLoadsSurvivorsWithWarning) {
   const auto table = core::TuningTable::load(path);
   const std::string warning = ::testing::internal::GetCapturedStderr();
   EXPECT_EQ(table.size(), 2u);
-  EXPECT_EQ(table.batch_crossover("cpu", Precision::FP32), 160);
+  EXPECT_EQ(table.get<Knob::BatchCrossover>("cpu", Precision::FP32), 160);
   EXPECT_NE(warning.find("malformed"), std::string::npos) << warning;
 }
 
@@ -237,87 +242,104 @@ TEST(TuningTable, GarbageTableLoadsAsEmptyWithWarning) {
   EXPECT_NE(warning.find("loading as empty"), std::string::npos) << warning;
 }
 
-TEST(TuningTable, QrFirstAspectRoundTripsWithFallbacks) {
-  core::TuningTable table;
-  table.set_qr_first_aspect("cpu", Precision::FP32, 1.5);
-  // An irrational-looking measured value must survive the text round trip
-  // exactly (the aspect is the format's only floating-point field).
-  table.set_qr_first_aspect("gpu-x", Precision::FP16, 1.6180339887498949);
-  table.set_qr_first_aspect("serial", Precision::FP64, core::kQrFirstAspectNever);
-  const std::string path = temp_path("unisvd_tuning_qr_first.txt");
-  ASSERT_TRUE(table.save(path));
+TEST(TuningTable, LoadsTablesCarryingTheRetiredAspectDirective) {
+  // Tables written while the dense solver still had a separately tuned tall
+  // path carry a sixth directive holding a floating-point aspect ratio. It
+  // must load as an unknown directive — skipped, never counted as
+  // malformed — with every other entry reaching the tuned configs
+  // unchanged. (The retired name is spelled in two pieces so it appears
+  // nowhere else in the source tree.)
+  const std::string head =
+      "# unisvd tuning table v1\n"
+      "crossover cpu FP32 160\n"
+      "kernels cpu FP32 16 8 2 0\n"
+      "rsvd cpu FP32 12 1\n";
+  const std::string retired = "qr" "_first cpu FP32 1.6\n";
+  const std::string tail =
+      "small_svd cpu FP32 24\n"
+      "stage3 cpu FP32 256\n";
+  std::istringstream is(head + retired + tail);
+  std::size_t malformed = 99;
+  const auto table = core::TuningTable::read(is, &malformed);
+  EXPECT_EQ(malformed, 0u);
+  EXPECT_EQ(table.size(), 5u);  // the aspect line is ignored
 
-  const auto loaded = core::TuningTable::load(path);
-  EXPECT_EQ(loaded.size(), 3u);
-  ASSERT_TRUE(loaded.qr_first_aspect("cpu", Precision::FP32).has_value());
-  EXPECT_DOUBLE_EQ(*loaded.qr_first_aspect("cpu", Precision::FP32), 1.5);
-  ASSERT_TRUE(loaded.qr_first_aspect("gpu-x", Precision::FP16).has_value());
-  EXPECT_EQ(*loaded.qr_first_aspect("gpu-x", Precision::FP16),
-            1.6180339887498949);
-  // The "never faster" sentinel survives the text round trip.
-  EXPECT_DOUBLE_EQ(*loaded.qr_first_aspect("serial", Precision::FP64),
-                   core::kQrFirstAspectNever);
-  // Nearest-precision fallback and caller-default rules match the others.
-  EXPECT_DOUBLE_EQ(loaded.qr_first_aspect_or("cpu", Precision::FP16, 9.0), 1.5);
-  EXPECT_DOUBLE_EQ(loaded.qr_first_aspect_or("gpu-sim", Precision::FP32, 9.0), 9.0);
+  ka::CpuBackend backend(2);
+  const BatchConfig batch = core::tuned_batch_config(table, backend, Precision::FP32);
+  EXPECT_EQ(batch.crossover_n, 160);
+  EXPECT_EQ(batch.svd.kernels.tilesize, 16);
+  EXPECT_EQ(batch.svd.kernels.colperblock, 8);
+  EXPECT_EQ(batch.svd.kernels.splitk, 2);
+  EXPECT_FALSE(batch.svd.kernels.fused);
+  EXPECT_EQ(batch.svd.small_svd_threshold, 24);
+  EXPECT_EQ(batch.svd.dc_crossover, 256);
+  const TruncConfig trunc = core::tuned_trunc_config(table, backend, Precision::FP32);
+  EXPECT_EQ(trunc.oversample, 12);
+  EXPECT_EQ(trunc.power_iters, 1);
+  EXPECT_EQ(trunc.svd.kernels.tilesize, 16);
+  EXPECT_EQ(trunc.svd.kernels.colperblock, 8);
+  EXPECT_EQ(trunc.svd.kernels.splitk, 2);
+  EXPECT_FALSE(trunc.svd.kernels.fused);
+  EXPECT_EQ(trunc.svd.small_svd_threshold, 24);
+  EXPECT_EQ(trunc.svd.dc_crossover, 256);
+
+  // The on-disk format is unchanged: writing the table back reproduces the
+  // input text, minus the retired line.
+  std::ostringstream os;
+  table.write(os);
+  EXPECT_EQ(os.str(), head + tail);
 }
 
 TEST(TuningTable, RejectsInvalidEntries) {
   core::TuningTable table;
-  EXPECT_THROW(table.set_batch_crossover("cpu", Precision::FP32, -1), Error);
-  EXPECT_THROW(table.set_batch_crossover("my backend", Precision::FP32, 8), Error);
+  EXPECT_THROW(table.set<Knob::BatchCrossover>("cpu", Precision::FP32, -1), Error);
+  EXPECT_THROW(table.set<Knob::BatchCrossover>("my backend", Precision::FP32, 8), Error);
   // '#' starts a comment in the text format: a name containing it would be
   // silently truncated on load, so the setter refuses it up front.
-  EXPECT_THROW(table.set_batch_crossover("cpu#2", Precision::FP32, 8), Error);
+  EXPECT_THROW(table.set<Knob::BatchCrossover>("cpu#2", Precision::FP32, 8), Error);
   qr::KernelConfig bad;
   bad.tilesize = 3;
-  EXPECT_THROW(table.set_kernels("cpu", Precision::FP32, bad), Error);
+  EXPECT_THROW(table.set<Knob::Kernels>("cpu", Precision::FP32, bad), Error);
   EXPECT_THROW(
-      table.set_rsvd("cpu", Precision::FP32, core::TuningTable::RsvdDefaults{-1, 2}),
+      table.set<Knob::Rsvd>("cpu", Precision::FP32, core::RsvdDefaults{-1, 2}),
       Error);
-  EXPECT_THROW(
-      table.set_rsvd("a b", Precision::FP32, core::TuningTable::RsvdDefaults{}),
-      Error);
-  EXPECT_THROW(table.set_qr_first_aspect("cpu", Precision::FP32, 0.0), Error);
-  EXPECT_THROW(table.set_qr_first_aspect("cpu", Precision::FP32,
-                                         std::numeric_limits<double>::infinity()),
+  EXPECT_THROW(table.set<Knob::Rsvd>("a b", Precision::FP32, core::RsvdDefaults{}),
                Error);
-  EXPECT_THROW(table.set_qr_first_aspect("a b", Precision::FP32, 2.0), Error);
+  EXPECT_THROW(table.set<Knob::Stage3Crossover>("cpu", Precision::FP32, -1), Error);
+  EXPECT_THROW(table.set<Knob::Stage3Crossover>("a b", Precision::FP32, 64), Error);
 }
 
 TEST(TuningTable, RsvdEntriesRoundTripWithFallbacks) {
   core::TuningTable table;
-  table.set_rsvd("cpu", Precision::FP32, core::TuningTable::RsvdDefaults{12, 1});
-  table.set_rsvd("serial", Precision::FP64, core::TuningTable::RsvdDefaults{4, 3});
+  table.set<Knob::Rsvd>("cpu", Precision::FP32, core::RsvdDefaults{12, 1});
+  table.set<Knob::Rsvd>("serial", Precision::FP64, core::RsvdDefaults{4, 3});
   const std::string path = temp_path("unisvd_tuning_rsvd.txt");
   ASSERT_TRUE(table.save(path));
 
   const auto loaded = core::TuningTable::load(path);
   EXPECT_EQ(loaded.size(), 2u);
-  const auto hit = loaded.rsvd("cpu", Precision::FP32);
+  const auto hit = loaded.get<Knob::Rsvd>("cpu", Precision::FP32);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->oversample, 12);
   EXPECT_EQ(hit->power_iters, 1);
   // Nearest-precision fallback (FP16 prefers the FP32 entry).
-  EXPECT_EQ(loaded.rsvd_or("cpu", Precision::FP16,
-                           core::TuningTable::RsvdDefaults{})
-                .oversample,
-            12);
+  EXPECT_EQ(
+      loaded.get_or<Knob::Rsvd>("cpu", Precision::FP16, core::RsvdDefaults{}).oversample,
+      12);
   // Unknown backend keeps the caller's default.
-  EXPECT_EQ(loaded.rsvd_or("gpu-sim", Precision::FP32,
-                           core::TuningTable::RsvdDefaults{7, 5})
+  EXPECT_EQ(loaded.get_or<Knob::Rsvd>("gpu-sim", Precision::FP32, core::RsvdDefaults{7, 5})
                 .power_iters,
             5);
-  EXPECT_FALSE(loaded.rsvd("cpu", Precision::FP64).has_value());
+  EXPECT_FALSE(loaded.get<Knob::Rsvd>("cpu", Precision::FP64).has_value());
 }
 
 TEST(TuningTable, TunedTruncConfigAppliesMeasuredDefaults) {
   core::TuningTable table;
-  table.set_rsvd("cpu", Precision::FP32, core::TuningTable::RsvdDefaults{16, 1});
+  table.set<Knob::Rsvd>("cpu", Precision::FP32, core::RsvdDefaults{16, 1});
   qr::KernelConfig kc;
   kc.tilesize = 16;
   kc.colperblock = 8;
-  table.set_kernels("cpu", Precision::FP32, kc);
+  table.set<Knob::Kernels>("cpu", Precision::FP32, kc);
 
   ka::CpuBackend backend(2);
   TruncConfig base;
@@ -356,7 +378,7 @@ TEST(Tuner, LearnRsvdFeedsTableAndStaysAccurate) {
 
   core::TuningTable table;
   const auto best = core::learn_rsvd<float>(table, backend, 96, 48, 8, 1, 2.0, 7);
-  const auto stored = table.rsvd(backend.name(), Precision::FP32);
+  const auto stored = table.get<Knob::Rsvd>(backend.name(), Precision::FP32);
   ASSERT_TRUE(stored.has_value());
   EXPECT_EQ(stored->oversample, best.oversample);
   EXPECT_EQ(stored->power_iters, best.power_iters);
@@ -370,8 +392,8 @@ TEST(TuningTable, LearnBatchCrossoverFeedsTableAndTunedConfig) {
   core::TuningTable table;
   const index_t learned =
       core::learn_batch_crossover<float>(table, be, {8, 16}, 2, 1, cfg);
-  ASSERT_TRUE(table.batch_crossover("cpu", Precision::FP32).has_value());
-  EXPECT_EQ(*table.batch_crossover("cpu", Precision::FP32), learned);
+  ASSERT_TRUE(table.get<Knob::BatchCrossover>("cpu", Precision::FP32).has_value());
+  EXPECT_EQ(*table.get<Knob::BatchCrossover>("cpu", Precision::FP32), learned);
 
   // The measured value becomes the BatchConfig default for this backend,
   // replacing the hardcoded crossover.
@@ -463,7 +485,7 @@ TEST(TuningDefaultPath, TunedBatchConfigReadsDefaultTable) {
   const std::string path = temp_path("unisvd_default_table.txt");
   {
     core::TuningTable table;
-    table.set_batch_crossover("cpu", Precision::FP32, 224);
+    table.set<Knob::BatchCrossover>("cpu", Precision::FP32, 224);
     ASSERT_TRUE(table.save(path));
   }
   ScopedEnv env("UNISVD_TUNING_FILE", path.c_str());
@@ -485,15 +507,15 @@ TEST(TuningDefaultPath, LearnPersistsToDefaultLocationCreatingDirectories) {
   // The learned value is on disk at the default location and round-trips
   // through the zero-plumbing config entry point.
   const auto loaded = core::TuningTable::load(path);
-  ASSERT_TRUE(loaded.batch_crossover("cpu", Precision::FP32).has_value());
-  EXPECT_EQ(*loaded.batch_crossover("cpu", Precision::FP32), learned);
+  ASSERT_TRUE(loaded.get<Knob::BatchCrossover>("cpu", Precision::FP32).has_value());
+  EXPECT_EQ(*loaded.get<Knob::BatchCrossover>("cpu", Precision::FP32), learned);
   EXPECT_EQ(core::tuned_batch_config(be, Precision::FP32).crossover_n, learned);
   // Re-learning merges into the existing file instead of clobbering it.
   const index_t learned16 = core::learn_batch_crossover<Half>(be, {8}, 2, 1, cfg);
   const auto merged = core::TuningTable::load(path);
-  EXPECT_EQ(*merged.batch_crossover("cpu", Precision::FP32), learned);
-  ASSERT_TRUE(merged.batch_crossover("cpu", Precision::FP16).has_value());
-  EXPECT_EQ(*merged.batch_crossover("cpu", Precision::FP16), learned16);
+  EXPECT_EQ(*merged.get<Knob::BatchCrossover>("cpu", Precision::FP32), learned);
+  ASSERT_TRUE(merged.get<Knob::BatchCrossover>("cpu", Precision::FP16).has_value());
+  EXPECT_EQ(*merged.get<Knob::BatchCrossover>("cpu", Precision::FP16), learned16);
 }
 
 // ---------------------------------------------------------------------------
@@ -502,33 +524,33 @@ TEST(TuningDefaultPath, LearnPersistsToDefaultLocationCreatingDirectories) {
 
 TEST(TuningTable, SmallSvdThresholdRoundTripsWithFallbacks) {
   core::TuningTable table;
-  table.set_small_svd_threshold("cpu", Precision::FP32, 48);
-  table.set_small_svd_threshold("serial", Precision::FP64, 0);  // "never faster"
+  table.set<Knob::SmallSvdThreshold>("cpu", Precision::FP32, 48);
+  table.set<Knob::SmallSvdThreshold>("serial", Precision::FP64, 0);  // "never faster"
   const std::string path = temp_path("unisvd_tuning_small_svd.txt");
   ASSERT_TRUE(table.save(path));
 
   const auto loaded = core::TuningTable::load(path);
   EXPECT_EQ(loaded.size(), 2u);
-  const auto hit = loaded.small_svd_threshold("cpu", Precision::FP32);
+  const auto hit = loaded.get<Knob::SmallSvdThreshold>("cpu", Precision::FP32);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(*hit, 48);
   // 0 is a real entry ("path disabled"), not a missing one.
-  ASSERT_TRUE(loaded.small_svd_threshold("serial", Precision::FP64).has_value());
-  EXPECT_EQ(*loaded.small_svd_threshold("serial", Precision::FP64), 0);
+  ASSERT_TRUE(loaded.get<Knob::SmallSvdThreshold>("serial", Precision::FP64).has_value());
+  EXPECT_EQ(*loaded.get<Knob::SmallSvdThreshold>("serial", Precision::FP64), 0);
   // Nearest-precision fallback (FP16 prefers the FP32 entry) and
   // caller-default rules match the other directives.
-  EXPECT_EQ(loaded.small_svd_threshold_or("cpu", Precision::FP16, 999), 48);
-  EXPECT_EQ(loaded.small_svd_threshold_or("gpu-sim", Precision::FP32, 999), 999);
+  EXPECT_EQ(loaded.get_or<Knob::SmallSvdThreshold>("cpu", Precision::FP16, 999), 48);
+  EXPECT_EQ(loaded.get_or<Knob::SmallSvdThreshold>("gpu-sim", Precision::FP32, 999), 999);
 
   // Invalid entries are refused up front, like every other directive.
-  EXPECT_THROW(table.set_small_svd_threshold("cpu", Precision::FP32, -1), Error);
-  EXPECT_THROW(table.set_small_svd_threshold("a b", Precision::FP32, 8), Error);
+  EXPECT_THROW(table.set<Knob::SmallSvdThreshold>("cpu", Precision::FP32, -1), Error);
+  EXPECT_THROW(table.set<Knob::SmallSvdThreshold>("a b", Precision::FP32, 8), Error);
 
   // tuned_batch_config / tuned_trunc_config drop the measured threshold
   // into the SvdConfig the solvers consult.
   ka::CpuBackend be(2);
   core::TuningTable cpu_table;
-  cpu_table.set_small_svd_threshold(be.name(), Precision::FP32, 24);
+  cpu_table.set<Knob::SmallSvdThreshold>(be.name(), Precision::FP32, 24);
   EXPECT_EQ(core::tuned_batch_config(cpu_table, be, Precision::FP32)
                 .svd.small_svd_threshold,
             24);
@@ -545,8 +567,8 @@ TEST(Tuner, LearnSmallSvdThresholdFeedsTable) {
   core::TuningTable table;
   const index_t learned =
       core::learn_small_svd_threshold<float>(table, be, {8, 16}, 1, cfg);
-  ASSERT_TRUE(table.small_svd_threshold(be.name(), Precision::FP32).has_value());
-  EXPECT_EQ(*table.small_svd_threshold(be.name(), Precision::FP32), learned);
+  ASSERT_TRUE(table.get<Knob::SmallSvdThreshold>(be.name(), Precision::FP32).has_value());
+  EXPECT_EQ(*table.get<Knob::SmallSvdThreshold>(be.name(), Precision::FP32), learned);
   // Prefix-win over the probed ladder: the learned threshold is a probed
   // size or 0 (the fused path lost at the smallest probe).
   EXPECT_TRUE(learned == 0 || learned == 8 || learned == 16);
@@ -598,22 +620,40 @@ class GlobalLocaleGuard {
 }  // namespace
 
 TEST(TuningTable, RoundTripsUnderCommaDecimalLocale) {
-  // Under a de_DE-style global locale an un-imbued ostream renders 1.5 as
-  // "1,5" and 1024 as "1.024", and an un-imbued istream stops a double
-  // parse at the '.' — both corrupting the table. write() and read() must
-  // imbue std::locale::classic() on their own streams, so the round trip
-  // (and explicitly imbued caller streams) survive any global locale.
+  // Under a de_DE-style global locale an un-imbued ostream renders 1024 as
+  // "1.024" and an un-imbued istream reads it back as 1 — corrupting the
+  // table. write() and read() must imbue std::locale::classic() on their
+  // own streams, so every directive round-trips (through explicitly imbued
+  // caller streams too) under any global locale.
   GlobalLocaleGuard guard;
 
   core::TuningTable table;
-  table.set_batch_crossover("cpu", Precision::FP32, 1024);  // grouping bait
-  table.set_qr_first_aspect("cpu", Precision::FP32, 1.5);   // decimal bait
-  table.set_qr_first_aspect("gpu-x", Precision::FP16, 1.6180339887498949);
-  table.set_small_svd_threshold("cpu", Precision::FP32, 32);
+  table.set<Knob::BatchCrossover>("cpu", Precision::FP32, 1024);  // grouping bait
   qr::KernelConfig kc;
   kc.tilesize = 16;
   kc.colperblock = 8;
-  table.set_kernels("cpu", Precision::FP32, kc);
+  kc.splitk = 2;
+  table.set<Knob::Kernels>("cpu", Precision::FP32, kc);
+  table.set<Knob::Rsvd>("gpu-x", Precision::FP16, core::RsvdDefaults{1024, 3});
+  table.set<Knob::SmallSvdThreshold>("cpu", Precision::FP32, 32);
+  table.set<Knob::Stage3Crossover>("cpu", Precision::FP64, core::kStage3CrossoverNever);
+
+  const auto expect_round_trip = [](const core::TuningTable& t) {
+    EXPECT_EQ(t.get<Knob::BatchCrossover>("cpu", Precision::FP32), 1024);
+    const auto k = t.get<Knob::Kernels>("cpu", Precision::FP32);
+    ASSERT_TRUE(k.has_value());
+    EXPECT_EQ(k->tilesize, 16);
+    EXPECT_EQ(k->colperblock, 8);
+    EXPECT_EQ(k->splitk, 2);
+    EXPECT_TRUE(k->fused);
+    const auto r = t.get<Knob::Rsvd>("gpu-x", Precision::FP16);
+    ASSERT_TRUE(r.has_value());
+    EXPECT_EQ(r->oversample, 1024);
+    EXPECT_EQ(r->power_iters, 3);
+    EXPECT_EQ(t.get<Knob::SmallSvdThreshold>("cpu", Precision::FP32), 32);
+    EXPECT_EQ(t.get<Knob::Stage3Crossover>("cpu", Precision::FP64),
+              core::kStage3CrossoverNever);
+  };
 
   // Worst case: the caller's streams are THEMSELVES imbued with the comma
   // locale; the implementation must still write/parse classic-locale text.
@@ -623,9 +663,9 @@ TEST(TuningTable, RoundTripsUnderCommaDecimalLocale) {
   const std::string text = os.str();
   EXPECT_EQ(text.find(','), std::string::npos)
       << "comma leaked into the table text:\n" << text;
-  EXPECT_NE(text.find("1024"), std::string::npos)
-      << "crossover was thousands-grouped:\n" << text;
-  EXPECT_NE(text.find("1.5"), std::string::npos) << text;
+  EXPECT_EQ(text.find('.'), std::string::npos)
+      << "a field was thousands-grouped:\n" << text;
+  EXPECT_NE(text.find("1024"), std::string::npos) << text;
 
   std::istringstream is(text);
   is.imbue(std::locale(std::locale::classic(), new CommaNumpunct));
@@ -633,21 +673,14 @@ TEST(TuningTable, RoundTripsUnderCommaDecimalLocale) {
   const auto loaded = core::TuningTable::read(is, &malformed);
   EXPECT_EQ(malformed, 0u);
   EXPECT_EQ(loaded.size(), table.size());
-  EXPECT_EQ(loaded.batch_crossover_or("cpu", Precision::FP32, 0), 1024);
-  EXPECT_DOUBLE_EQ(loaded.qr_first_aspect_or("cpu", Precision::FP32, 0.0), 1.5);
-  EXPECT_EQ(*loaded.qr_first_aspect("gpu-x", Precision::FP16),
-            1.6180339887498949);
-  EXPECT_EQ(loaded.small_svd_threshold_or("cpu", Precision::FP32, 0), 32);
-  EXPECT_EQ(loaded.kernels_or("cpu", Precision::FP32, qr::KernelConfig{}).tilesize,
-            16);
+  expect_round_trip(loaded);
 
   // And the file path round trip under the poisoned GLOBAL locale.
   const std::string path = temp_path("unisvd_tuning_locale.txt");
   ASSERT_TRUE(table.save(path));
   const auto from_file = core::TuningTable::load(path);
   EXPECT_EQ(from_file.size(), table.size());
-  EXPECT_EQ(from_file.batch_crossover_or("cpu", Precision::FP32, 0), 1024);
-  EXPECT_DOUBLE_EQ(from_file.qr_first_aspect_or("cpu", Precision::FP32, 0.0), 1.5);
+  expect_round_trip(from_file);
 }
 
 TEST(TuningTable, ConcurrentLearnAndSaveNeverCorruptTheFile) {
@@ -671,7 +704,7 @@ TEST(TuningTable, ConcurrentLearnAndSaveNeverCorruptTheFile) {
                                                  SvdConfig{}, seed);
     ASSERT_EQ(table.size(), 1u);  // the learned threshold entry
     for (int i = 0; i < 8; ++i) {
-      table.set_batch_crossover(tag + std::to_string(i), p, 100 + i);
+      table.set<Knob::BatchCrossover>(tag + std::to_string(i), p, 100 + i);
     }
     ASSERT_EQ(table.size(), kEntries);
     std::atomic<int> failed_saves{0};
