@@ -207,9 +207,10 @@ Factor merge(const Factor& f1, const Factor& f2, double alpha, double beta,
       const double rr = std::hypot(cq.z, cp.z);
       const double c = cp.z / rr;
       const double s = cq.z / rr;
-      if (std::abs((cp.d - cq.d) * c * s) <= tol) {
-        // Near-equal poles: one two-sided Givens zeroes the earlier
-        // weight; the dropped off-diagonal is bounded by tol.
+      if (std::abs(cp.d - cq.d) <= tol) {
+        // Near-equal poles (dlasd2's test): one two-sided Givens zeroes
+        // the earlier weight while both poles keep their values, so the
+        // error is the pole gap itself, bounded by tol.
         rots.push_back({prev, p, c, s});
         cp.z = rr;
         cq.z = 0.0;

@@ -30,6 +30,8 @@
 #include "dc/dc_svd.hpp"
 #include "ka/backend.hpp"
 #include "ka/thread_pool.hpp"
+#include "qr/band_reduction.hpp"
+#include "rand/matrix_gen.hpp"
 #include "rand/rng.hpp"
 #include "test_util.hpp"
 
@@ -174,6 +176,28 @@ TEST(DcKernel, DeflationHeavyInputs) {
     std::vector<double> d(24, 0.0), e(23, 0.0);
     check_dc_kernel(d, e, "all zero");
   }
+  // Exactly repeated values through real Stage-1/2 reductions: the
+  // couplings are O(1), so merges pair far-apart poles where one weight is
+  // merely tiny. Deflating such a pair on the rotated off-diagonal
+  // (|gap * c * s|) instead of the pole gap reports the wrong pole for the
+  // rotated triple (sigma_47 came out 0.93 instead of 1.0).
+  {
+    const index_t n = 96;
+    const int ts = 32;
+    std::vector<double> sigma(static_cast<std::size_t>(n), 1.0);
+    std::fill(sigma.begin() + n / 2, sigma.end(), 0.5);
+    rnd::Xoshiro256 rng(5);
+    Matrix<double> a = rnd::rect_matrix_with_spectrum(n, n, sigma, rng);
+    qr::KernelConfig kc;
+    kc.tilesize = ts;
+    Matrix<double> tau(n / ts, ts, 0.0);
+    ka::SerialBackend serial;
+    qr::band_reduction<double>(serial, a.view(), tau.view(), kc);
+    auto band = band::extract_band<double>(a.view(), ts);
+    std::vector<double> d, e;
+    band::band_to_bidiag(band, d, e);
+    check_dc_kernel(d, e, "repeated sigma after stages 1-2", 8);
+  }
 }
 
 TEST(DcKernel, QrTailInsensitivity) {
@@ -309,6 +333,58 @@ TYPED_TEST(DcDriverTyped, SigmaAgreesWithValuesOnlyOracleAcrossShapes) {
     EXPECT_LE(ref::orthogonality_defect(rep.u.view()), driver_tol<T>(sh.m, sh.n));
     EXPECT_LE(ref::orthogonality_defect(rep.vt.view().transposed()),
               driver_tol<T>(sh.m, sh.n));
+  }
+}
+
+namespace {
+
+/// A default-configuration Thin solve of the square `a`, whose exact
+/// spectrum is `sigma` (descending), meets the sigma, residual and
+/// orthogonality gates.
+template <class T>
+void expect_default_thin_gates(const Matrix<T>& a, const std::vector<double>& sigma,
+                               const char* tag) {
+  SvdConfig cfg;
+  cfg.job = SvdJob::Thin;
+  const auto rep = svd_values_report<T>(a.view(), cfg);
+  ASSERT_EQ(rep.status, SvdStatus::Ok) << tag;
+  ASSERT_EQ(rep.values.size(), sigma.size()) << tag;
+  const double tol = driver_tol<T>(a.rows(), a.cols());
+  double sigma_err = 0.0;
+  for (std::size_t i = 0; i < sigma.size(); ++i) {
+    sigma_err = std::max(sigma_err, std::abs(rep.values[i] - sigma[i]));
+  }
+  EXPECT_LE(sigma_err, tol * sigma[0]) << tag;
+  EXPECT_LE(report_residual(a.view(), rep), tol) << tag;
+  EXPECT_LE(ref::orthogonality_defect(rep.u.view()), tol) << tag;
+  EXPECT_LE(ref::orthogonality_defect(rep.vt.view().transposed()), tol) << tag;
+}
+
+}  // namespace
+
+TEST(DcDriver, DefaultThinSolveHandlesRepeatedAndClusteredSigma) {
+  // Repeated and near-equal singular values on the default path: D&C
+  // merges see equal poles beside far-apart pairs with tiny weights.
+  const index_t n = 384;
+  {
+    std::vector<double> sigma(static_cast<std::size_t>(n), 1.0);
+    std::fill(sigma.begin() + n / 2, sigma.end(), 0.5);
+    rnd::Xoshiro256 rng(2);
+    const Matrix<double> a = rnd::rect_matrix_with_spectrum(n, n, sigma, rng);
+    expect_default_thin_gates<double>(a, sigma, "FP64 sigma in {1, 0.5}");
+  }
+  {
+    // Four clusters of 96 values, neighbours 1e-8 apart (relative).
+    std::vector<double> sigma(static_cast<std::size_t>(n));
+    for (index_t i = 0; i < n; ++i) {
+      sigma[static_cast<std::size_t>(i)] =
+          (1.0 - 0.25 * static_cast<double>(i / 96)) *
+          (1.0 - 1e-8 * static_cast<double>(i % 96));
+    }
+    rnd::Xoshiro256 rng(7);
+    const Matrix<float> a =
+        rnd::round_to<float>(rnd::rect_matrix_with_spectrum(n, n, sigma, rng));
+    expect_default_thin_gates<float>(a, sigma, "FP32 four near-equal clusters");
   }
 }
 
