@@ -3,6 +3,7 @@
 /// printing, geometric means, time formatting, and the machine-readable
 /// JSON sink behind the CI `bench-results` artifact (--json <path>).
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -31,6 +32,26 @@ inline double measure_seconds(const std::function<void()>& fn, int batch = 5,
     total += dt;
   } while (total < min_total_seconds);
   return best;
+}
+
+/// Lower quartile, median and upper quartile of a sample (linear
+/// interpolation between order statistics).
+struct Quartiles {
+  double q1 = 0.0;
+  double median = 0.0;
+  double q3 = 0.0;
+};
+
+inline Quartiles quartiles(std::vector<double> v) {
+  if (v.empty()) return {};
+  std::sort(v.begin(), v.end());
+  const auto at = [&](double p) {
+    const double pos = p * static_cast<double>(v.size() - 1);
+    const auto lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, v.size() - 1);
+    return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
+  };
+  return {at(0.25), at(0.5), at(0.75)};
 }
 
 /// Geometric mean accumulator with range tracking (paper Table 4 format).

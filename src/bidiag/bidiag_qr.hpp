@@ -313,7 +313,7 @@ std::vector<CT> bidiag_svd_qr(std::vector<CT> d, std::vector<CT> e) {
 /// final descending sort permutes the first n rows of both accumulators in
 /// step with the values. A non-null `acc_seconds` receives the wall clock
 /// spent on the accumulator updates (rotations, negations, the final row
-/// permutation) so the driver can book it under Stage::VectorAccumulation.
+/// permutation) so a caller can book it under Stage::VectorAccumulation.
 template <class CT>
 std::vector<CT> bidiag_svd_qr_vectors(std::vector<CT> d, std::vector<CT> e,
                                       MatrixView<CT> ut, MatrixView<CT> vt,

@@ -15,6 +15,11 @@ namespace unisvd {
 
 namespace {
 
+/// Auto runs the inter-problem pass only when at least this many problems
+/// qualify (a lone small problem gains nothing from the pool); also the
+/// minimum small-problem count for the ragged-batch promotion to Mixed.
+constexpr std::size_t kMinInterProblems = 2;
+
 [[nodiscard]] bool pool_usable(ka::Backend& backend) {
   ka::ThreadPool* pool = backend.batch_pool();
   return pool != nullptr && pool->size() > 1 && !pool->in_job();
@@ -24,7 +29,7 @@ namespace {
 /// BatchConfig::crossover_n): promote Auto to the Mixed work-stealing
 /// schedule when the batch mixes regimes — at least one problem above the
 /// crossover (something to steal workgroups from) and at least
-/// min_inter_problems at or below it (a queue worth draining
+/// kMinInterProblems at or below it (a queue worth draining
 /// inter-problem). Requires a usable pool; results are schedule-invariant,
 /// so the promotion only changes the mapping onto threads.
 [[nodiscard]] bool auto_prefers_mixed(const std::vector<index_t>& extents,
@@ -36,7 +41,7 @@ namespace {
   for (const index_t e : extents) {
     (e <= config.crossover_n ? small : large) += 1;
   }
-  return large >= 1 && small >= config.min_inter_problems;
+  return large >= 1 && small >= kMinInterProblems;
 }
 
 /// Resolve Auto/Mixed per problem; demote pool-based schedules when the
@@ -67,7 +72,7 @@ std::vector<BatchSchedule> resolve_schedules(const std::vector<index_t>& extents
   for (const index_t e : extents) {
     if (e <= config.crossover_n) ++small;
   }
-  if (small < config.min_inter_problems) return schedules;
+  if (small < kMinInterProblems) return schedules;
   for (std::size_t p = 0; p < extents.size(); ++p) {
     if (extents[p] <= config.crossover_n) {
       schedules[p] = BatchSchedule::InterProblem;

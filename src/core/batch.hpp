@@ -76,7 +76,7 @@ enum class BatchSchedule {
   Auto,          ///< per problem: InterProblem below the crossover, else
                  ///< Intra — unless the batch is *ragged* (see BatchConfig:
                  ///< at least one problem above the crossover AND at least
-                 ///< min_inter_problems at or below it), in which case Auto
+                 ///< two at or below it), in which case Auto
                  ///< runs the whole batch under the Mixed work-stealing
                  ///< schedule: exactly the regime Mixed was built for, where
                  ///< a large tail would otherwise serialize behind the
@@ -131,7 +131,7 @@ struct BatchConfig {
   ///
   /// Ragged-batch heuristic (BatchSchedule::Auto): a batch is considered
   /// ragged when it contains at least one problem ABOVE this crossover and
-  /// at least `min_inter_problems` problems at or below it. That is
+  /// at least two problems at or below it. That is
   /// precisely the shape where the classic Auto split (inter pass, then
   /// sequential intra tail) leaves the pool idle while the large problems
   /// serialize — so Auto promotes the whole batch to the Mixed
@@ -139,10 +139,6 @@ struct BatchConfig {
   /// mapping onto threads changes). Homogeneous batches (all small or all
   /// large) keep the classic per-problem resolution.
   index_t crossover_n = 192;
-  /// Auto runs the inter-problem pass only when at least this many problems
-  /// qualify (a lone small problem gains nothing from the pool). Also the
-  /// minimum small-problem count for the ragged-batch promotion above.
-  std::size_t min_inter_problems = 2;
   /// Contended-pool fallback for the engine's pool-based passes
   /// (ka::ParallelForOptions::busy_fallback_inline): when another thread
   /// already owns the backend pool's job slot, the batch degrades to inline

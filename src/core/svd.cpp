@@ -19,6 +19,11 @@ namespace unisvd {
 
 namespace {
 
+/// Stage-2 rotation-batch capacity of every vector solve: mirror rotations
+/// buffer up to this many entries and replay per accumulator column tile
+/// (band/rot_batch.hpp), bit-identical to eager per-rotation mirroring.
+constexpr index_t kStage2RotBatch = 4096;
+
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 }
@@ -190,11 +195,11 @@ SvdReport svd_values_report(ConstMatrixView<T> a, const SvdConfig& config,
   // Transposed factor accumulators in compute precision (U = ut^T), seeded
   // with the identity. Stage 1 applies its tile reflectors to them through
   // the same launch path as the trailing updates, Stage 2 mirrors its
-  // Givens rotations, Stage 3 accumulates its rotations (QR iteration) or
-  // composes its coefficient matrices (divide-and-conquer) and sorts rows
-  // with the values. Both accumulators are n_pad-sized: a tall input's
-  // left factor lives in the R problem's coordinates and is lifted to the
-  // full m rows afterwards by the blocked reflector replay.
+  // Givens rotations, Stage 3 composes its divide-and-conquer coefficient
+  // matrices and sorts rows with the values. Both accumulators are
+  // n_pad-sized: a tall input's left factor lives in the R problem's
+  // coordinates and is lifted to the full m rows afterwards by the blocked
+  // reflector replay.
   Matrix<CT> ut_acc;
   Matrix<CT> vt_acc;
   MatrixView<CT> ut_view;
@@ -226,10 +231,11 @@ SvdReport svd_values_report(ConstMatrixView<T> a, const SvdConfig& config,
   } else {
     // Tall input: factor A = Q R with the REPLAYABLE panel QR and keep the
     // reflectors. Every job factors the same panel with the same kernels,
-    // so R — and therefore the values — is bit-identical across jobs. The
-    // stages then run with n_pad-sized accumulators and a vector job's U
-    // is composed afterwards by blocked replay: peak left-side memory is
-    // O(m_pad * n_pad), never an m_pad^2 accumulator.
+    // so R is bit-identical across jobs (and the values across Thin and
+    // Full, which share the Stage-3 engine). The stages then run with
+    // n_pad-sized accumulators and a vector job's U is composed afterwards
+    // by blocked replay: peak left-side memory is O(m_pad * n_pad), never
+    // an m_pad^2 accumulator.
     const auto row_layout = tile::TileLayout::make(m, ts);
     panel = Matrix<T>(row_layout.n, npad, T(0));
     copy_scaled(at, panel, rep.scale_factor);
@@ -270,46 +276,29 @@ SvdReport svd_values_report(ConstMatrixView<T> a, const SvdConfig& config,
   s2.vt = vt_ptr;
   s2.acc_seconds = want_vectors ? &acc2 : nullptr;
   s2.backend = &backend;
-  s2.rot_batch = config.stage2_batch;
+  s2.rot_batch = kStage2RotBatch;
   rep.chase_stats = band::band_to_bidiag(bandm, d, e, s2);
   rep.stage_times.add(ka::Stage::BandToBidiagonal, seconds_since(t0) - acc2);
   rep.stage_times.add(ka::Stage::VectorAccumulation, acc2);
 
-  // Stage 3: bidiagonal -> singular values. Engine selection
-  // (SvdConfig::stage3): the implicit-shift QR iteration — whose vector
-  // variant executes identical d/e arithmetic, so values are bit-identical
-  // across jobs — or the divide-and-conquer solver (src/dc), whose values
-  // agree within the accuracy gates rather than bitwise. Auto keeps
-  // values-only solves on QR (historic bit-identity) and sends vector
-  // solves past the crossover to D&C. Both engines split their
+  // Stage 3: bidiagonal -> singular values. The job selects the engine:
+  // values-only solves run the implicit-shift QR iteration (the historic
+  // path, bit-identical to every prior release); vector jobs run the
+  // divide-and-conquer solver (src/dc), whose own implicit-QR leaf handles
+  // the small sub-problems, so Thin and Full values are bit-identical and
+  // agree with values-only ones within the accuracy gates. D&C splits its
   // accumulator-composition time out into VectorAccumulation.
   t0 = std::chrono::steady_clock::now();
   double acc3 = 0.0;
-  bool use_dc = false;
-  switch (config.stage3) {
-    case Stage3Solver::QR:
-      break;
-    case Stage3Solver::DivideConquer:
-      use_dc = true;
-      break;
-    case Stage3Solver::Auto:
-      use_dc = want_vectors && npad >= config.dc_crossover;
-      break;
-  }
-  rep.stage3_dc = use_dc;
+  rep.stage3_dc = want_vectors;
   std::vector<CT> sv;
-  if (use_dc) {
+  if (want_vectors) {
     dc::DcOptions dco;
     dco.pool = backend.batch_pool();
     dco.acc_seconds = &acc3;
-    sv = dc::bidiag_svd_dc<CT>(std::move(d), std::move(e),
-                               want_vectors ? &ut_view : nullptr,
-                               want_vectors ? &vt_view : nullptr, dco);
+    sv = dc::bidiag_svd_dc<CT>(std::move(d), std::move(e), &ut_view, &vt_view, dco);
   } else {
-    sv = want_vectors
-             ? bidiag::bidiag_svd_qr_vectors(std::move(d), std::move(e),
-                                             ut_view, vt_view, &acc3)
-             : bidiag::bidiag_svd_qr(std::move(d), std::move(e));
+    sv = bidiag::bidiag_svd_qr(std::move(d), std::move(e));
   }
   rep.stage_times.add(ka::Stage::BidiagonalToDiagonal, seconds_since(t0) - acc3);
   rep.stage_times.add(ka::Stage::VectorAccumulation, acc3);

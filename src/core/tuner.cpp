@@ -51,35 +51,24 @@ double time_call(const F& f) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 }
 
-/// How a threshold tuner turns per-size wins into its learned threshold.
-enum class WinRule {
-  /// The largest probed size up to which the candidate won at EVERY probe
-  /// from the smallest up: a noisy win above a real loss does not extend it.
-  Prefix,
-  /// The smallest probed size from which the candidate won at EVERY probe
-  /// up to the largest: a noisy win below a real loss does not lower it.
-  Suffix
-};
-
 /// The probe protocol the threshold tuners share. Non-positive `repeats`
-/// and sizes below `min_size` are rejected (`name` prefixes the errors);
-/// the sizes then run ascending and de-duplicated. Per size, `prepare(n)`
-/// builds that size's probe and returns `time(bool candidate) -> seconds`.
-/// One untimed run of each side absorbs pool wake-up and first-touch costs,
-/// then `repeats` rounds alternate which side is timed first — so neither
-/// side systematically pays residual warmup — keeping each side's best in
-/// the `baseline` / `candidate` field of a Sample appended to `samples`. A
-/// tie counts as a candidate win. Returns the threshold under `rule`, or
-/// `none` when no probe qualifies.
+/// and sizes are rejected (`name` prefixes the errors); the sizes then run
+/// ascending and de-duplicated. Per size, `prepare(n)` builds that size's
+/// probe and returns `time(bool candidate) -> seconds`. One untimed run of
+/// each side absorbs pool wake-up and first-touch costs, then `repeats`
+/// rounds alternate which side is timed first — so neither side
+/// systematically pays residual warmup — keeping each side's best in the
+/// `baseline` / `candidate` field of a Sample appended to `samples`. A tie
+/// counts as a candidate win. Returns the largest probed size up to which
+/// the candidate won at EVERY probe from the smallest up (a noisy win above
+/// a real loss does not extend it), or 0 when it lost at the smallest.
 template <class Sample, class Prepare>
-index_t search_threshold(const char* name, std::vector<index_t> sizes, index_t min_size,
-                         int repeats, WinRule rule, index_t none,
+index_t search_threshold(const char* name, std::vector<index_t> sizes, int repeats,
                          std::vector<Sample>& samples, double Sample::*baseline,
                          double Sample::*candidate, const Prepare& prepare) {
   UNISVD_REQUIRE(repeats >= 1, std::string(name) + ": repeats must be positive");
   for (const index_t n : sizes) {
-    UNISVD_REQUIRE(n >= min_size, std::string(name) + ": probed sizes must be >= " +
-                                      std::to_string(min_size));
+    UNISVD_REQUIRE(n >= 1, std::string(name) + ": probed sizes must be >= 1");
   }
   std::sort(sizes.begin(), sizes.end());
   sizes.erase(std::unique(sizes.begin(), sizes.end()), sizes.end());
@@ -100,15 +89,9 @@ index_t search_threshold(const char* name, std::vector<index_t> sizes, index_t m
     }
   }
   const auto won = [&](const Sample& s) { return s.*candidate <= s.*baseline; };
-  index_t threshold = none;
-  if (rule == WinRule::Prefix) {
-    for (auto it = samples.begin(); it != samples.end() && won(*it); ++it) {
-      threshold = it->n;
-    }
-  } else {
-    for (auto it = samples.rbegin(); it != samples.rend() && won(*it); ++it) {
-      threshold = it->n;
-    }
+  index_t threshold = 0;
+  for (auto it = samples.begin(); it != samples.end() && won(*it); ++it) {
+    threshold = it->n;
   }
   return threshold;
 }
@@ -151,7 +134,7 @@ void check_non_negative(const KnobFields& f) {
 }
 
 /// Indexed by Knob, which also fixes the order write() emits them in.
-const std::array<Directive, 5> kDirectives{{
+const std::array<Directive, 4> kDirectives{{
     {"crossover", 1, check_non_negative},
     {"kernels", 4,
      [](const KnobFields& f) {
@@ -160,7 +143,6 @@ const std::array<Directive, 5> kDirectives{{
      }},
     {"rsvd", 2, check_non_negative},
     {"small_svd", 1, check_non_negative},
-    {"stage3", 1, check_non_negative},
 }};
 
 const Directive& directive_of(Knob knob) {
@@ -182,8 +164,8 @@ std::optional<KnobFields> parse_fields(std::istream& is, const Directive& d) {
   return fields;
 }
 
-/// The table's measured SvdConfig knobs — Phase-1 kernels, the fused
-/// small-path threshold and the Stage-3 crossover — applied over `svd`
+/// The table's measured SvdConfig knobs — Phase-1 kernels and the fused
+/// small-path threshold — applied over `svd`
 /// (fields without an entry keep their value). Shared by
 /// tuned_batch_config and tuned_trunc_config.
 SvdConfig tuned_svd_config(const TuningTable& table, std::string_view backend,
@@ -191,7 +173,6 @@ SvdConfig tuned_svd_config(const TuningTable& table, std::string_view backend,
   svd.kernels = table.get_or<Knob::Kernels>(backend, p, svd.kernels);
   svd.small_svd_threshold =
       table.get_or<Knob::SmallSvdThreshold>(backend, p, svd.small_svd_threshold);
-  svd.dc_crossover = table.get_or<Knob::Stage3Crossover>(backend, p, svd.dc_crossover);
   return svd;
 }
 
@@ -280,9 +261,9 @@ BatchCrossoverResult tune_batch_crossover(ka::Backend& backend,
   // (where intra measured faster) into the inter regime.
   BatchCrossoverResult result;
   result.crossover_n = search_threshold(
-      "tune_batch_crossover", std::move(sizes), 1, repeats, WinRule::Prefix, 0,
-      result.samples, &BatchCrossoverSample::intra_seconds,
-      &BatchCrossoverSample::inter_seconds, [&](index_t n) {
+      "tune_batch_crossover", std::move(sizes), repeats, result.samples,
+      &BatchCrossoverSample::intra_seconds, &BatchCrossoverSample::inter_seconds,
+      [&](index_t n) {
         problems.clear();
         views.clear();
         for (std::size_t p = 0; p < problems_per_size; ++p) {
@@ -457,48 +438,14 @@ SmallSvdThresholdResult tune_small_svd_threshold(ka::Backend& backend,
   // a real pipeline win cannot drag intermediate sizes into the fused regime.
   SmallSvdThresholdResult result;
   result.threshold = search_threshold(
-      "tune_small_svd_threshold", std::move(sizes), 1, repeats, WinRule::Prefix, 0,
-      result.samples, &SmallSvdSample::pipeline_seconds, &SmallSvdSample::fused_seconds,
+      "tune_small_svd_threshold", std::move(sizes), repeats, result.samples,
+      &SmallSvdSample::pipeline_seconds, &SmallSvdSample::fused_seconds,
       [&](index_t n) {
         probe = rnd::round_to<T>(rnd::gaussian_matrix(n, n, rng));
         return [&, n](bool fused) {
           SvdConfig cfg = config;
           cfg.job = SvdJob::Thin;
           cfg.small_svd_threshold = fused ? n : 0;
-          return time_call(
-              [&] { (void)svd_values_report<T>(probe.view(), cfg, backend); });
-        };
-      });
-  return result;
-}
-
-template <class T>
-Stage3CrossoverResult tune_stage3_crossover(ka::Backend& backend,
-                                            std::vector<index_t> sizes,
-                                            int repeats, const SvdConfig& config,
-                                            std::uint64_t seed) {
-  UNISVD_REQUIRE(backend.executes(),
-                 "tune_stage3_crossover: backend must execute kernels");
-  if (sizes.empty()) sizes = {64, 96, 128, 192};
-
-  rnd::Xoshiro256 rng(seed);
-  Matrix<T> probe;
-  // Candidate: divide-and-conquer; baseline: implicit QR. Suffix-win: D&C
-  // must win from the learned extent all the way up, so a noisy win below a
-  // real loss cannot drag the crossover down.
-  Stage3CrossoverResult result;
-  result.crossover = search_threshold(
-      "tune_stage3_crossover", std::move(sizes), 2, repeats, WinRule::Suffix,
-      kStage3CrossoverNever, result.samples, &Stage3Sample::qr_seconds,
-      &Stage3Sample::dc_seconds, [&](index_t n) {
-        probe = rnd::round_to<T>(rnd::gaussian_matrix(n, n, rng));
-        return [&](bool dc) {
-          SvdConfig cfg = config;
-          cfg.job = SvdJob::Thin;
-          cfg.stage3 = dc ? Stage3Solver::DivideConquer : Stage3Solver::QR;
-          // The probe measures the Stage-3 engines, not the dispatch heuristics
-          // around them: keep the tiny-problem shortcut out of the way.
-          cfg.small_svd_threshold = 0;
           return time_call(
               [&] { (void)svd_values_report<T>(probe.view(), cfg, backend); });
         };
@@ -660,8 +607,6 @@ index_t learn_batch_crossover(ka::Backend& backend, std::vector<index_t> sizes,
       ka::Backend&, std::vector<index_t>, std::size_t, int, const SvdConfig&,      \
       std::uint64_t);                                                              \
   template SmallSvdThresholdResult tune_small_svd_threshold<T>(                    \
-      ka::Backend&, std::vector<index_t>, int, const SvdConfig&, std::uint64_t);   \
-  template Stage3CrossoverResult tune_stage3_crossover<T>(                         \
       ka::Backend&, std::vector<index_t>, int, const SvdConfig&, std::uint64_t);   \
   template RsvdTuneResult tune_rsvd<T>(ka::Backend&, index_t, index_t, index_t,    \
                                        std::vector<RsvdDefaults>, int, double,     \

@@ -88,17 +88,17 @@ struct RsvdDefaults {
 };
 
 /// The persisted tuning knobs, one per directive of the text format (in
-/// format order): `crossover`, `kernels`, `rsvd`, `small_svd` and `stage3`,
-/// learned by tune_batch_crossover, autotune, tune_rsvd,
-/// tune_small_svd_threshold and tune_stage3_crossover respectively.
-enum class Knob { BatchCrossover, Kernels, Rsvd, SmallSvdThreshold, Stage3Crossover };
+/// format order): `crossover`, `kernels`, `rsvd` and `small_svd`, learned
+/// by tune_batch_crossover, autotune, tune_rsvd and
+/// tune_small_svd_threshold respectively.
+enum class Knob { BatchCrossover, Kernels, Rsvd, SmallSvdThreshold };
 
 /// Every directive's value is a fixed-size tuple of integers; unused
 /// trailing fields stay 0.
 using KnobFields = std::array<index_t, 4>;
 
 /// A knob's value type and its conversion to and from the directive's
-/// integer fields. The three threshold knobs are plain index_t values.
+/// integer fields. The two threshold knobs are plain index_t values.
 template <Knob K>
 struct KnobTraits {
   using value_type = index_t;
@@ -149,7 +149,6 @@ using knob_value_t = typename KnobTraits<K>::value_type;
 ///   kernels <backend> <FP16|FP32|FP64> <tilesize> <colperblock> <splitk> <fused 0|1>
 ///   rsvd <backend> <FP16|FP32|FP64> <oversample> <power_iters>
 ///   small_svd <backend> <FP16|FP32|FP64> <threshold>
-///   stage3 <backend> <FP16|FP32|FP64> <crossover_n>
 /// Backend names must be free of whitespace and '#' — the format's
 /// separators and comment marker (every ka::Backend::name() is).
 ///
@@ -228,8 +227,8 @@ index_t learn_batch_crossover(TuningTable& table, ka::Backend& backend,
   return n;
 }
 
-/// BatchConfig whose crossover_n (and Phase-1 kernels, fused small-path
-/// threshold and Stage-3 crossover, when measured) come from the table —
+/// BatchConfig whose crossover_n (and Phase-1 kernels and fused small-path
+/// threshold, when measured) come from the table —
 /// the measurement-backed default for `backend`. Fields of `base` not
 /// covered by the table are preserved.
 [[nodiscard]] BatchConfig tuned_batch_config(const TuningTable& table,
@@ -315,52 +314,6 @@ index_t learn_small_svd_threshold(TuningTable& table, ka::Backend& backend,
   const index_t n = tune_small_svd_threshold<T>(backend, std::move(sizes), repeats,
                                                 config, seed).threshold;
   table.set<Knob::SmallSvdThreshold>(backend.name(), precision_of<T>, n);
-  return n;
-}
-
-/// Sentinel SvdConfig::dc_crossover meaning "the divide-and-conquer Stage-3
-/// engine never won on this backend — keep implicit QR at every extent".
-/// Finite so it serializes cleanly through the text table.
-inline constexpr index_t kStage3CrossoverNever = 1'000'000'000;
-
-/// One probed extent of the Stage-3 engine tuner.
-struct Stage3Sample {
-  index_t n = 0;            ///< probed square extent
-  double qr_seconds = 0.0;  ///< Thin solve, Stage3Solver::QR forced
-  double dc_seconds = 0.0;  ///< Thin solve, Stage3Solver::DivideConquer forced
-};
-
-struct Stage3CrossoverResult {
-  /// Learned SvdConfig::dc_crossover: the smallest probed extent from which
-  /// divide-and-conquer won at EVERY probed size up to the largest (suffix-
-  /// win: a noisy win below a real loss does not lower the crossover), or
-  /// kStage3CrossoverNever when it never won.
-  index_t crossover = kStage3CrossoverNever;
-  std::vector<Stage3Sample> samples;  ///< ascending in n
-};
-
-/// Learn the Stage-3 engine crossover for this backend and storage type:
-/// time a Thin-job solve of a random n x n matrix with each engine forced
-/// (SvdConfig::stage3) at every probed extent, best of `repeats` alternating
-/// runs each after one untimed warmup. Empty `sizes` probes
-/// {64, 96, 128, 192}. The result's crossover drops into
-/// SvdConfig::dc_crossover (tuned_batch_config / tuned_trunc_config apply it
-/// from a table).
-template <class T>
-[[nodiscard]] Stage3CrossoverResult tune_stage3_crossover(
-    ka::Backend& backend, std::vector<index_t> sizes = {}, int repeats = 2,
-    const SvdConfig& config = {}, std::uint64_t seed = 42);
-
-/// Run tune_stage3_crossover and deposit the learned crossover into `table`
-/// under the backend's name and T's precision. Returns the crossover.
-template <class T>
-index_t learn_stage3_crossover(TuningTable& table, ka::Backend& backend,
-                               std::vector<index_t> sizes = {}, int repeats = 2,
-                               const SvdConfig& config = {},
-                               std::uint64_t seed = 42) {
-  const index_t n = tune_stage3_crossover<T>(backend, std::move(sizes), repeats,
-                                             config, seed).crossover;
-  table.set<Knob::Stage3Crossover>(backend.name(), precision_of<T>, n);
   return n;
 }
 

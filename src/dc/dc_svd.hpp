@@ -1,6 +1,6 @@
 #pragma once
 /// \file dc_svd.hpp
-/// Stage 3 alternative: divide-and-conquer bidiagonal SVD (LAPACK
+/// Stage 3 of every vector job: divide-and-conquer bidiagonal SVD (LAPACK
 /// dlasd0-family structure, after Liu et al.'s GPU-centered D&C — see
 /// PAPERS.md). Where the implicit-QR kernel (src/bidiag/bidiag_qr.hpp)
 /// sweeps rotations sequentially and mirrors each one across the full

@@ -13,11 +13,6 @@ thread_local const ThreadPool* tls_running_pool = nullptr;
 /// True while the current thread executes an iteration of a work-stealing
 /// job: its nested parallel_for calls publish their range for helpers.
 thread_local bool tls_stealing_job = false;
-/// Steal granularity of the enclosing work-stealing job (ParallelForOptions
-/// ::chunked_stealing): nested jobs published from inside it inherit the
-/// flag, so helpers know whether to claim half-remainder ranges or single
-/// indices.
-thread_local bool tls_chunked_steal = false;
 /// Set by ScopedInlineNested: publication is suppressed even inside a
 /// work-stealing job (small batch problems opt out of the per-launch cost).
 thread_local bool tls_inline_nested = false;
@@ -140,13 +135,10 @@ bool ThreadPool::steal_chunk(Job& job) {
 void ThreadPool::run_job(Job& job) {
   const ThreadPool* const prev_pool = tls_running_pool;
   const bool prev_stealing = tls_stealing_job;
-  const bool prev_chunked = tls_chunked_steal;
   tls_running_pool = this;
   tls_stealing_job = job.stealing;
-  tls_chunked_steal = job.chunked;
   drain(job, /*notify_done=*/true);
   if (job.stealing) steal_until_done(job);
-  tls_chunked_steal = prev_chunked;
   tls_stealing_job = prev_stealing;
   tls_running_pool = prev_pool;
 }
@@ -181,15 +173,11 @@ bool ThreadPool::help_one_nested() {
     }
   }
   if (!job) return false;
-  if (job->chunked) {
-    // One half-remainder range per visit (the enclosing steal loop comes
-    // back for more): successive claims halve geometrically, so helpers
-    // share big launches with one atomic bump per block while the tail
-    // still spreads at index granularity.
-    return steal_chunk(*job);
-  }
-  drain(*job, /*notify_done=*/false);  // owners spin on done, no cv needed
-  return true;
+  // One half-remainder range per visit (the enclosing steal loop comes back
+  // for more): successive claims halve geometrically, so helpers share big
+  // launches with one atomic bump per block while the tail still spreads at
+  // index granularity. Owners spin on done, so no cv notification is needed.
+  return steal_chunk(*job);
 }
 
 void ThreadPool::run_published_nested(index_t n,
@@ -197,7 +185,6 @@ void ThreadPool::run_published_nested(index_t n,
   auto job = std::make_shared<Job>();
   job->fn = &fn;
   job->n = n;
-  job->chunked = tls_chunked_steal;  // inherit the enclosing job's granularity
   {
     LockGuard lock(nested_mutex_);
     nested_.push_back(job);
@@ -287,7 +274,6 @@ void ThreadPool::parallel_for(index_t n, const std::function<void(index_t)>& fn,
   job->fn = &fn;
   job->n = n;
   job->stealing = opts.work_stealing;
-  job->chunked = opts.work_stealing && opts.chunked_stealing;
   {
     LockGuard lock(mutex_);
     current_ = job;

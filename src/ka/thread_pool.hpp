@@ -70,15 +70,6 @@ struct ParallelForOptions {
   /// the thread mapping changes. Off (default) preserves the historic
   /// queue-on-submit behaviour.
   bool busy_fallback_inline = false;
-  /// Steal granularity for published nested ranges: a helper claims a
-  /// contiguous block of HALF the remaining iterations per visit (guided
-  /// self-scheduling — successive claims halve, so the tail still load
-  /// balances) instead of one index at a time. One atomic claim per block
-  /// instead of per workgroup cuts contention on the nested job's cursor
-  /// when many helpers drain a large kernel launch. Off restores the
-  /// historic index-at-a-time stealing; results are identical either way
-  /// (only the iteration-to-thread mapping changes).
-  bool chunked_stealing = true;
 };
 
 class ThreadPool {
@@ -124,7 +115,6 @@ class ThreadPool {
     std::atomic<bool> failed{false};  ///< set once an iteration threw
     index_t n = 0;
     bool stealing = false;  ///< workers help nested jobs after the range drains
-    bool chunked = false;   ///< helpers claim half-remainder ranges, not indices
     Mutex error_mutex;
     std::exception_ptr error UNISVD_GUARDED_BY(error_mutex);
   };
@@ -144,7 +134,7 @@ class ThreadPool {
   bool steal_chunk(Job& job);
   /// Nested parallel_for under a work-stealing job: publish, drain, wait.
   void run_published_nested(index_t n, const std::function<void(index_t)>& fn);
-  /// Execute iterations of one published nested job, if any has work left.
+  /// Steal one chunk of a published nested job, if any has work left.
   bool help_one_nested();
   /// Post-drain phase of a work-stealing job: help nested jobs until every
   /// top-level iteration has finished.

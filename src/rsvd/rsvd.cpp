@@ -267,10 +267,10 @@ TruncReport svd_truncated_report(ConstMatrixView<T> a, const TruncConfig& config
     for (index_t j = 0; j < n; ++j) {
       for (index_t i = 0; i < lpad; ++i) b(i, j) = acc(i, j);
     }
-    SvdConfig small_cfg;
-    small_cfg.kernels = config.svd.kernels;
-    small_cfg.check_finite = false;
+    SvdConfig small_cfg = config.svd;
     small_cfg.job = SvdJob::Thin;
+    small_cfg.check_finite = false;
+    small_cfg.auto_scale = false;
     const SvdReport small = svd_values_report<CT>(b.view(), small_cfg, backend);
     rep.stage_times += small.stage_times;  // the projected solve's breakdown
 

@@ -69,9 +69,6 @@ void mix_config(Hash2& h, const SvdConfig& c) {
   h.mix(static_cast<std::uint64_t>(c.auto_scale));
   h.mix(static_cast<std::uint64_t>(c.job));
   h.mix(static_cast<std::uint64_t>(c.small_svd_threshold));
-  h.mix(static_cast<std::uint64_t>(c.stage3));
-  h.mix(static_cast<std::uint64_t>(c.dc_crossover));
-  h.mix(static_cast<std::uint64_t>(c.stage2_batch));
 }
 
 void mix_config(Hash2& h, const TruncConfig& c) {

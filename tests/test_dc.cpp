@@ -3,12 +3,13 @@
 ///   * kernel level: D&C singular values vs the implicit-QR kernel on the
 ///     same bidiagonal within 50*eps*n, vector residual (B ~ U S V^T) and
 ///     orthogonality gates, deflation-heavy inputs (repeated / clustered /
-///     zero values), tiny-to-qr_tail extents, qr_tail sensitivity;
-///   * driver level: Stage3Solver dispatch (QR / DivideConquer / Auto with
-///     the learnable crossover), sigma agreement vs the ValuesOnly oracle
-///     across FP16/FP32/FP64 x square/tall/wide, full accuracy gates on
-///     composed factors, bit-identity of the ValuesOnly path when QR is
-///     forced, batched + truncated dispatch;
+///     zero values, exactly repeated values after real Stage-1/2
+///     reductions), tiny-to-qr_tail extents, qr_tail sensitivity;
+///   * driver level: vector jobs run D&C and ValuesOnly runs QR, sigma
+///     agreement vs the ValuesOnly oracle across FP16/FP32/FP64 x
+///     square/tall/wide, full accuracy gates on composed factors including
+///     repeated and clustered spectra on the default path, batched
+///     dispatch, and the truncated projected solve honoring its SvdConfig;
 ///   * Stage-2 rotation batching: blocked accumulator replay is
 ///     bit-identical to the eager path for every capacity.
 
@@ -17,7 +18,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <sstream>
 #include <vector>
 
 #include "band/band_matrix.hpp"
@@ -26,7 +26,6 @@
 #include "common/linalg_ref.hpp"
 #include "core/batch.hpp"
 #include "core/svd.hpp"
-#include "core/tuner.hpp"
 #include "dc/dc_svd.hpp"
 #include "ka/backend.hpp"
 #include "ka/thread_pool.hpp"
@@ -179,8 +178,8 @@ TEST(DcKernel, DeflationHeavyInputs) {
   // Exactly repeated values through real Stage-1/2 reductions: the
   // couplings are O(1), so merges pair far-apart poles where one weight is
   // merely tiny. Deflating such a pair on the rotated off-diagonal
-  // (|gap * c * s|) instead of the pole gap reports the wrong pole for the
-  // rotated triple (sigma_47 came out 0.93 instead of 1.0).
+  // (|gap * c * s|) rather than the pole gap would report the wrong pole
+  // for the rotated triple.
   {
     const index_t n = 96;
     const int ts = 32;
@@ -254,18 +253,18 @@ TEST(DcKernel, PoolParallelismMatchesSerial) {
 }
 
 // ---------------------------------------------------------------------------
-// Driver-level dispatch and accuracy (core/svd.cpp Stage-3 selection)
+// Driver-level dispatch and accuracy (core/svd.cpp: the job selects the
+// Stage-3 engine)
 // ---------------------------------------------------------------------------
 
 namespace {
 
-SvdConfig driver_config(Stage3Solver solver, SvdJob job = SvdJob::Thin) {
+SvdConfig driver_config(SvdJob job = SvdJob::Thin) {
   SvdConfig cfg;
   cfg.kernels.tilesize = 8;
   cfg.kernels.colperblock = 8;
   cfg.job = job;
   cfg.small_svd_threshold = 0;  // never shortcut the pipeline under test
-  cfg.stage3 = solver;
   return cfg;
 }
 
@@ -303,8 +302,8 @@ using DcStorageTypes = ::testing::Types<Half, float, double>;
 TYPED_TEST_SUITE(DcDriverTyped, DcStorageTypes);
 
 TYPED_TEST(DcDriverTyped, SigmaAgreesWithValuesOnlyOracleAcrossShapes) {
-  // The acceptance gate: forced D&C values vs the historic ValuesOnly QR
-  // oracle within 50*eps*max(m, n) relative to sigma_max, plus the full
+  // The acceptance gate: D&C vector-job values vs the historic ValuesOnly
+  // QR oracle within 50*eps*max(m, n) relative to sigma_max, plus the full
   // residual/orthogonality gates on the composed factors — square, tall
   // and wide.
   using T = TypeParam;
@@ -313,13 +312,12 @@ TYPED_TEST(DcDriverTyped, SigmaAgreesWithValuesOnlyOracleAcrossShapes) {
   for (const auto& sh : shapes) {
     const Matrix<T> a =
         testutil::convert<T>(testutil::random_matrix(sh.m, sh.n, sh.seed));
-    const auto oracle = svd_values_report<T>(
-        a.view(), driver_config(Stage3Solver::QR, SvdJob::ValuesOnly));
-    const auto rep =
-        svd_values_report<T>(a.view(), driver_config(Stage3Solver::DivideConquer));
+    const auto oracle =
+        svd_values_report<T>(a.view(), driver_config(SvdJob::ValuesOnly));
+    const auto rep = svd_values_report<T>(a.view(), driver_config());
     ASSERT_EQ(rep.status, SvdStatus::Ok);
     EXPECT_TRUE(rep.stage3_dc);
-    EXPECT_FALSE(oracle.stage3_dc);  // ValuesOnly never ran D&C here
+    EXPECT_FALSE(oracle.stage3_dc);  // ValuesOnly never runs D&C
 
     const double tol =
         driver_tol<T>(sh.m, sh.n) * std::max(oracle.values.empty() ? 0.0 : oracle.values[0], 1e-30);
@@ -388,147 +386,65 @@ TEST(DcDriver, DefaultThinSolveHandlesRepeatedAndClusteredSigma) {
   }
 }
 
-TEST(DcDriver, AutoCrossoverGatesDispatch) {
-  const Matrix<float> a =
-      testutil::convert<float>(testutil::random_matrix(64, 64, 310));
-
-  // Auto with the crossover below the padded extent: vector jobs use D&C.
-  SvdConfig low = driver_config(Stage3Solver::Auto);
-  low.dc_crossover = 1;
-  EXPECT_TRUE(svd_values_report<float>(a.view(), low).stage3_dc);
-
-  // Auto with the crossover above: vector jobs stay on QR.
-  SvdConfig high = driver_config(Stage3Solver::Auto);
-  high.dc_crossover = 1'000'000;
-  EXPECT_FALSE(svd_values_report<float>(a.view(), high).stage3_dc);
-
-  // Auto + ValuesOnly NEVER dispatches D&C, whatever the crossover: the
-  // historic values-only bit-identity is preserved.
-  SvdConfig vals = driver_config(Stage3Solver::Auto, SvdJob::ValuesOnly);
-  vals.dc_crossover = 1;
-  EXPECT_FALSE(svd_values_report<float>(a.view(), vals).stage3_dc);
-
-  // Forced engines override the crossover in both directions.
-  EXPECT_FALSE(
-      svd_values_report<float>(a.view(), driver_config(Stage3Solver::QR))
-          .stage3_dc);
-  SvdConfig forced_dc = driver_config(Stage3Solver::DivideConquer,
-                                      SvdJob::ValuesOnly);
-  EXPECT_TRUE(svd_values_report<float>(a.view(), forced_dc).stage3_dc);
-}
-
-TEST(DcDriver, ValuesOnlyBitIdenticalWhenQrForced) {
-  // Forcing Stage3Solver::QR (or leaving Auto on a values-only job) keeps
-  // the historic path: values agree BIT-FOR-BIT across jobs and solvers.
-  const Matrix<float> a =
-      testutil::convert<float>(testutil::random_matrix(56, 56, 311));
-  const auto qr_vals = svd_values_report<float>(
-      a.view(), driver_config(Stage3Solver::QR, SvdJob::ValuesOnly));
-  const auto auto_vals = svd_values_report<float>(
-      a.view(), driver_config(Stage3Solver::Auto, SvdJob::ValuesOnly));
-  const auto qr_thin =
-      svd_values_report<float>(a.view(), driver_config(Stage3Solver::QR));
-  ASSERT_EQ(qr_vals.values.size(), auto_vals.values.size());
-  ASSERT_EQ(qr_vals.values.size(), qr_thin.values.size());
-  for (std::size_t i = 0; i < qr_vals.values.size(); ++i) {
-    EXPECT_EQ(qr_vals.values[i], auto_vals.values[i]) << i;
-    EXPECT_EQ(qr_vals.values[i], qr_thin.values[i]) << i;
-  }
-}
-
 TEST(DcDriver, BatchedDispatchIsPerProblem) {
-  // An Auto batch straddling the crossover dispatches per padded extent.
-  SvdConfig cfg = driver_config(Stage3Solver::Auto);
-  cfg.dc_crossover = 64;
+  // The job selects the engine per problem: every vector problem that takes
+  // the pipeline runs D&C, the fused tiny path and ValuesOnly never do.
+  SvdConfig cfg = driver_config();
+  cfg.small_svd_threshold = 24;
   std::vector<Matrix<float>> problems;
   problems.push_back(testutil::convert<float>(testutil::random_matrix(40, 40, 320)));
   problems.push_back(testutil::convert<float>(testutil::random_matrix(64, 64, 321)));
   problems.push_back(testutil::convert<float>(testutil::random_matrix(24, 24, 322)));
+  problems.push_back(testutil::convert<float>(testutil::random_matrix(72, 40, 323)));
   const auto views = testutil::views_of(problems);
-  const bool expect_dc[] = {false, true, false};
 
   BatchConfig bc;
   bc.svd = cfg;
-  const auto rep = svd_batched_report<float>(views, bc);
+  const auto rep = svd_values_batched_report<float>(views, bc);
   ASSERT_EQ(rep.reports.size(), problems.size());
   for (std::size_t p = 0; p < rep.reports.size(); ++p) {
-    EXPECT_EQ(rep.reports[p].status, SvdStatus::Ok) << p;
-    EXPECT_EQ(rep.reports[p].stage3_dc, expect_dc[p]) << p;
-    EXPECT_LE(report_residual(views[p], rep.reports[p]),
+    const SvdReport& r = rep.reports[p];
+    EXPECT_EQ(r.status, SvdStatus::Ok) << p;
+    EXPECT_EQ(r.small_path, p == 2) << p;
+    EXPECT_EQ(r.stage3_dc, !r.small_path) << p;
+    EXPECT_LE(report_residual(views[p], r),
               driver_tol<float>(problems[p].rows(), problems[p].cols()))
         << p;
   }
+
+  bc.svd.job = SvdJob::ValuesOnly;
+  const auto vals = svd_values_batched_report<float>(views, bc);
+  ASSERT_EQ(vals.reports.size(), problems.size());
+  for (std::size_t p = 0; p < vals.reports.size(); ++p) {
+    EXPECT_EQ(vals.reports[p].status, SvdStatus::Ok) << p;
+    EXPECT_FALSE(vals.reports[p].stage3_dc) << p;
+  }
 }
 
-TEST(DcDriver, TruncatedPathSolvesUnderBothEngines) {
-  // The truncated pipeline's projected solve dispatches through the same
-  // SvdConfig: same sketch seed, different Stage-3 engine, values within
-  // the engine-agreement gate.
+TEST(DcDriver, TruncatedProjectedSolveHonorsSvdConfig) {
+  // The truncated pipeline's projected solve runs under the caller's
+  // SvdConfig: small_svd_threshold = 0 must keep its l x n problem off
+  // the fused tiny path, while the default threshold takes it.
   const Matrix<float> a =
-      testutil::convert<float>(testutil::random_matrix(96, 64, 330));
+      testutil::convert<float>(testutil::random_matrix(512, 256, 330));
   TruncConfig tc;
   tc.rank = 8;
-  tc.svd = driver_config(Stage3Solver::QR);
-  const auto qr_rep = svd_truncated_report<float>(a.view(), tc);
-  tc.svd = driver_config(Stage3Solver::DivideConquer);
-  const auto dc_rep = svd_truncated_report<float>(a.view(), tc);
+  const auto fused = svd_truncated_report<float>(a.view(), tc);
+  tc.svd.small_svd_threshold = 0;
+  const auto pipeline = svd_truncated_report<float>(a.view(), tc);
 
-  ASSERT_EQ(qr_rep.status, SvdStatus::Ok);
-  ASSERT_EQ(dc_rep.status, SvdStatus::Ok);
-  ASSERT_EQ(qr_rep.values.size(), dc_rep.values.size());
-  const double tol = driver_tol<float>(96, 64) *
-                     std::max(qr_rep.values.empty() ? 0.0 : qr_rep.values[0], 1e-30);
-  for (std::size_t i = 0; i < qr_rep.values.size(); ++i) {
-    EXPECT_NEAR(qr_rep.values[i], dc_rep.values[i], tol) << i;
+  ASSERT_EQ(fused.status, SvdStatus::Ok);
+  ASSERT_EQ(pipeline.status, SvdStatus::Ok);
+  EXPECT_FALSE(fused.dense_fallback);
+  EXPECT_FALSE(pipeline.dense_fallback);
+  EXPECT_GT(fused.stage_times.get(ka::Stage::FusedSmall), 0.0);
+  EXPECT_EQ(pipeline.stage_times.get(ka::Stage::FusedSmall), 0.0);
+  ASSERT_EQ(fused.values.size(), pipeline.values.size());
+  const double tol = driver_tol<float>(512, 256) *
+                     std::max(fused.values.empty() ? 0.0 : fused.values[0], 1e-30);
+  for (std::size_t i = 0; i < fused.values.size(); ++i) {
+    EXPECT_NEAR(fused.values[i], pipeline.values[i], tol) << i;
   }
-}
-
-TEST(DcDriver, TunerLearnsAndPersistsCrossover) {
-  // tune_stage3_crossover measures both engines, learn_ deposits the
-  // suffix-win crossover, the text format round-trips it, and
-  // tuned_batch_config plumbs it back into SvdConfig::dc_crossover.
-  ka::CpuBackend backend(2);
-  SvdConfig probe_cfg;
-  probe_cfg.kernels.tilesize = 8;
-  probe_cfg.kernels.colperblock = 8;
-  const auto result =
-      core::tune_stage3_crossover<float>(backend, {32, 48}, 1, probe_cfg);
-  ASSERT_EQ(result.samples.size(), 2u);
-  for (const auto& s : result.samples) {
-    EXPECT_GT(s.qr_seconds, 0.0);
-    EXPECT_GT(s.dc_seconds, 0.0);
-  }
-  EXPECT_TRUE(result.crossover == 32 || result.crossover == 48 ||
-              result.crossover == core::kStage3CrossoverNever);
-
-  core::TuningTable table;
-  const index_t learned = core::learn_stage3_crossover<float>(
-      table, backend, {32, 48}, 1, probe_cfg);
-  ASSERT_TRUE(table.get<core::Knob::Stage3Crossover>("cpu", Precision::FP32).has_value());
-  EXPECT_EQ(*table.get<core::Knob::Stage3Crossover>("cpu", Precision::FP32), learned);
-
-  // Text round-trip preserves the entry.
-  std::ostringstream os;
-  table.write(os);
-  std::istringstream is(os.str());
-  std::size_t malformed = 0;
-  const auto loaded = core::TuningTable::read(is, &malformed);
-  EXPECT_EQ(malformed, 0u);
-  ASSERT_TRUE(
-      loaded.get<core::Knob::Stage3Crossover>("cpu", Precision::FP32).has_value());
-  EXPECT_EQ(*loaded.get<core::Knob::Stage3Crossover>("cpu", Precision::FP32), learned);
-
-  // Config plumbing: exact precision, neighbor fallback, unknown backend.
-  const BatchConfig tuned =
-      core::tuned_batch_config(table, backend, Precision::FP32);
-  EXPECT_EQ(tuned.svd.dc_crossover, learned);
-  EXPECT_EQ(core::tuned_batch_config(table, backend, Precision::FP16)
-                .svd.dc_crossover,
-            learned);
-  ka::SerialBackend serial;
-  EXPECT_EQ(core::tuned_batch_config(table, serial, Precision::FP32)
-                .svd.dc_crossover,
-            SvdConfig{}.dc_crossover);
 }
 
 // ---------------------------------------------------------------------------
@@ -600,26 +516,4 @@ TEST(Stage2Batch, BlockedReplayBitIdenticalToEagerForEveryCapacity) {
     EXPECT_EQ(ref::fro_diff(vt.view(), vt_e.view()), 0.0)
         << "capacity " << capacity;
   }
-}
-
-TEST(Stage2Batch, DriverEndToEndMatchesUnbatchedBitwise) {
-  // Through the full driver: stage2_batch = 0 (eager) and the default
-  // batched path produce identical factor bits — the blocked replay is
-  // invisible to results, visible only to the cache.
-  const Matrix<float> a =
-      testutil::convert<float>(testutil::random_matrix(48, 48, 402));
-  SvdConfig eager = driver_config(Stage3Solver::QR);
-  eager.stage2_batch = 0;
-  SvdConfig batched = driver_config(Stage3Solver::QR);
-  batched.stage2_batch = 4096;
-  const auto r1 = svd_values_report<float>(a.view(), eager);
-  const auto r2 = svd_values_report<float>(a.view(), batched);
-  ASSERT_EQ(r1.values.size(), r2.values.size());
-  for (std::size_t i = 0; i < r1.values.size(); ++i) {
-    EXPECT_EQ(r1.values[i], r2.values[i]) << i;
-  }
-  EXPECT_EQ(ref::fro_diff(r1.u.view(), r2.u.view()), 0.0);
-  EXPECT_EQ(ref::fro_diff(r1.vt.view(), r2.vt.view()), 0.0);
-  EXPECT_EQ(r2.chase_stats.batch_flushes > 0.0, true);
-  EXPECT_EQ(r1.chase_stats.batch_flushes, 0.0);
 }

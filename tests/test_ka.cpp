@@ -302,45 +302,35 @@ TEST(ThreadPool, NestedStaysInlineWithoutWorkStealing) {
   EXPECT_EQ(off_thread.load(), 0);
 }
 
-TEST(ThreadPool, ChunkedStealingDefaultsOn) {
-  // The chunked granularity is the default for work-stealing jobs (one
-  // atomic claim per half-remainder block instead of per workgroup).
-  const ka::ParallelForOptions opts;
-  EXPECT_TRUE(opts.chunked_stealing);
-}
-
-TEST(ThreadPool, ChunkedStealingEveryIterationExactlyOnceBothGranularities) {
-  // Property: whatever the steal granularity (half-remainder ranges or
-  // single indices), every top-level and nested index executes exactly
-  // once. The nested range is large so chunked claims really hand out
-  // multi-index blocks (first steal takes up to half of 256).
+TEST(ThreadPool, ChunkedStealingRunsEveryIterationExactlyOnce) {
+  // Property: with helpers claiming half-remainder ranges, every top-level
+  // and nested index executes exactly once. The nested range is large so
+  // chunked claims really hand out multi-index blocks (first steal takes up
+  // to half of 256).
   ka::ThreadPool pool(4);
-  for (const bool chunked : {true, false}) {
-    ka::ParallelForOptions opts;
-    opts.work_stealing = true;
-    opts.chunked_stealing = chunked;
-    for (int rep = 0; rep < 15; ++rep) {
-      constexpr index_t kOuter = 8;
-      constexpr index_t kInner = 256;
-      std::vector<std::atomic<int>> outer_hits(kOuter);
-      std::vector<std::atomic<int>> inner_hits(kOuter * kInner);
-      pool.parallel_for(
-          kOuter,
-          [&](index_t o) {
-            outer_hits[static_cast<std::size_t>(o)]++;
-            if (o < 2) {  // two "large problems" publish nested ranges
-              pool.parallel_for(kInner, [&](index_t i) {
-                inner_hits[static_cast<std::size_t>(o * kInner + i)]++;
-              });
-            }
-          },
-          opts);
-      for (auto& h : outer_hits) ASSERT_EQ(h.load(), 1) << "chunked " << chunked;
-      for (index_t o = 0; o < 2; ++o) {
-        for (index_t i = 0; i < kInner; ++i) {
-          ASSERT_EQ(inner_hits[static_cast<std::size_t>(o * kInner + i)].load(), 1)
-              << "chunked " << chunked << " outer " << o << " inner " << i;
-        }
+  ka::ParallelForOptions opts;
+  opts.work_stealing = true;
+  for (int rep = 0; rep < 30; ++rep) {
+    constexpr index_t kOuter = 8;
+    constexpr index_t kInner = 256;
+    std::vector<std::atomic<int>> outer_hits(kOuter);
+    std::vector<std::atomic<int>> inner_hits(kOuter * kInner);
+    pool.parallel_for(
+        kOuter,
+        [&](index_t o) {
+          outer_hits[static_cast<std::size_t>(o)]++;
+          if (o < 2) {  // two "large problems" publish nested ranges
+            pool.parallel_for(kInner, [&](index_t i) {
+              inner_hits[static_cast<std::size_t>(o * kInner + i)]++;
+            });
+          }
+        },
+        opts);
+    for (auto& h : outer_hits) ASSERT_EQ(h.load(), 1);
+    for (index_t o = 0; o < 2; ++o) {
+      for (index_t i = 0; i < kInner; ++i) {
+        ASSERT_EQ(inner_hits[static_cast<std::size_t>(o * kInner + i)].load(), 1)
+            << "outer " << o << " inner " << i;
       }
     }
   }
@@ -353,7 +343,6 @@ TEST(ThreadPool, ChunkedStealingSpreadsNestedRangeAcrossThreads) {
   ka::ThreadPool pool(4);
   ka::ParallelForOptions opts;
   opts.work_stealing = true;
-  opts.chunked_stealing = true;
   std::mutex m;
   std::condition_variable cv;
   int entered = 0;
@@ -379,13 +368,11 @@ TEST(ThreadPool, ChunkedStealingSpreadsNestedRangeAcrossThreads) {
 }
 
 TEST(ThreadPool, ChunkedStealingPropagatesNestedExceptions) {
-  // Failure bookkeeping is shared between granularities: a throw inside a
-  // chunk-claimed block must surface at the nested caller and the pool must
-  // stay usable.
+  // A throw inside a chunk-claimed block must surface at the nested caller
+  // and the pool must stay usable.
   ka::ThreadPool pool(4);
   ka::ParallelForOptions opts;
   opts.work_stealing = true;
-  opts.chunked_stealing = true;
   EXPECT_THROW(pool.parallel_for(
                    2,
                    [&](index_t o) {

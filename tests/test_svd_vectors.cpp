@@ -2,7 +2,8 @@
 /// jobs: reconstruction residual ||A - U S V^T||_F / ||A||_F and
 /// orthogonality defects ||U^T U - I||_F, ||V^T V - I||_F within 50*eps*n
 /// at each precision's storage epsilon (FP16 accumulates vectors on its
-/// FP32 compute path), values bit-identical to svd_values, agreement with
+/// FP32 compute path), Thin and Full values bit-identical and within
+/// 50*eps*n of svd_values, agreement with
 /// the baseline::jacobi oracle, and batched vectors under
 /// ErrorPolicy::Isolate.
 
@@ -159,22 +160,25 @@ TYPED_TEST(SvdVectorsTyped, WideFullHasOrthonormalCompletion) {
   expect_valid_svd<TypeParam>(a.view(), rep, SvdJob::Full, "wide full 16x33");
 }
 
-TYPED_TEST(SvdVectorsTyped, ValuesBitIdenticalToSvdValues) {
+TYPED_TEST(SvdVectorsTyped, ValuesAgreeAcrossJobs) {
+  // Thin and Full run the same stages, so their values are the same bits.
+  // ValuesOnly runs implicit QR at Stage 3 where vector jobs run
+  // divide-and-conquer: it agrees within the 50*eps*n accuracy gate.
   const std::pair<index_t, index_t> shapes[] = {{24, 24}, {40, 24}, {24, 40}};
   for (const auto& [m, n] : shapes) {
     const auto a = testutil::convert<TypeParam>(
         testutil::random_matrix(m, n, 600 + static_cast<std::uint64_t>(m + n)));
     const auto plain = svd_values<TypeParam>(a.view(), vec_config(SvdJob::ValuesOnly));
-    const auto vecs = svd<TypeParam>(a.view(), vec_config(SvdJob::Thin));
-    ASSERT_EQ(plain.size(), vecs.values.size());
-    for (std::size_t i = 0; i < plain.size(); ++i) {
-      // Bit identity: vector accumulation must not perturb the values path.
-      EXPECT_EQ(static_cast<double>(plain[i]), static_cast<double>(vecs.values[i]))
-          << "m=" << m << " n=" << n << " i=" << i;
-    }
+    const auto thin = svd<TypeParam>(a.view(), vec_config(SvdJob::Thin));
     const auto full = svd<TypeParam>(a.view(), vec_config(SvdJob::Full));
+    ASSERT_EQ(plain.size(), thin.values.size());
+    ASSERT_EQ(plain.size(), full.values.size());
+    const double tol = accept_tol<TypeParam>(m, n) * static_cast<double>(plain[0]);
     for (std::size_t i = 0; i < plain.size(); ++i) {
-      EXPECT_EQ(static_cast<double>(plain[i]), static_cast<double>(full.values[i]));
+      EXPECT_EQ(static_cast<double>(thin.values[i]), static_cast<double>(full.values[i]))
+          << "m=" << m << " n=" << n << " i=" << i;
+      EXPECT_NEAR(static_cast<double>(plain[i]), static_cast<double>(thin.values[i]), tol)
+          << "m=" << m << " n=" << n << " i=" << i;
     }
   }
 }

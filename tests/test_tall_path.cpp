@@ -3,8 +3,8 @@
 /// runs the square pipeline on R, and (vector jobs) composes U = Q * U_R by
 /// blocked backward reflector replay:
 ///
-///   * singular values bit-identical across ValuesOnly/Thin/Full on tall,
-///     wide and padded shapes in FP16/FP32/FP64;
+///   * singular values bit-identical across Thin/Full and within 50*eps*n
+///     of ValuesOnly on tall, wide and padded shapes in FP16/FP32/FP64;
 ///   * accuracy gates (reconstruction residual and orthogonality defect
 ///     <= 50*eps*n) on the composed factors, tall and wide, Thin and Full,
 ///     padded, with and without auto_scale;
@@ -103,10 +103,11 @@ class TallPathTyped : public ::testing::Test {};
 using StorageTypes = ::testing::Types<Half, float, double>;
 TYPED_TEST_SUITE(TallPathTyped, StorageTypes);
 
-TYPED_TEST(TallPathTyped, ValuesBitIdenticalAcrossJobsAndShapes) {
+TYPED_TEST(TallPathTyped, ValuesAgreeAcrossJobsAndShapes) {
   // Every job factors the same panel with the same kernels and reduces the
-  // identical re-padded R, so the singular values are THE SAME BITS whether
-  // the caller asked for values only, Thin factors or Full factors.
+  // identical re-padded R. Thin and Full then share the Stage-3 engine, so
+  // their singular values are THE SAME BITS; the values-only solve runs
+  // implicit QR instead of divide-and-conquer and agrees within 50*eps*n.
   const std::pair<index_t, index_t> shapes[] = {
       {40, 24},   // mildly tall
       {96, 24},   // aspect 4
@@ -118,13 +119,15 @@ TYPED_TEST(TallPathTyped, ValuesBitIdenticalAcrossJobsAndShapes) {
         testutil::random_matrix(m, n, 900 + static_cast<std::uint64_t>(m * 3 + n)));
     const auto plain =
         svd_values_report<TypeParam>(a.view(), vec_config(SvdJob::ValuesOnly));
-    for (const SvdJob job : {SvdJob::Thin, SvdJob::Full}) {
-      const auto rep = svd_values_report<TypeParam>(a.view(), vec_config(job));
-      ASSERT_EQ(plain.values.size(), rep.values.size());
-      for (std::size_t i = 0; i < plain.values.size(); ++i) {
-        EXPECT_EQ(plain.values[i], rep.values[i])
-            << m << "x" << n << " [" << to_string(job) << "] vs values-only " << i;
-      }
+    const auto thin = svd_values_report<TypeParam>(a.view(), vec_config(SvdJob::Thin));
+    const auto full = svd_values_report<TypeParam>(a.view(), vec_config(SvdJob::Full));
+    ASSERT_EQ(plain.values.size(), thin.values.size());
+    ASSERT_EQ(plain.values.size(), full.values.size());
+    const double tol = accept_tol<TypeParam>(m, n) * plain.values[0];
+    for (std::size_t i = 0; i < plain.values.size(); ++i) {
+      EXPECT_EQ(thin.values[i], full.values[i]) << m << "x" << n << " thin vs full " << i;
+      EXPECT_NEAR(plain.values[i], thin.values[i], tol)
+          << m << "x" << n << " thin vs values-only " << i;
     }
   }
 }

@@ -244,25 +244,25 @@ TEST(TuningTable, GarbageTableLoadsAsEmptyWithWarning) {
 
 TEST(TuningTable, LoadsTablesCarryingTheRetiredAspectDirective) {
   // Tables written while the dense solver still had a separately tuned tall
-  // path carry a sixth directive holding a floating-point aspect ratio. It
-  // must load as an unknown directive — skipped, never counted as
-  // malformed — with every other entry reaching the tuned configs
-  // unchanged. (The retired name is spelled in two pieces so it appears
-  // nowhere else in the source tree.)
+  // path carry a sixth directive holding a floating-point aspect ratio, and
+  // tables written while Stage 3 had a tuned engine crossover carry a
+  // `stage3` directive. Both must load as unknown directives — skipped,
+  // never counted as malformed — with every other entry reaching the tuned
+  // configs unchanged. (The aspect directive is spelled in two pieces so it
+  // appears nowhere else in the source tree.)
   const std::string head =
       "# unisvd tuning table v1\n"
       "crossover cpu FP32 160\n"
       "kernels cpu FP32 16 8 2 0\n"
       "rsvd cpu FP32 12 1\n";
   const std::string retired = "qr" "_first cpu FP32 1.6\n";
-  const std::string tail =
-      "small_svd cpu FP32 24\n"
-      "stage3 cpu FP32 256\n";
-  std::istringstream is(head + retired + tail);
+  const std::string tail = "small_svd cpu FP32 24\n";
+  const std::string retired_stage3 = "stage3 cpu FP32 256\n";
+  std::istringstream is(head + retired + tail + retired_stage3);
   std::size_t malformed = 99;
   const auto table = core::TuningTable::read(is, &malformed);
   EXPECT_EQ(malformed, 0u);
-  EXPECT_EQ(table.size(), 5u);  // the aspect line is ignored
+  EXPECT_EQ(table.size(), 4u);  // the retired lines are ignored
 
   ka::CpuBackend backend(2);
   const BatchConfig batch = core::tuned_batch_config(table, backend, Precision::FP32);
@@ -272,7 +272,6 @@ TEST(TuningTable, LoadsTablesCarryingTheRetiredAspectDirective) {
   EXPECT_EQ(batch.svd.kernels.splitk, 2);
   EXPECT_FALSE(batch.svd.kernels.fused);
   EXPECT_EQ(batch.svd.small_svd_threshold, 24);
-  EXPECT_EQ(batch.svd.dc_crossover, 256);
   const TruncConfig trunc = core::tuned_trunc_config(table, backend, Precision::FP32);
   EXPECT_EQ(trunc.oversample, 12);
   EXPECT_EQ(trunc.power_iters, 1);
@@ -281,10 +280,9 @@ TEST(TuningTable, LoadsTablesCarryingTheRetiredAspectDirective) {
   EXPECT_EQ(trunc.svd.kernels.splitk, 2);
   EXPECT_FALSE(trunc.svd.kernels.fused);
   EXPECT_EQ(trunc.svd.small_svd_threshold, 24);
-  EXPECT_EQ(trunc.svd.dc_crossover, 256);
 
   // The on-disk format is unchanged: writing the table back reproduces the
-  // input text, minus the retired line.
+  // input text, minus the retired lines.
   std::ostringstream os;
   table.write(os);
   EXPECT_EQ(os.str(), head + tail);
@@ -305,8 +303,6 @@ TEST(TuningTable, RejectsInvalidEntries) {
       Error);
   EXPECT_THROW(table.set<Knob::Rsvd>("a b", Precision::FP32, core::RsvdDefaults{}),
                Error);
-  EXPECT_THROW(table.set<Knob::Stage3Crossover>("cpu", Precision::FP32, -1), Error);
-  EXPECT_THROW(table.set<Knob::Stage3Crossover>("a b", Precision::FP32, 64), Error);
 }
 
 TEST(TuningTable, RsvdEntriesRoundTripWithFallbacks) {
@@ -636,7 +632,6 @@ TEST(TuningTable, RoundTripsUnderCommaDecimalLocale) {
   table.set<Knob::Kernels>("cpu", Precision::FP32, kc);
   table.set<Knob::Rsvd>("gpu-x", Precision::FP16, core::RsvdDefaults{1024, 3});
   table.set<Knob::SmallSvdThreshold>("cpu", Precision::FP32, 32);
-  table.set<Knob::Stage3Crossover>("cpu", Precision::FP64, core::kStage3CrossoverNever);
 
   const auto expect_round_trip = [](const core::TuningTable& t) {
     EXPECT_EQ(t.get<Knob::BatchCrossover>("cpu", Precision::FP32), 1024);
@@ -651,8 +646,6 @@ TEST(TuningTable, RoundTripsUnderCommaDecimalLocale) {
     EXPECT_EQ(r->oversample, 1024);
     EXPECT_EQ(r->power_iters, 3);
     EXPECT_EQ(t.get<Knob::SmallSvdThreshold>("cpu", Precision::FP32), 32);
-    EXPECT_EQ(t.get<Knob::Stage3Crossover>("cpu", Precision::FP64),
-              core::kStage3CrossoverNever);
   };
 
   // Worst case: the caller's streams are THEMSELVES imbued with the comma
