@@ -4,7 +4,8 @@
 /// two engine stacks over identity-seeded n x n accumulators:
 ///
 ///   baseline : eager accumulator mirroring  +  implicit-QR Stage 3
-///   blocked  : cache-blocked rotation-batch replay (band/rot_batch.hpp)
+///   blocked  : cache-blocked, vectorized rotation-batch replay
+///              (band/rot_batch.hpp)
 ///              +  divide-and-conquer Stage 3 (dc/dc_svd.hpp)
 ///
 /// and a values-only implicit-QR oracle for the accuracy gate. The binary
@@ -17,8 +18,10 @@
 ///   * the D&C factors stay orthogonal within the same 50 eps n budget,
 ///
 /// so the Release CI smoke run (--json BENCH_stage23.json) enforces the
-/// PR's performance claim by exit code. `--n <extent>` overrides the size
-/// for local exploration (the speedup gate still applies).
+/// performance claim by exit code. The Stage-2-only ratio
+/// (`stage2_speedup`) is printed and recorded but not gated. `--n <extent>`
+/// overrides the size for local exploration (the speedup gate still
+/// applies).
 
 #include <chrono>
 #include <cstdio>
@@ -155,6 +158,9 @@ int main(int argc, char** argv) {
   print_arm("blocked + D&C", blocked);
 
   const double speedup = eager.total() / blocked.total();
+  // Reported, not gated: eager mirroring runs on one thread and the
+  // blocked replay on the backend's pool, so this ratio scales with cores.
+  const double stage2_speedup = eager.stage2_seconds / blocked.stage2_seconds;
   const double eps = 1.1920928955078125e-07;  // FP32 storage eps
   const double tol = 50.0 * eps * static_cast<double>(n);
 
@@ -168,6 +174,7 @@ int main(int argc, char** argv) {
   const double ortho_v = ref::orthogonality_defect(blocked.vt.view());
 
   std::printf("\nspeedup (stage2+3)     %8.2fx   (gate >= 2.00x)\n", speedup);
+  std::printf("stage2_speedup         %8.2fx   (not gated)\n", stage2_speedup);
   std::printf("max rel sigma error    %8.2e   (gate <= %.2e)\n", sigma_err, tol);
   std::printf("orthogonality defect   %8.2e / %8.2e (gate <= %.2e)\n", ortho_u,
               ortho_v, tol);
@@ -179,6 +186,7 @@ int main(int argc, char** argv) {
   json.record("stage3_dc_seconds", blocked.stage3_seconds, "s");
   json.record("batch_flushes", blocked.batch_flushes, "count");
   json.record("speedup", speedup, "x");
+  json.record("stage2_speedup", stage2_speedup, "x");
   json.record("max_rel_sigma_error", sigma_err, "rel");
   json.record("ortho_defect_u", ortho_u, "fro");
   json.record("ortho_defect_v", ortho_v, "fro");

@@ -13,7 +13,7 @@ Rules (see docs/STATIC_ANALYSIS.md for the full catalog and rationale):
                    construction) in kernel bodies: every line of
                    src/ka/simd/, and the regions marked
                    "// unisvd-lint: begin-kernel(...)" ... "end-kernel"
-                   under src/small/.
+                   under src/small/ and src/band/.
   test-registration  Every tests/test_*.cpp must be registered in
                    CMakeLists.txt (the test glob or an explicit mention)
                    AND exercised by at least one sanitizer CI job in
@@ -222,12 +222,17 @@ def kernel_alloc_in_file(root: Path, path: Path, whole_file: bool) -> list[Findi
     return findings
 
 
+# Directories whose kernel bodies are marked regions rather than whole files.
+MARKED_KERNEL_DIRS = ("src/small", "src/band")
+
+
 def check_kernel_alloc(root: Path) -> list[Finding]:
     findings: list[Finding] = []
     for path in source_files(root, "src/ka/simd"):
         findings.extend(kernel_alloc_in_file(root, path, whole_file=True))
-    for path in source_files(root, "src/small"):
-        findings.extend(kernel_alloc_in_file(root, path, whole_file=False))
+    for sub in MARKED_KERNEL_DIRS:
+        for path in source_files(root, sub):
+            findings.extend(kernel_alloc_in_file(root, path, whole_file=False))
     return findings
 
 
@@ -527,8 +532,30 @@ def self_test() -> int:
             "// unisvd-lint: end-allow\n"
             "// unisvd-lint: end-kernel\n",
         )
+        _write(
+            root,
+            "src/band/replay.hpp",
+            "#pragma once\n#include <vector>\n"
+            "struct Batch { std::vector<float> rots; };  // outside the region: fine\n"
+            "// unisvd-lint: begin-kernel(replay)\n"
+            "inline void replay(float* u, int w) { for (int j = 0; j < w; ++j) u[j] *= 2.0f; }\n"
+            "// unisvd-lint: end-kernel\n",
+        )
+        _write(
+            root,
+            "src/band/replay_bad.hpp",
+            "#pragma once\n#include <vector>\n"
+            "// unisvd-lint: begin-kernel(replay2)\n"
+            "inline void replay2(int w) { std::vector<float> lane(w); }\n"
+            "// unisvd-lint: end-kernel\n",
+        )
         f = check_kernel_alloc(root)
         expect(any("bad_kernel.hpp" in str(x.path) for x in f), "kernel-alloc: simd/ fixture must trip")
+        expect(
+            any("replay_bad.hpp" in str(x.path) and x.line == 4 for x in f),
+            "kernel-alloc: in-region alloc under src/band/ must trip",
+        )
+        expect(not any("replay.hpp" in str(x.path) for x in f), "kernel-alloc: src/band/ clean twin must pass")
         expect(
             any("marked_bad.cpp" in str(x.path) and x.line == 3 for x in f),
             "kernel-alloc: in-region alloc must trip",

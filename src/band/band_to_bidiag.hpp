@@ -27,9 +27,9 @@ namespace unisvd::band {
 
 namespace detail {
 
-/// Givens pair (c, s) with [c s; -s c]^T? No: apply_pair(u, v) computes
-/// (c*u + s*v, -s*u + c*v); generate(f, g) returns (c, s) such that
-/// applying to (f, g) yields (r, 0).
+/// Givens pair (c, s) for the pair rotation (u, v) -> (c*u + s*v,
+/// -s*u + c*v) used throughout Stage 2: applied to (f, g) it yields
+/// (r, 0) with r = hypot(f, g).
 template <class CT>
 std::pair<CT, CT> givens(CT f, CT g) {
   if (g == CT(0)) return {CT(1), CT(0)};
@@ -52,10 +52,9 @@ std::pair<CT, CT> givens(CT f, CT g) {
 
 }  // namespace detail
 
-/// Statistics of one Stage-2 run (drives the performance model).
+/// Statistics of one Stage-2 run (reported on SvdReport::chase_stats).
 struct ChaseStats {
   double rotations = 0.0;      ///< Givens rotations applied
-  double rotated_elems = 0.0;  ///< element pairs updated
   double batch_flushes = 0.0;  ///< rotation-batch replay passes (0 = eager)
 };
 
@@ -67,10 +66,12 @@ struct Stage2Options {
   double* acc_seconds = nullptr;     ///< Stage::VectorAccumulation share
   /// Cache-blocked rotation batching (band/rot_batch.hpp): when `backend`
   /// is non-null and `rot_batch` > 0, accumulator mirroring buffers up to
-  /// `rot_batch` rotations and replays each batch tile-by-tile through a
+  /// `rot_batch` rotations and replays each batch panel-by-panel through a
   /// backend launch — bit-identical to the eager per-rotation path, but
-  /// with L1/L2-resident accumulator traffic and trace-visible launches.
-  /// Otherwise (the default) rotations mirror eagerly as they are made.
+  /// cache-blocked, vectorized across accumulator columns and visible in
+  /// traces. The accumulators must then be whole matrices (untransposed,
+  /// ld == rows). Otherwise (the default) rotations mirror eagerly as they
+  /// are made.
   ka::Backend* backend = nullptr;
   index_t rot_batch = 0;
 };
@@ -103,8 +104,9 @@ ChaseStats band_to_bidiag(BandMatrix<CT>& b, std::vector<CT>& d, std::vector<CT>
   const AccTimer acc_timer(opts.acc_seconds);
 
   // Rotation-batch replay: buffer the mirror rotations and apply them to
-  // L1-resident accumulator column tiles instead of sweeping the full
-  // accumulator once per rotation. Bit-identical (see rot_batch.hpp).
+  // one 64-column accumulator panel at a time instead of sweeping the full
+  // accumulator once per rotation. Bit-identical (see rot_batch.hpp); the
+  // batch holds the accumulators in its own layout until finish().
   std::optional<GivensBatch<CT>> batch;
   if (opts.backend != nullptr && opts.rot_batch > 0 &&
       (ut != nullptr || vt != nullptr)) {
@@ -128,7 +130,6 @@ ChaseStats band_to_bidiag(BandMatrix<CT>& b, std::vector<CT>& d, std::vector<CT>
       }
     }
     stats.rotations += 1.0;
-    stats.rotated_elems += static_cast<double>(ihi - ilo + 1);
   };
   auto rotate_rows = [&](index_t r1, index_t r2, index_t jlo, index_t jhi, CT c, CT s) {
     for (index_t j = jlo; j <= jhi; ++j) {
@@ -147,7 +148,6 @@ ChaseStats band_to_bidiag(BandMatrix<CT>& b, std::vector<CT>& d, std::vector<CT>
       }
     }
     stats.rotations += 1.0;
-    stats.rotated_elems += static_cast<double>(jhi - jlo + 1);
   };
 
   if (bw >= 2) {
@@ -187,7 +187,7 @@ ChaseStats band_to_bidiag(BandMatrix<CT>& b, std::vector<CT>& d, std::vector<CT>
   }
 
   if (batch.has_value()) {
-    batch->flush();
+    batch->finish();
     stats.batch_flushes = static_cast<double>(batch->flushes());
   }
 

@@ -20,8 +20,9 @@ namespace unisvd {
 namespace {
 
 /// Stage-2 rotation-batch capacity of every vector solve: mirror rotations
-/// buffer up to this many entries and replay per accumulator column tile
-/// (band/rot_batch.hpp), bit-identical to eager per-rotation mirroring.
+/// buffer up to this many entries and replay one 64-column accumulator
+/// panel at a time (band/rot_batch.hpp), bit-identical to eager
+/// per-rotation mirroring.
 constexpr index_t kStage2RotBatch = 4096;
 
 double seconds_since(std::chrono::steady_clock::time_point t0) {

@@ -11,13 +11,17 @@
 ///     repeated and clustered spectra on the default path, batched
 ///     dispatch, and the truncated projected solve honoring its SvdConfig;
 ///   * Stage-2 rotation batching: blocked accumulator replay is
-///     bit-identical to the eager path for every capacity.
+///     bit-identical to the eager path for every capacity, on one and on
+///     several (ragged) 64-column panels in FP64 and FP32, and rejects an
+///     accumulator view it cannot re-lay in place.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "band/band_matrix.hpp"
@@ -454,66 +458,111 @@ TEST(DcDriver, TruncatedProjectedSolveHonorsSvdConfig) {
 namespace {
 
 /// Random dense n x n matrix with entries only in the upper band [0, bw].
-Matrix<double> random_banded(index_t n, index_t bw, std::uint64_t seed) {
+template <class T>
+Matrix<T> random_banded(index_t n, index_t bw, std::uint64_t seed) {
   rnd::Xoshiro256 rng(seed);
-  Matrix<double> a(n, n, 0.0);
+  Matrix<T> a(n, n, T(0));
   for (index_t j = 0; j < n; ++j) {
     for (index_t i = 0; i < n; ++i) {
       const index_t diag = j - i;
-      if (diag >= 0 && diag <= bw) a(i, j) = rng.normal();
+      if (diag >= 0 && diag <= bw) a(i, j) = static_cast<T>(rng.normal());
     }
   }
   return a;
 }
 
-}  // namespace
+template <class T>
+Matrix<T> identity_acc(index_t n) {
+  Matrix<T> m(n, n, T(0));
+  for (index_t i = 0; i < n; ++i) m(i, i) = T(1);
+  return m;
+}
 
-TEST(Stage2Batch, BlockedReplayBitIdenticalToEagerForEveryCapacity) {
-  // The tentpole's correctness anchor: rotations touch each accumulator
-  // column independently and the batch replays them per column in original
-  // order with the same narrowed expression, so the cache-blocked replay
-  // is BIT-identical to the historic eager mirror — whatever the capacity
-  // (including capacity 1, which flushes every rotation).
-  const index_t n = 64;
-  const index_t bw = 8;
-  const Matrix<double> dense = random_banded(n, bw, 401);
+template <class T>
+bool same_bits(const T* a, const T* b, std::size_t count) {
+  return std::memcmp(a, b, count * sizeof(T)) == 0;
+}
+
+/// Chase one random band eagerly and then through the rotation batch at
+/// every capacity; d, e, Ut and Vt must match the eager mirror bitwise.
+template <class T>
+void expect_blocked_replay_matches_eager(index_t n, index_t bw,
+                                         std::uint64_t seed) {
+  const Matrix<T> dense = random_banded<T>(n, bw, seed);
   ka::CpuBackend backend(4);
 
   // Eager baseline: the historic signature (no backend, no batching).
-  auto b_eager = band::extract_band<double>(dense.view(), bw);
-  Matrix<double> ut_e(n, n, 0.0), vt_e(n, n, 0.0);
-  for (index_t i = 0; i < n; ++i) ut_e(i, i) = vt_e(i, i) = 1.0;
-  MatrixView<double> ut_ev = ut_e.view(), vt_ev = vt_e.view();
-  std::vector<double> d_e, e_e;
+  auto b_eager = band::extract_band<T>(dense.view(), bw);
+  Matrix<T> ut_e = identity_acc<T>(n);
+  Matrix<T> vt_e = identity_acc<T>(n);
+  MatrixView<T> ut_ev = ut_e.view(), vt_ev = vt_e.view();
+  std::vector<T> d_e, e_e;
   const auto stats_e = band::band_to_bidiag(b_eager, d_e, e_e, &ut_ev, &vt_ev);
   EXPECT_EQ(stats_e.batch_flushes, 0.0);
 
   for (const index_t capacity : {index_t{1}, index_t{3}, index_t{64},
                                  index_t{1} << 20}) {
-    auto b = band::extract_band<double>(dense.view(), bw);
-    Matrix<double> ut(n, n, 0.0), vt(n, n, 0.0);
-    for (index_t i = 0; i < n; ++i) ut(i, i) = vt(i, i) = 1.0;
-    MatrixView<double> utv = ut.view(), vtv = vt.view();
-    std::vector<double> d, e;
-    band::Stage2Options<double> opts;
+    const std::string where = "n " + std::to_string(n) + " capacity " +
+                              std::to_string(capacity);
+    auto b = band::extract_band<T>(dense.view(), bw);
+    Matrix<T> ut = identity_acc<T>(n);
+    Matrix<T> vt = identity_acc<T>(n);
+    MatrixView<T> utv = ut.view(), vtv = vt.view();
+    std::vector<T> d, e;
+    band::Stage2Options<T> opts;
     opts.ut = &utv;
     opts.vt = &vtv;
     opts.backend = &backend;
     opts.rot_batch = capacity;
     const auto stats = band::band_to_bidiag(b, d, e, opts);
-    EXPECT_GT(stats.batch_flushes, 0.0) << "capacity " << capacity;
+    EXPECT_GT(stats.batch_flushes, 0.0) << where;
+    EXPECT_EQ(stats.rotations, stats_e.rotations) << where;
 
-    ASSERT_EQ(d.size(), d_e.size()) << "capacity " << capacity;
-    ASSERT_EQ(e.size(), e_e.size()) << "capacity " << capacity;
-    for (std::size_t i = 0; i < d.size(); ++i) {
-      EXPECT_EQ(d[i], d_e[i]) << "capacity " << capacity << " d " << i;
-    }
-    for (std::size_t i = 0; i < e.size(); ++i) {
-      EXPECT_EQ(e[i], e_e[i]) << "capacity " << capacity << " e " << i;
-    }
-    EXPECT_EQ(ref::fro_diff(ut.view(), ut_e.view()), 0.0)
-        << "capacity " << capacity;
-    EXPECT_EQ(ref::fro_diff(vt.view(), vt_e.view()), 0.0)
-        << "capacity " << capacity;
+    ASSERT_EQ(d.size(), d_e.size()) << where;
+    ASSERT_EQ(e.size(), e_e.size()) << where;
+    EXPECT_TRUE(same_bits(d.data(), d_e.data(), d.size())) << where << " d";
+    EXPECT_TRUE(same_bits(e.data(), e_e.data(), e.size())) << where << " e";
+    const auto elems = static_cast<std::size_t>(n * n);
+    EXPECT_TRUE(same_bits(ut.data(), ut_e.data(), elems)) << where << " Ut";
+    EXPECT_TRUE(same_bits(vt.data(), vt_e.data(), elems)) << where << " Vt";
   }
+}
+
+}  // namespace
+
+TEST(Stage2Batch, BlockedReplayBitIdenticalToEagerForEveryCapacity) {
+  // The rotation batch's correctness anchor: rotations touch each accumulator
+  // column independently and the batch replays them per column in original
+  // order with the same narrowed expression, so the panel-wise replay is
+  // BIT-identical to the historic eager mirror — whatever the capacity
+  // (including capacity 1, which flushes every rotation). n = 64 is one
+  // 64-column panel; n = 150 is panels of 64, 64 and 22, so a panel-offset
+  // or ragged-panel error shows. FP32 is the compute type of both FP16 and
+  // FP32 solves.
+  expect_blocked_replay_matches_eager<double>(64, 8, 401);
+  expect_blocked_replay_matches_eager<double>(150, 8, 402);
+  expect_blocked_replay_matches_eager<float>(64, 8, 403);
+  expect_blocked_replay_matches_eager<float>(150, 8, 404);
+}
+
+TEST(Stage2Batch, RejectsAccumulatorViewWithLeadingDimensionAboveRows) {
+  // The batch re-lays whole accumulators in place, so a strided sub-view
+  // (ld > rows) would scramble the elements between its columns.
+  const index_t n = 16;
+  const index_t bw = 4;
+  const Matrix<double> dense = random_banded<double>(n, bw, 405);
+  auto b = band::extract_band<double>(dense.view(), bw);
+  Matrix<double> big = identity_acc<double>(n + 8);
+  MatrixView<double> utv = big.view().block(0, 0, n, n);
+  ASSERT_GT(utv.ld(), utv.rows());
+  Matrix<double> vt = identity_acc<double>(n);
+  MatrixView<double> vtv = vt.view();
+  ka::CpuBackend backend(2);
+  std::vector<double> d, e;
+  band::Stage2Options<double> opts;
+  opts.ut = &utv;
+  opts.vt = &vtv;
+  opts.backend = &backend;
+  opts.rot_batch = 64;
+  EXPECT_THROW(band::band_to_bidiag(b, d, e, opts), Error);
 }
