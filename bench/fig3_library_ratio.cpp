@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <vector>
 
-#include "backend_compare.hpp"
 #include "bench_util.hpp"
 #include "sim/library_model.hpp"
 
@@ -74,6 +73,5 @@ int main(int argc, char** argv) {
       "at every size and MAGMA above ~1024-2048; MAGMA's host path wins at\n"
       "small sizes; SLATE degrades most on the consumer RTX4060.\n");
 
-  benchutil::backend_compare_section<float>(sink, "fp32", {64, 128, 192});
   return sink.flush() ? 0 : 1;
 }

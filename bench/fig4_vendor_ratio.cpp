@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <vector>
 
-#include "backend_compare.hpp"
 #include "bench_util.hpp"
 #include "sim/library_model.hpp"
 
@@ -74,6 +73,5 @@ int main(int argc, char** argv) {
       "every size and cuSOLVER on the consumer RTX4060; reaches 50-90%% of\n"
       "cuSOLVER on A100/H100 (ratio 0.5-0.9); overtakes oneMKL beyond ~2048.\n");
 
-  benchutil::backend_compare_section<double>(sink, "fp64", {64, 128, 192});
   return sink.flush() ? 0 : 1;
 }

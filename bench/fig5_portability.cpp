@@ -10,7 +10,6 @@
 #include <cstdio>
 #include <vector>
 
-#include "backend_compare.hpp"
 #include "bench_util.hpp"
 #include "sim/library_model.hpp"
 #include "sim/tuning.hpp"
@@ -60,11 +59,5 @@ int main(int argc, char** argv) {
       "FP32 CUDA cores) while reaching larger sizes; Apple Metal lacks FP64;\n"
       "Julia/AMDGPU lacked FP16 conversion at paper time; Intel results were\n"
       "provided for FP32.\n");
-
-  // The portability figure gets the full precision sweep on the real
-  // backends: FP16 rides the FP32 compute path, so its speedup tracks FP32.
-  benchutil::backend_compare_section<Half>(sink, "fp16", {64, 128});
-  benchutil::backend_compare_section<float>(sink, "fp32", {64, 128});
-  benchutil::backend_compare_section<double>(sink, "fp64", {64, 128});
   return sink.flush() ? 0 : 1;
 }

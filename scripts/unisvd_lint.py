@@ -10,10 +10,9 @@ Rules (see docs/STATIC_ANALYSIS.md for the full catalog and rationale):
                    invisible to Clang's -Wthread-safety analysis; the
                    wrappers are not.
   kernel-alloc     No heap allocation (new/malloc/std::vector growth/Matrix
-                   construction) in kernel bodies: every line of
-                   src/ka/simd/, and the regions marked
+                   construction) in kernel bodies: the regions marked
                    "// unisvd-lint: begin-kernel(...)" ... "end-kernel"
-                   under src/small/ and src/band/.
+                   under src/small/, src/band/, src/qr/ and src/rsvd/.
   test-registration  Every tests/test_*.cpp must be registered in
                    CMakeLists.txt (the test glob or an explicit mention)
                    AND exercised by at least one sanitizer CI job in
@@ -192,19 +191,18 @@ ALLOC_RE = re.compile(
 )
 
 
-def kernel_alloc_in_file(root: Path, path: Path, whole_file: bool) -> list[Finding]:
+def kernel_alloc_in_file(root: Path, path: Path) -> list[Finding]:
     findings: list[Finding] = []
     lines = path.read_text(encoding="utf-8").splitlines()
     allowed = suppressed_lines(lines, "kernel-alloc")
-    in_kernel = whole_file
+    in_kernel = False
     for ln, raw in enumerate(lines, start=1):
-        if not whole_file:
-            if BEGIN_KERNEL_RE.search(raw):
-                in_kernel = True
-                continue
-            if END_KERNEL_RE.search(raw):
-                in_kernel = False
-                continue
+        if BEGIN_KERNEL_RE.search(raw):
+            in_kernel = True
+            continue
+        if END_KERNEL_RE.search(raw):
+            in_kernel = False
+            continue
         if not in_kernel or ln in allowed:
             continue
         m = ALLOC_RE.search(strip_comments_and_strings(raw))
@@ -222,17 +220,15 @@ def kernel_alloc_in_file(root: Path, path: Path, whole_file: bool) -> list[Findi
     return findings
 
 
-# Directories whose kernel bodies are marked regions rather than whole files.
-MARKED_KERNEL_DIRS = ("src/small", "src/band")
+# Directories whose kernel bodies are marked begin-kernel/end-kernel regions.
+MARKED_KERNEL_DIRS = ("src/small", "src/band", "src/qr", "src/rsvd")
 
 
 def check_kernel_alloc(root: Path) -> list[Finding]:
     findings: list[Finding] = []
-    for path in source_files(root, "src/ka/simd"):
-        findings.extend(kernel_alloc_in_file(root, path, whole_file=True))
     for sub in MARKED_KERNEL_DIRS:
         for path in source_files(root, sub):
-            findings.extend(kernel_alloc_in_file(root, path, whole_file=False))
+            findings.extend(kernel_alloc_in_file(root, path))
     return findings
 
 
@@ -509,8 +505,20 @@ def self_test() -> int:
         # --- kernel-alloc ------------------------------------------------
         _write(
             root,
-            "src/ka/simd/bad_kernel.hpp",
-            "#pragma once\n#include <vector>\nvoid k() { std::vector<float> v; v.push_back(1.0f); }\n",
+            "src/qr/tile_kernel.hpp",
+            "#pragma once\n#include <vector>\n"
+            "std::vector<float> plan;  // outside the region: fine\n"
+            "// unisvd-lint: begin-kernel(tile)\n"
+            "inline void tile(float* x, int w) { float rho[32] = {}; for (int j = 0; j < w; ++j) x[j] -= rho[j]; }\n"
+            "// unisvd-lint: end-kernel\n",
+        )
+        _write(
+            root,
+            "src/qr/tile_kernel_bad.hpp",
+            "#pragma once\n#include <vector>\n"
+            "// unisvd-lint: begin-kernel(tile2)\n"
+            "inline void tile2() { std::vector<float> v; v.push_back(1.0f); }\n"
+            "// unisvd-lint: end-kernel\n",
         )
         _write(
             root,
@@ -550,7 +558,14 @@ def self_test() -> int:
             "// unisvd-lint: end-kernel\n",
         )
         f = check_kernel_alloc(root)
-        expect(any("bad_kernel.hpp" in str(x.path) for x in f), "kernel-alloc: simd/ fixture must trip")
+        expect(
+            any("tile_kernel_bad.hpp" in str(x.path) and x.line == 4 for x in f),
+            "kernel-alloc: in-region alloc under src/qr/ must trip",
+        )
+        expect(
+            not any(str(x.path).endswith("tile_kernel.hpp") for x in f),
+            "kernel-alloc: src/qr/ clean twin must pass",
+        )
         expect(
             any("replay_bad.hpp" in str(x.path) and x.line == 4 for x in f),
             "kernel-alloc: in-region alloc under src/band/ must trip",

@@ -1,6 +1,5 @@
 #include "ka/backend.hpp"
 
-#include "ka/simd/dispatch.hpp"
 #include "ka/thread_pool.hpp"
 
 namespace unisvd::ka {
@@ -27,26 +26,9 @@ void CpuBackend::do_launch(const LaunchDesc& desc, const Kernel& kernel) {
   });
 }
 
-SimdCpuBackend::SimdCpuBackend(unsigned num_threads)
-    : CpuBackend(num_threads), enabled_(simd::runtime_enabled()) {}
-
-SimdCpuBackend& simd_backend() {
-  static SimdCpuBackend backend;
-  return backend;
-}
-
 Backend& default_backend() {
-  // Sticky first-call choice: a SIMD build whose dispatch allows
-  // vectorization serves the process from the "simd" backend; everything
-  // else (scalar build, non-AVX2 CPU, UNISVD_FORCE_SCALAR set before first
-  // use) serves from the scalar "cpu" backend, so tuning-table keys and
-  // backend names honestly describe what ran.
-  static Backend& chosen = []() -> Backend& {
-    if (simd::runtime_enabled()) return simd_backend();
-    static CpuBackend scalar;
-    return scalar;
-  }();
-  return chosen;
+  static CpuBackend backend;
+  return backend;
 }
 
 }  // namespace unisvd::ka

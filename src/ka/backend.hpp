@@ -4,21 +4,18 @@
 ///
 /// The paper's unified function takes a `backend` argument selecting the
 /// hardware (Algorithm 2). Here a Backend either executes workgroups (the
-/// serial reference backend, the multithreaded CPU backend, or the
-/// SIMD-vectorized CPU backend) or records the launch without executing it
-/// (the trace backend used to generate analytic schedules for the GPU
-/// performance model at sizes far beyond what is worth executing). Any
-/// backend can additionally carry a TraceRecorder so real executions
-/// produce the same LaunchRecord stream — the equality of the two streams
-/// is tested.
+/// serial reference backend or the multithreaded CPU backend) or records
+/// the launch without executing it (the trace backend used to generate
+/// analytic schedules for the GPU performance model at sizes far beyond
+/// what is worth executing). Any backend can additionally carry a
+/// TraceRecorder so real executions produce the same LaunchRecord stream —
+/// the equality of the two streams is tested.
 ///
-/// The SIMD backend (SimdCpuBackend, built under -DUNISVD_SIMD=ON) answers
-/// `vectorized()` true when runtime dispatch allows it (AVX2 CPUID check,
-/// UNISVD_FORCE_SCALAR override — see ka/simd/dispatch.hpp); the tile
-/// kernels consult that flag per launch and run lane-parallel bodies that
-/// are bit-identical to the reference work-item loops, so every
-/// determinism contract (values across jobs/schedules/backends) holds
-/// across the scalar/SIMD axis too.
+/// Every tile kernel has one body, which the compiler vectorizes for
+/// whatever ISA the build targets (`-DCMAKE_CXX_FLAGS=-march=...`). No
+/// backend chooses between bodies, so every backend and every ISA runs the
+/// same arithmetic and gives the same bits (the build pins
+/// -ffp-contract=off).
 
 #include <functional>
 #include <memory>
@@ -78,11 +75,8 @@ class Backend {
   /// execution.
   [[nodiscard]] virtual ThreadPool* batch_pool() noexcept { return nullptr; }
 
-  /// True when the backend wants the SIMD-vectorized kernel bodies for this
-  /// process (compiled in AND permitted by runtime dispatch). Kernels that
-  /// have a vector body branch on this per launch; results are
-  /// bit-identical either way — the flag only selects how fast the same
-  /// arithmetic runs.
+  /// Always false. Nothing in the library reads it; it remains only as an
+  /// override point for existing Backend wrappers.
   [[nodiscard]] virtual bool vectorized() const noexcept { return false; }
 
   /// Submit one kernel launch. Blocking: on return all workgroups ran.
@@ -113,7 +107,7 @@ class SerialBackend final : public Backend {
 /// Multithreaded CPU backend: workgroups distributed across a thread pool.
 /// Work-items of one group stay on one thread (they share private memory),
 /// so results are bitwise identical to the serial backend.
-class CpuBackend : public Backend {
+class CpuBackend final : public Backend {
  public:
   explicit CpuBackend(unsigned num_threads = 0);
   [[nodiscard]] std::string_view name() const noexcept override { return "cpu"; }
@@ -127,29 +121,6 @@ class CpuBackend : public Backend {
   ThreadPool pool_;
 };
 
-/// SIMD-vectorized CPU backend: the same thread-pool workgroup execution as
-/// CpuBackend, but kernels with a vector body run it lane-parallel (AVX2
-/// width on x86-64). Runtime dispatch is sampled ONCE at construction
-/// (ka::simd::runtime_enabled(): compile gate, CPUID, UNISVD_FORCE_SCALAR)
-/// so the hot launch path pays one virtual call, no environment reads. In a
-/// scalar build — or with dispatch denied — this backend is a CpuBackend
-/// that happens to be named "simd": fully functional, just not faster.
-///
-/// The name is distinct on purpose: core::TuningTable keys every learned
-/// entry (batch crossover, kernel winners, rsvd defaults, small-path and
-/// Stage-3 thresholds) by Backend::name(), so scalar and SIMD executions
-/// learn and look up separate tuning rows — crossovers genuinely differ
-/// when the per-problem kernels run several times faster.
-class SimdCpuBackend : public CpuBackend {
- public:
-  explicit SimdCpuBackend(unsigned num_threads = 0);
-  [[nodiscard]] std::string_view name() const noexcept override { return "simd"; }
-  [[nodiscard]] bool vectorized() const noexcept override { return enabled_; }
-
- private:
-  bool enabled_ = false;
-};
-
 /// Records launches without executing them: generates analytic schedules.
 class TraceBackend final : public Backend {
  public:
@@ -160,17 +131,8 @@ class TraceBackend final : public Backend {
   void do_launch(const LaunchDesc&, const Kernel&) override {}
 };
 
-/// Process-wide default execution backend, all cores: the SIMD CPU backend
-/// when the build compiled it in AND runtime dispatch allows it at first
-/// use (set UNISVD_FORCE_SCALAR=1 before the first call to get the scalar
-/// backend in a SIMD build); the scalar CPU backend otherwise. The choice
-/// is made once and sticky for the process.
+/// Process-wide default execution backend: a CpuBackend over all cores,
+/// constructed on first use.
 [[nodiscard]] Backend& default_backend();
-
-/// Process-wide SIMD CPU backend (all cores). Always constructible — in a
-/// scalar build or with runtime dispatch denied it executes the reference
-/// bodies — so benches can compare `cpu_backend vs simd_backend()`
-/// unconditionally.
-[[nodiscard]] SimdCpuBackend& simd_backend();
 
 }  // namespace unisvd::ka

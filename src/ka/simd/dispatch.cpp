@@ -1,13 +1,6 @@
 #include "ka/simd/dispatch.hpp"
 
-#include <cstdlib>
-#include <cstring>
-
-#include "ka/simd/simd.hpp"
-
 namespace unisvd::ka::simd {
-
-bool compiled() noexcept { return UNISVD_SIMD_COMPILED != 0; }
 
 bool cpu_supported() noexcept {
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
@@ -16,45 +9,22 @@ bool cpu_supported() noexcept {
   static const bool ok = __builtin_cpu_supports("avx2") != 0;
   return ok;
 #else
-  // Portable vector extensions lower to the native width on any target the
-  // compiler accepted; there is no feature level to probe.
+  // No AVX2 feature level to probe off x86-64.
   return true;
 #endif
 }
 
-bool force_scalar_env() noexcept {
-  const char* v = std::getenv("UNISVD_FORCE_SCALAR");
-  return v != nullptr && v[0] != '\0' && std::strcmp(v, "0") != 0;
-}
-
-bool runtime_enabled() noexcept {
-  return compiled() && cpu_supported() && !force_scalar_env();
-}
-
-int lanes(Precision p) noexcept {
-#if UNISVD_SIMD_COMPILED
-  switch (p) {
-    case Precision::FP16:  // computes in FP32
-    case Precision::FP32:
-      return lanes_v<float>;
-    case Precision::FP64:
-      return lanes_v<double>;
-  }
-  return 0;
-#else
-  (void)p;
-  return 0;
-#endif
-}
-
 std::string_view isa_name() noexcept {
-  if (!compiled()) return "scalar-build";
-  if (force_scalar_env()) return "scalar-forced";
-  if (!cpu_supported()) return "scalar-cpu";
-#if defined(__x86_64__)
+#if defined(__AVX512F__)
+  return "avx512f";
+#elif defined(__AVX2__)
   return "avx2";
+#elif defined(__SSE2__)
+  return "sse2";
+#elif defined(__ARM_NEON)
+  return "neon";
 #else
-  return "vector";
+  return "scalar";
 #endif
 }
 

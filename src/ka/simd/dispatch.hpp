@@ -1,64 +1,22 @@
 #pragma once
 /// \file dispatch.hpp
-/// Runtime dispatch of the vectorized CPU backend: compile gate, CPUID
-/// feature detection, and the UNISVD_FORCE_SCALAR escape hatch.
+/// What the running CPU offers and what ISA the library was compiled for.
 ///
-/// Three conditions stack, and all three must hold for SimdCpuBackend to
-/// run the vectorized kernel bodies:
-///
-///   1. compiled()      — the build had -DUNISVD_SIMD=ON and a compiler
-///                        with the vector-size extension (GCC/Clang);
-///   2. cpu_supported() — on x86-64, the running CPU reports AVX2 (CPUID
-///                        via __builtin_cpu_supports; cached). Non-x86
-///                        targets return true: the portable vector
-///                        extension lowers to whatever the target has.
-///   3. !force_scalar_env() — the environment did not set
-///                        UNISVD_FORCE_SCALAR to a non-empty value other
-///                        than "0". This is the operational fallback proof:
-///                        CI re-runs the SIMD binaries with the variable
-///                        set and the whole suite must still pass, bit-
-///                        identically (the vectorized bodies ARE
-///                        bit-identical, so forcing scalar only loses
-///                        speed, never changes a result).
-///
-/// SimdCpuBackend samples runtime_enabled() at CONSTRUCTION (one virtual
-/// call per launch afterwards, no getenv on the hot path); flip the
-/// environment before creating the backend (or before the first
-/// ka::default_backend() call for the process-wide instance).
+/// Every tile kernel has one body, which the compiler vectorizes for the
+/// ISA the build targets (`-DCMAKE_CXX_FLAGS=-march=...`). Nothing is
+/// chosen at run time; these two queries only describe the build and the
+/// host for reports and benches.
 
 #include <string_view>
 
-#include "common/precision.hpp"
-
 namespace unisvd::ka::simd {
 
-/// True when the vectorized kernel bodies were compiled in
-/// (-DUNISVD_SIMD=ON on a GCC/Clang-compatible compiler).
-[[nodiscard]] bool compiled() noexcept;
-
-/// True when the running CPU can execute the compiled vector width
-/// profitably (AVX2 on x86-64, checked once via CPUID; true elsewhere).
-/// Meaningful independently of compiled() — reports the hardware.
+/// True when the running CPU can execute AVX2 code (on x86-64, checked once
+/// via CPUID; true elsewhere). Reports the hardware, not the build.
 [[nodiscard]] bool cpu_supported() noexcept;
 
-/// True when UNISVD_FORCE_SCALAR is set to a non-empty value other than
-/// "0". Read from the environment on every call (cheap: dispatch happens at
-/// backend construction, not per launch).
-[[nodiscard]] bool force_scalar_env() noexcept;
-
-/// compiled() && cpu_supported() && !force_scalar_env() — whether a
-/// SimdCpuBackend constructed NOW would vectorize.
-[[nodiscard]] bool runtime_enabled() noexcept;
-
-/// Vector lanes one kernel step processes for the COMPUTE type of a storage
-/// precision (FP16 computes in FP32, so it vectorizes 8-wide like FP32).
-/// 0 when the vectorized bodies are not compiled in.
-[[nodiscard]] int lanes(Precision p) noexcept;
-
-/// Human-readable dispatch state for reports/benches: "avx2" (vectorizing
-/// on detected AVX2), "vector" (vectorizing through the portable
-/// extension on a non-x86 target), "scalar-forced" (UNISVD_FORCE_SCALAR),
-/// "scalar-cpu" (CPUID said no), or "scalar-build" (not compiled in).
+/// The widest vector ISA the library was compiled for, from the compiler's
+/// predefined macros: "avx512f", "avx2", "sse2", "neon" or "scalar".
 [[nodiscard]] std::string_view isa_name() noexcept;
 
 }  // namespace unisvd::ka::simd

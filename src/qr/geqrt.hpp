@@ -23,7 +23,6 @@
 #include "common/matrix.hpp"
 #include "common/precision.hpp"
 #include "ka/backend.hpp"
-#include "ka/simd/simd.hpp"
 #include "ka/stage_times.hpp"
 #include "qr/kernel_config.hpp"
 
@@ -55,16 +54,8 @@ void geqrt(ka::Backend& be, MatrixView<T> W, index_t row0, index_t k,
   desc.cost.bytes_written = cost::geqrt_bytes_w(ts, sizeof(T));
   desc.cost.serial_iterations = 3.0 * ts;
 
-#if UNISVD_SIMD_COMPILED
-  // Vectorized backends accelerate the register-resident column updates
-  // below (contiguous element-wise suffixes; the simd helpers perform the
-  // identical per-element operation sequence, so results are bit-identical).
-  // The norm/dot reductions stay scalar: vectorizing a reduction would
-  // reorder the sum and break determinism across backends.
-  const bool use_simd = be.vectorized();
-#endif
-
   ka::timed_launch(be, desc, [=](ka::WorkGroupCtx& wg) {
+    // unisvd-lint: begin-kernel(geqrt)
     auto Ai = wg.priv<CT>(static_cast<std::size_t>(seg));
     auto Ak = wg.local<CT>(static_cast<std::size_t>(ts));
     auto rowk = wg.local<CT>(static_cast<std::size_t>(ts));
@@ -160,27 +151,10 @@ void geqrt(ka::Backend& be, MatrixView<T> W, index_t row0, index_t k,
           if (negligible) {
             for (int rr = rr0; rr < seg; ++rr) a[rr] = CT(0);
           } else {
-#if UNISVD_SIMD_COMPILED
-            if (use_simd) {
-              ka::simd::div_inplace(a.data() + rr0, x, seg - rr0);
-            } else
-#endif
-            {
-              for (int rr = rr0; rr < seg; ++rr) a[rr] /= x;
-            }
+            for (int rr = rr0; rr < seg; ++rr) a[rr] /= x;
           }
         } else if (!negligible) {
-#if UNISVD_SIMD_COMPILED
-          if (use_simd) {
-            ka::simd::sub_scaled_div(a.data() + rr0, Ak.data() + r0 + rr0,
-                                     rho2, x, seg - rr0);
-          } else
-#endif
-          {
-            for (int rr = rr0; rr < seg; ++rr) {
-              a[rr] -= rho2 * (Ak[r0 + rr] / x);
-            }
-          }
+          for (int rr = rr0; rr < seg; ++rr) a[rr] -= rho2 * (Ak[r0 + rr] / x);
         }
         if (s == owner) a[kk - r0] = rowk[i] - rho2;  // row kk of R
       });
@@ -197,6 +171,7 @@ void geqrt(ka::Backend& be, MatrixView<T> W, index_t row0, index_t k,
       }
       if (s == 0) Tau.at(row0, i) = static_cast<T>(tauv[i]);
     });
+    // unisvd-lint: end-kernel
   }, times);
 }
 

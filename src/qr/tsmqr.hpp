@@ -20,14 +20,13 @@
 /// two paths can never drift numerically.
 
 #include <algorithm>
-#include <type_traits>
 
 #include "common/matrix.hpp"
 #include "common/precision.hpp"
 #include "ka/backend.hpp"
-#include "ka/simd/simd.hpp"
 #include "ka/stage_times.hpp"
 #include "qr/kernel_config.hpp"
+#include "qr/lane_chunk.hpp"
 
 namespace unisvd::qr {
 
@@ -72,199 +71,99 @@ void tsmqr_impl(ka::Backend& be, MatrixView<TS> V, MatrixView<TS> Tau,
   desc.cost.bytes_written = cost::tsmqr_bytes_w(ts, nrows, ncols, sizeof(TA));
   desc.cost.serial_iterations = 2.0 * ts * static_cast<double>(nrows);
 
-#if UNISVD_SIMD_COMPILED
-  // Vector body: lanes across columns, NB vectors (NB*L columns) staged per
-  // chunk. Y (top row) and X (bottom row) chunks are staged transposed into
-  // ts x NB*L scratch whose row stride is the chunk width — every
-  // reflector-loop access is a contiguous walk of an L1-resident buffer —
-  // and the top-row chunk still loads once per bottom-row chain (the fusion
-  // saving of Figure 2). NB independent accumulator chains per reduction
-  // hide the FP-add latency a single chain would serialize on. Per lane the
-  // sequence — zeroed dot over the full bottom column, combine with y[kk],
-  // scale by tau_hat[kk], rank-1 update over all ts rows — matches the
-  // scalar work-item exactly, so results are bit-identical. Pad lanes are
-  // zero-filled and never stored. LaunchDesc is shared with the scalar
-  // body, keeping trace streams equal across backends.
-  if (be.vectorized()) {
-    namespace sd = ka::simd;
-    constexpr int L = sd::lanes_v<CT>;
-    const int nblk = sd::padded_to_lanes<CT>(cpb) / L;
-    ka::timed_launch(be, desc, [=](ka::WorkGroupCtx& wg) {
-      auto Akbuf = wg.local<CT>(static_cast<std::size_t>(ts));
-      auto Tk = wg.local<CT>(static_cast<std::size_t>(ts));
-      const index_t cg0 = col0 + wg.group_id() * cpb;
-      const int nc = static_cast<int>(std::min<index_t>(cpb, colend - cg0));
-
-      const auto chunk = [&](auto nbc, int j0) {
-        constexpr int NB = decltype(nbc)::value;
-        constexpr int W = NB * L;  // chunk width == staging row stride
-        auto Yc = wg.local<CT>(static_cast<std::size_t>(ts) * W);
-        auto Xc = wg.local<CT>(static_cast<std::size_t>(ts) * W);
-        const int ncb = std::clamp(nc - j0, 0, W);
-        if (ncb == 0) return;
-        for (int r = 0; r < ts; ++r) {  // top row loaded ONCE per chunk
-          CT* row = Yc.data() + static_cast<std::size_t>(r) * W;
-          for (int j = 0; j < ncb; ++j) {
-            row[j] = static_cast<CT>(C.at(rtop + r, cg0 + j0 + j));
-          }
-          for (int j = ncb; j < W; ++j) row[j] = CT(0);
-        }
-
-        for (index_t lstep = lbegin; lstep < lend; ++lstep) {
-          const index_t l =
-              dir == ApplyDir::Forward ? lstep : lend - 1 - (lstep - lbegin);
-          const index_t rbot = l * ts;
-
-          for (int idx = 0; idx < ts; ++idx) {
-            Tk[idx] = static_cast<CT>(Tau.at(l, idx));
-          }
-          for (int r = 0; r < ts; ++r) {
-            CT* row = Xc.data() + static_cast<std::size_t>(r) * W;
-            for (int j = 0; j < ncb; ++j) {
-              row[j] = static_cast<CT>(C.at(rbot + r, cg0 + j0 + j));
-            }
-            for (int j = ncb; j < W; ++j) row[j] = CT(0);
-          }
-
-          for (int step = 0; step < ts; ++step) {
-            const int kk = dir == ApplyDir::Forward ? step : ts - 1 - step;
-            // Reflector tail kk is contiguous in a plain column-major view,
-            // so point straight at it when no precision cast is needed
-            // either. Transposed views (the LQ sweep of band_reduction) and
-            // casting storage types stage through Akbuf element-wise.
-            const CT* Ak = Akbuf.data();
-            bool direct = false;
-            if constexpr (std::is_same_v<TS, CT>) direct = !V.is_transposed();
-            if (direct) {
-              if constexpr (std::is_same_v<TS, CT>) {
-                Ak = &V.at(rbot, cbase + kk);
-              }
-            } else {
-              for (int idx = 0; idx < ts; ++idx) {
-                Akbuf[idx] = static_cast<CT>(V.at(rbot + idx, cbase + kk));
-              }
-            }
-            const sd::vec_t<CT> tkk = sd::broadcast(Tk[kk]);
-            CT* Ykk = Yc.data() + static_cast<std::size_t>(kk) * W;
-            sd::vec_t<CT> rho[NB];
-            for (int b = 0; b < NB; ++b) rho[b] = sd::broadcast(CT(0));
-            for (int r = 0; r < ts; ++r) {
-              const sd::vec_t<CT> akr = sd::broadcast(Ak[r]);
-              const CT* Xr = Xc.data() + static_cast<std::size_t>(r) * W;
-              for (int b = 0; b < NB; ++b) {
-                rho[b] += sd::load<CT>(Xr + b * L) * akr;
-              }
-            }
-            for (int b = 0; b < NB; ++b) {
-              const sd::vec_t<CT> ykk = sd::load<CT>(Ykk + b * L);
-              rho[b] = (rho[b] + ykk) * tkk;
-              sd::store(Ykk + b * L, ykk - rho[b]);
-            }
-            for (int r = 0; r < ts; ++r) {
-              const sd::vec_t<CT> akr = sd::broadcast(Ak[r]);
-              CT* Xr = Xc.data() + static_cast<std::size_t>(r) * W;
-              for (int b = 0; b < NB; ++b) {
-                sd::store(Xr + b * L, sd::load<CT>(Xr + b * L) - rho[b] * akr);
-              }
-            }
-          }
-
-          for (int r = 0; r < ts; ++r) {
-            const CT* row = Xc.data() + static_cast<std::size_t>(r) * W;
-            for (int j = 0; j < ncb; ++j) {
-              C.at(rbot + r, cg0 + j0 + j) = static_cast<TA>(row[j]);
-            }
-          }
-        }
-
-        for (int r = 0; r < ts; ++r) {
-          const CT* row = Yc.data() + static_cast<std::size_t>(r) * W;
-          for (int j = 0; j < ncb; ++j) {
-            C.at(rtop + r, cg0 + j0 + j) = static_cast<TA>(row[j]);
-          }
-        }
-      };
-
-      int b = 0;
-      while (nblk - b >= 4) {
-        chunk(std::integral_constant<int, 4>{}, b * L);
-        b += 4;
-      }
-      if (nblk - b >= 2) {
-        chunk(std::integral_constant<int, 2>{}, b * L);
-        b += 2;
-      }
-      if (nblk - b >= 1) {
-        chunk(std::integral_constant<int, 1>{}, b * L);
-      }
-    }, times);
-    return;
-  }
-#endif  // UNISVD_SIMD_COMPILED
-
   ka::timed_launch(be, desc, [=](ka::WorkGroupCtx& wg) {
-    auto Yi = wg.priv<CT>(static_cast<std::size_t>(ts));  // top row column
-    auto Xi = wg.priv<CT>(static_cast<std::size_t>(ts));  // bottom row column
-    auto Ak = wg.local<CT>(static_cast<std::size_t>(ts));
+    // unisvd-lint: begin-kernel(tsmqr)
+    // Lanes run ACROSS the group's columns, one lane chunk at a time
+    // (qr/lane_chunk.hpp): lane j is work-item j of Algorithm 5, with its
+    // top-row (Y) and bottom-row (X) columns in two staged tiles. Per lane
+    // the sequence (zeroed dot over the full bottom column, combine with
+    // y[kk], scale by tau_hat[kk], rank-1 update) is the work-item's, so
+    // the bits do not depend on the ISA, the chunk or COLPERBLOCK. Pad
+    // lanes are zeroed, never stored.
+    constexpr int W = kLaneChunk;
+    auto Yc = wg.local<CT>(static_cast<std::size_t>(ts) * W);
+    auto Xc = wg.local<CT>(static_cast<std::size_t>(ts) * W);
+    auto Ak = wg.local<CT>(static_cast<std::size_t>(2 * ts));
     auto Tk = wg.local<CT>(static_cast<std::size_t>(ts));
     const index_t cg0 = col0 + wg.group_id() * cpb;
+    const int nc = static_cast<int>(std::min<index_t>(cpb, colend - cg0));
 
-    wg.items([&](int t) {  // top row loaded ONCE per launch (Figure 2)
-      const index_t c = cg0 + t;
-      if (c >= colend) return;
-      auto y = Yi(t);
-      for (int r = 0; r < ts; ++r) y[r] = static_cast<CT>(C.at(rtop + r, c));
-    });
+    const auto kk_of = [&](int step) {
+      return dir == ApplyDir::Forward ? step : ts - 1 - step;
+    };
+    // Reflector tail v_kk of `step` in bottom tile row rbot. Staging
+    // alternates between two buffers so the current tail survives staging
+    // the next.
+    const auto tail = [&](index_t rbot, int step) {
+      return stage_column(V, rbot, cbase + kk_of(step), 0, ts,
+                          Ak.data() + (step % 2) * ts);
+    };
+    const auto xrow = [&](int r) { return Xc.data() + r * W; };
 
-    for (index_t lstep = lbegin; lstep < lend; ++lstep) {
-      const index_t l =
-          dir == ApplyDir::Forward ? lstep : lend - 1 - (lstep - lbegin);
-      const index_t rbot = l * ts;
+    for (int j0 = 0; j0 < nc; j0 += W) {
+      const int ncb = std::min(W, nc - j0);
+      // The top row is loaded ONCE per chunk for all bottom rows (Figure 2).
+      load_chunk(Yc.data(), C, rtop, cg0 + j0, ts, ncb);
 
-      wg.items([&](int t) {
-        for (int idx = t; idx < ts; idx += cpb) {
+      for (index_t lstep = lbegin; lstep < lend; ++lstep) {
+        const index_t l =
+            dir == ApplyDir::Forward ? lstep : lend - 1 - (lstep - lbegin);
+        const index_t rbot = l * ts;
+        for (int idx = 0; idx < ts; ++idx) {
           Tk[idx] = static_cast<CT>(Tau.at(l, idx));
         }
-        const index_t c = cg0 + t;
-        if (c >= colend) return;
-        auto x = Xi(t);
-        for (int r = 0; r < ts; ++r) x[r] = static_cast<CT>(C.at(rbot + r, c));
-      });
+        load_chunk(Xc.data(), C, rbot, cg0 + j0, ts, ncb);
 
-      for (int step = 0; step < ts; ++step) {
-        const int kk = dir == ApplyDir::Forward ? step : ts - 1 - step;
-        wg.items([&](int t) {  // stage reflector tail v_kk (full B column)
-          for (int idx = t; idx < ts; idx += cpb) {
-            Ak[idx] = static_cast<CT>(V.at(rbot + idx, cbase + kk));
+        const CT* a = tail(rbot, 0);
+        CT rho[W];
+        for (int j = 0; j < W; ++j) rho[j] = CT(0);
+        for (int r = 0; r < ts; ++r) {
+          const CT akr = a[r];
+          const CT* Xr = xrow(r);
+          for (int j = 0; j < W; ++j) rho[j] += Xr[j] * akr;
+        }
+        for (int step = 0;; ++step) {
+          const int kk = kk_of(step);
+          const CT tkk = Tk[kk];
+          CT* Ykk = Yc.data() + kk * W;
+          for (int j = 0; j < W; ++j) {
+            rho[j] = (rho[j] + Ykk[j]) * tkk;
+            Ykk[j] -= rho[j];
           }
-        });
-        wg.items([&](int t) {
-          const index_t c = cg0 + t;
-          if (c >= colend) return;
-          auto y = Yi(t);
-          auto x = Xi(t);
-          CT rho = CT(0);
-          for (int r = 0; r < ts; ++r) rho += x[r] * Ak[r];
-          rho = (rho + y[kk]) * Tk[kk];
-          y[kk] -= rho;
-          for (int r = 0; r < ts; ++r) x[r] -= rho * Ak[r];
-        });
+          if (step + 1 == ts) {  // last reflector: the rank-1 update alone
+            for (int r = 0; r < ts; ++r) {
+              const CT akr = a[r];
+              CT* Xr = xrow(r);
+              for (int j = 0; j < W; ++j) Xr[j] -= rho[j] * akr;
+            }
+            break;
+          }
+          // The rank-1 update of this reflector also runs the next
+          // reflector's dot over the rows it has just updated: one sweep of
+          // the tile instead of two, each lane's operations in the same
+          // order.
+          const CT* an = tail(rbot, step + 1);
+          CT next[W];
+          for (int j = 0; j < W; ++j) next[j] = CT(0);
+          for (int r = 0; r < ts; ++r) {
+            const CT akr = a[r];
+            const CT anr = an[r];
+            CT* Xr = xrow(r);
+            for (int j = 0; j < W; ++j) {
+              Xr[j] -= rho[j] * akr;
+              next[j] += Xr[j] * anr;
+            }
+          }
+          for (int j = 0; j < W; ++j) rho[j] = next[j];
+          a = an;
+        }
+
+        store_chunk(C, Xc.data(), rbot, cg0 + j0, ts, ncb);
       }
 
-      wg.items([&](int t) {
-        const index_t c = cg0 + t;
-        if (c >= colend) return;
-        auto x = Xi(t);
-        for (int r = 0; r < ts; ++r) C.at(rbot + r, c) = static_cast<TA>(x[r]);
-      });
+      store_chunk(C, Yc.data(), rtop, cg0 + j0, ts, ncb);
     }
-
-    wg.items([&](int t) {
-      const index_t c = cg0 + t;
-      if (c >= colend) return;
-      auto y = Yi(t);
-      for (int r = 0; r < ts; ++r) C.at(rtop + r, c) = static_cast<TA>(y[r]);
-    });
+    // unisvd-lint: end-kernel
   }, times);
 }
 

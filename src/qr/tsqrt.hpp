@@ -17,7 +17,6 @@
 #include "common/matrix.hpp"
 #include "common/precision.hpp"
 #include "ka/backend.hpp"
-#include "ka/simd/simd.hpp"
 #include "ka/stage_times.hpp"
 #include "qr/kernel_config.hpp"
 
@@ -48,14 +47,8 @@ void tsqrt(ka::Backend& be, MatrixView<T> W, index_t row0, index_t k,
   desc.cost.bytes_written = cost::tsqrt_bytes_w(ts, nrows, sizeof(T));
   desc.cost.serial_iterations = 3.0 * ts * static_cast<double>(nrows);
 
-#if UNISVD_SIMD_COMPILED
-  // Vectorized backends accelerate the full-segment element-wise B updates
-  // below (same per-element operation sequence → bit-identical results);
-  // the norm/dot reductions stay scalar to keep the summation order.
-  const bool use_simd = be.vectorized();
-#endif
-
   ka::timed_launch(be, desc, [=](ka::WorkGroupCtx& wg) {
+    // unisvd-lint: begin-kernel(tsqrt)
     auto Ri = wg.priv<CT>(static_cast<std::size_t>(seg));
     auto Bi = wg.priv<CT>(static_cast<std::size_t>(seg));
     auto Bk = wg.local<CT>(static_cast<std::size_t>(ts));
@@ -155,26 +148,10 @@ void tsqrt(ka::Backend& be, MatrixView<T> W, index_t row0, index_t k,
             if (negligible) {
               for (int rr = 0; rr < seg; ++rr) b[rr] = CT(0);
             } else {
-#if UNISVD_SIMD_COMPILED
-              if (use_simd) {
-                ka::simd::div_inplace(b.data(), x, seg);  // store tails
-              } else
-#endif
-              {
-                for (int rr = 0; rr < seg; ++rr) b[rr] /= x;  // store tails
-              }
+              for (int rr = 0; rr < seg; ++rr) b[rr] /= x;  // store tails
             }
           } else if (!negligible) {
-#if UNISVD_SIMD_COMPILED
-            if (use_simd) {
-              ka::simd::sub_scaled_div(b.data(), Bk.data() + r0, rho2, x, seg);
-            } else
-#endif
-            {
-              for (int rr = 0; rr < seg; ++rr) {
-                b[rr] -= rho2 * (Bk[r0 + rr] / x);
-              }
-            }
+            for (int rr = 0; rr < seg; ++rr) b[rr] -= rho2 * (Bk[r0 + rr] / x);
           }
           if (s == owner) Ri(t)[kk - r0] = rowk[i] - rho2;
         });
@@ -201,6 +178,7 @@ void tsqrt(ka::Backend& be, MatrixView<T> W, index_t row0, index_t k,
         W.at(rbase + r0 + rr, cbase + i) = static_cast<T>(r[rr]);
       }
     });
+    // unisvd-lint: end-kernel
   }, times);
 }
 

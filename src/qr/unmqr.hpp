@@ -3,10 +3,11 @@
 /// UNMQR: apply GEQRT reflectors to a tile row (paper Algorithm 4).
 ///
 /// Massively parallel trailing update: each work-item owns one column of
-/// the trailing tiles in registers; COLPERBLOCK work-items form a
-/// workgroup. The tau_hat vector and each Householder column are staged
-/// into local memory cooperatively, then every column applies the
-/// reflector independently (BLAS3-like parallelism).
+/// the trailing tiles; COLPERBLOCK work-items form a workgroup. The tau_hat
+/// vector and each Householder column are staged into local memory, then
+/// every column applies the reflector independently (BLAS3-like
+/// parallelism). On the CPU the work-items of a group run as the lanes of
+/// one loop (qr/lane_chunk.hpp).
 ///
 /// ONE kernel body serves two call shapes: the classic trailing update
 /// (`unmqr` — reflector source and update target are the same working
@@ -22,14 +23,13 @@
 /// the correct form.
 
 #include <algorithm>
-#include <type_traits>
 
 #include "common/matrix.hpp"
 #include "common/precision.hpp"
 #include "ka/backend.hpp"
-#include "ka/simd/simd.hpp"
 #include "ka/stage_times.hpp"
 #include "qr/kernel_config.hpp"
+#include "qr/lane_chunk.hpp"
 
 namespace unisvd::qr {
 
@@ -49,7 +49,7 @@ void unmqr_impl(ka::Backend& be, MatrixView<TS> V, MatrixView<TS> Tau,
   const int ts = cfg.tilesize;
   const int cpb = cfg.colperblock;
   const index_t ncols = (jend - jbegin) * ts;
-  if (ncols <= 0) return;
+  if (ncols <= 0 || ts < 2) return;  // a 1-row tile has no reflector
   const index_t wgs = (ncols + cpb - 1) / cpb;
   const index_t rbase = row0 * ts;
   const index_t cbase = k * ts;
@@ -69,158 +69,102 @@ void unmqr_impl(ka::Backend& be, MatrixView<TS> V, MatrixView<TS> Tau,
   desc.cost.bytes_written = cost::unmqr_bytes_w(ts, ncols, sizeof(TA));
   desc.cost.serial_iterations = 2.0 * ts;
 
-#if UNISVD_SIMD_COMPILED
-  // Vector body: lanes run ACROSS columns (one lane = one work-item of the
-  // reference body). Columns are processed in chunks of NB vectors (NB*L
-  // columns) staged transposed into a ts x NB*L scratch whose row stride is
-  // the chunk width, so every load/store in the reflector loop is a
-  // contiguous walk of an L1-resident buffer. NB independent accumulator
-  // chains per reduction hide the FP-add latency that a single chain would
-  // serialize on (consecutive reflector steps depend on each other, so ILP
-  // must come from within a step). Per lane the operation sequence — load,
-  // sequential reduction over r, scale, rank-1 update, store — is exactly
-  // the scalar work-item's, so results are bit-identical (pad lanes are
-  // zero-filled and never stored). The LaunchDesc is shared with the scalar
-  // body: trace streams stay equal across backends.
-  if (be.vectorized()) {
-    namespace sd = ka::simd;
-    constexpr int L = sd::lanes_v<CT>;
-    const int nblk = sd::padded_to_lanes<CT>(cpb) / L;
-    ka::timed_launch(be, desc, [=](ka::WorkGroupCtx& wg) {
-      auto Akbuf = wg.local<CT>(static_cast<std::size_t>(ts));
-      auto Tk = wg.local<CT>(static_cast<std::size_t>(ts));
-      const index_t cg0 = col0 + wg.group_id() * cpb;
-      const int nc = static_cast<int>(std::min<index_t>(cpb, colend - cg0));
-
-      for (int idx = 0; idx < ts; ++idx) {
-        Tk[idx] = static_cast<CT>(Tau.at(row0, idx));
-      }
-
-      const auto chunk = [&](auto nbc, int j0) {
-        constexpr int NB = decltype(nbc)::value;
-        constexpr int W = NB * L;  // chunk width == staging row stride
-        auto Xc = wg.local<CT>(static_cast<std::size_t>(ts) * W);
-        const int ncb = std::clamp(nc - j0, 0, W);
-        if (ncb == 0) return;
-        for (int r = 0; r < ts; ++r) {
-          CT* row = Xc.data() + static_cast<std::size_t>(r) * W;
-          for (int j = 0; j < ncb; ++j) {
-            row[j] = static_cast<CT>(C.at(rbase + r, cg0 + j0 + j));
-          }
-          for (int j = ncb; j < W; ++j) row[j] = CT(0);
-        }
-
-        for (int step = 0; step + 1 < ts; ++step) {
-          const int kk = dir == ApplyDir::Forward ? step : ts - 2 - step;
-          // Reflector column kk is contiguous in a plain column-major view,
-          // so point straight at it when no precision cast is needed either.
-          // Transposed views (the LQ sweep of band_reduction) and casting
-          // storage types stage through Akbuf element-wise instead.
-          const CT* Ak = Akbuf.data();
-          bool direct = false;
-          if constexpr (std::is_same_v<TS, CT>) direct = !V.is_transposed();
-          if (direct) {
-            if constexpr (std::is_same_v<TS, CT>) {
-              Ak = &V.at(rbase, cbase + kk);
-            }
-          } else {
-            for (int idx = kk + 1; idx < ts; ++idx) {
-              Akbuf[idx] = static_cast<CT>(V.at(rbase + idx, cbase + kk));
-            }
-          }
-          const sd::vec_t<CT> tkk = sd::broadcast(Tk[kk]);
-          CT* Xkk = Xc.data() + static_cast<std::size_t>(kk) * W;
-          sd::vec_t<CT> rho[NB];
-          for (int b = 0; b < NB; ++b) rho[b] = sd::load<CT>(Xkk + b * L);
-          for (int r = kk + 1; r < ts; ++r) {
-            const sd::vec_t<CT> akr = sd::broadcast(Ak[r]);
-            const CT* Xr = Xc.data() + static_cast<std::size_t>(r) * W;
-            for (int b = 0; b < NB; ++b) {
-              rho[b] += sd::load<CT>(Xr + b * L) * akr;
-            }
-          }
-          for (int b = 0; b < NB; ++b) {
-            rho[b] *= tkk;
-            sd::store(Xkk + b * L, sd::load<CT>(Xkk + b * L) - rho[b]);
-          }
-          for (int r = kk + 1; r < ts; ++r) {
-            const sd::vec_t<CT> akr = sd::broadcast(Ak[r]);
-            CT* Xr = Xc.data() + static_cast<std::size_t>(r) * W;
-            for (int b = 0; b < NB; ++b) {
-              sd::store(Xr + b * L, sd::load<CT>(Xr + b * L) - rho[b] * akr);
-            }
-          }
-        }
-
-        for (int r = 0; r < ts; ++r) {
-          const CT* row = Xc.data() + static_cast<std::size_t>(r) * W;
-          for (int j = 0; j < ncb; ++j) {
-            C.at(rbase + r, cg0 + j0 + j) = static_cast<TA>(row[j]);
-          }
-        }
-      };
-
-      int b = 0;
-      while (nblk - b >= 4) {
-        chunk(std::integral_constant<int, 4>{}, b * L);
-        b += 4;
-      }
-      if (nblk - b >= 2) {
-        chunk(std::integral_constant<int, 2>{}, b * L);
-        b += 2;
-      }
-      if (nblk - b >= 1) {
-        chunk(std::integral_constant<int, 1>{}, b * L);
-      }
-    }, times);
-    return;
-  }
-#endif  // UNISVD_SIMD_COMPILED
-
   ka::timed_launch(be, desc, [=](ka::WorkGroupCtx& wg) {
-    auto Xi = wg.priv<CT>(static_cast<std::size_t>(ts));
-    auto Ak = wg.local<CT>(static_cast<std::size_t>(ts));
+    // unisvd-lint: begin-kernel(unmqr)
+    // Lanes run ACROSS the group's columns, one lane chunk at a time
+    // (qr/lane_chunk.hpp): lane j is work-item j of Algorithm 4. Per lane
+    // the sequence (sequential reduction down the column, scale, rank-1
+    // update) is the work-item's, so the bits do not depend on the ISA, the
+    // chunk or COLPERBLOCK. Pad lanes are zeroed, never stored.
+    constexpr int W = kLaneChunk;
+    auto Xc = wg.local<CT>(static_cast<std::size_t>(ts) * W);
+    auto Ak = wg.local<CT>(static_cast<std::size_t>(2 * ts));
     auto Tk = wg.local<CT>(static_cast<std::size_t>(ts));
     const index_t cg0 = col0 + wg.group_id() * cpb;
-
-    // Cooperative tau load; each item loads its own column into registers.
-    wg.items([&](int t) {
-      for (int idx = t; idx < ts; idx += cpb) {
-        Tk[idx] = static_cast<CT>(Tau.at(row0, idx));
-      }
-      const index_t c = cg0 + t;
-      if (c >= colend) return;
-      auto x = Xi(t);
-      for (int r = 0; r < ts; ++r) x[r] = static_cast<CT>(C.at(rbase + r, c));
-    });
-
-    for (int step = 0; step + 1 < ts; ++step) {
-      // Forward composes Q^T (factorization order); Backward composes Q by
-      // walking the same symmetric reflectors in reverse.
-      const int kk = dir == ApplyDir::Forward ? step : ts - 2 - step;
-      wg.items([&](int t) {  // stage Householder column kk
-        for (int idx = t; idx < ts; idx += cpb) {
-          Ak[idx] = static_cast<CT>(V.at(rbase + idx, cbase + kk));
-        }
-      });
-      wg.items([&](int t) {
-        const index_t c = cg0 + t;
-        if (c >= colend) return;
-        auto x = Xi(t);
-        CT rho = x[kk];
-        for (int r = kk + 1; r < ts; ++r) rho += x[r] * Ak[r];
-        rho *= Tk[kk];
-        x[kk] -= rho;
-        for (int r = kk + 1; r < ts; ++r) x[r] -= rho * Ak[r];
-      });
+    const int nc = static_cast<int>(std::min<index_t>(cpb, colend - cg0));
+    for (int idx = 0; idx < ts; ++idx) {
+      Tk[idx] = static_cast<CT>(Tau.at(row0, idx));
     }
 
-    wg.items([&](int t) {
-      const index_t c = cg0 + t;
-      if (c >= colend) return;
-      auto x = Xi(t);
-      for (int r = 0; r < ts; ++r) C.at(rbase + r, c) = static_cast<TA>(x[r]);
-    });
+    // Forward composes Q^T (factorization order); Backward composes Q by
+    // walking the same symmetric reflectors in reverse.
+    const auto kk_of = [&](int step) {
+      return dir == ApplyDir::Forward ? step : ts - 2 - step;
+    };
+    // Householder column of `step`. Staging alternates between two buffers
+    // so the current column survives staging the next.
+    const auto column = [&](int step) {
+      const int kk = kk_of(step);
+      return stage_column(V, rbase, cbase + kk, kk + 1, ts,
+                          Ak.data() + (step % 2) * ts);
+    };
+    const auto xrow = [&](int r) { return Xc.data() + r * W; };
+
+    for (int j0 = 0; j0 < nc; j0 += W) {
+      const int ncb = std::min(W, nc - j0);
+      load_chunk(Xc.data(), C, rbase, cg0 + j0, ts, ncb);
+
+      int kk = kk_of(0);
+      const CT* a = column(0);
+      CT rho[W];
+      for (int j = 0; j < W; ++j) rho[j] = xrow(kk)[j];
+      for (int r = kk + 1; r < ts; ++r) {
+        const CT akr = a[r];
+        const CT* Xr = xrow(r);
+        for (int j = 0; j < W; ++j) rho[j] += Xr[j] * akr;
+      }
+      for (int step = 0;; ++step) {
+        const CT tkk = Tk[kk];
+        CT* Xkk = xrow(kk);
+        for (int j = 0; j < W; ++j) {
+          rho[j] *= tkk;
+          Xkk[j] -= rho[j];
+        }
+        if (step + 2 == ts) {  // last reflector: the rank-1 update alone
+          for (int r = kk + 1; r < ts; ++r) {
+            const CT akr = a[r];
+            CT* Xr = xrow(r);
+            for (int j = 0; j < W; ++j) Xr[j] -= rho[j] * akr;
+          }
+          break;
+        }
+        // The rank-1 update of reflector kk also runs the reduction of the
+        // next reflector kn over the rows it has just updated: one sweep of
+        // the tile instead of two, each lane's operations in the same order.
+        const int kn = kk_of(step + 1);
+        const CT* an = column(step + 1);
+        CT next[W];
+        int r = kk + 1;
+        if (kn > kk) {  // Forward: the reduction starts at row kn = kk + 1
+          const CT akr = a[r];
+          CT* Xr = xrow(r);
+          for (int j = 0; j < W; ++j) {
+            Xr[j] -= rho[j] * akr;
+            next[j] = Xr[j];
+          }
+          ++r;
+        } else {  // Backward: row kn = kk - 1 precedes reflector kk's rows
+          const CT ank = an[kk];
+          const CT* Xn = xrow(kn);
+          for (int j = 0; j < W; ++j) next[j] = Xn[j] + Xkk[j] * ank;
+        }
+        for (; r < ts; ++r) {
+          const CT akr = a[r];
+          const CT anr = an[r];
+          CT* Xr = xrow(r);
+          for (int j = 0; j < W; ++j) {
+            Xr[j] -= rho[j] * akr;
+            next[j] += Xr[j] * anr;
+          }
+        }
+        for (int j = 0; j < W; ++j) rho[j] = next[j];
+        kk = kn;
+        a = an;
+      }
+
+      store_chunk(C, Xc.data(), rbase, cg0 + j0, ts, ncb);
+    }
+    // unisvd-lint: end-kernel
   }, times);
 }
 

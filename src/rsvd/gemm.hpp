@@ -5,27 +5,30 @@
 /// downstream reuses the tiled QR kernels).
 ///
 /// Grid: one workgroup per (row tile, column block) of Y; COLPERBLOCK
-/// work-items per group, each owning one output column of the tile in
-/// private memory ("registers"). Per reduction step the work-item reads one
-/// Omega element and streams a contiguous column segment of A — the
-/// column-major-friendly axpy ordering. Accumulation runs in the compute
-/// precision; the store into Y rounds once (storage precision), matching
-/// the pipeline's upcast/downcast policy.
+/// work-items per group, each owning one output column of the tile. Per
+/// reduction step a column reads one Omega element and streams a contiguous
+/// column segment of A — the column-major-friendly axpy ordering. On the
+/// CPU the group sweeps A once per kSketchCols columns. Accumulation runs
+/// in the compute precision; the store into Y rounds once (storage
+/// precision), matching the pipeline's upcast/downcast policy.
 ///
 /// Launches go through Backend::launch like every Stage-1 kernel, so
 /// batched scheduling applies unchanged: inter-problem slots run the
 /// sketch inline, Mixed-schedule slots publish its workgroups for stealing.
 
-#include <type_traits>
+#include <algorithm>
 
 #include "common/matrix.hpp"
 #include "common/precision.hpp"
 #include "ka/backend.hpp"
-#include "ka/simd/simd.hpp"
 #include "ka/stage_times.hpp"
 #include "qr/kernel_config.hpp"
+#include "qr/lane_chunk.hpp"
 
 namespace unisvd::rsvd {
+
+/// Output columns one sketch_gemm sweep over A updates (see the kernel).
+inline constexpr int kSketchCols = 4;
 
 /// y(0:m, 0:l) = a * omega / scale, with a m x n (any storage type, lazy
 /// transpose respected), omega n x l in compute precision, y at least
@@ -64,109 +67,70 @@ void sketch_gemm(ka::Backend& be, ConstMatrixView<T> a,
   desc.cost.bytes_written = static_cast<double>(m) * l * sizeof(T);
   desc.cost.serial_iterations = static_cast<double>(n);
 
-#if UNISVD_SIMD_COMPILED
-  // Vector path when the A column segment is both contiguous (no lazy
-  // transpose) and already in compute precision (FP32/FP64; Half streams
-  // through the scalar cast path). Four output columns are accumulated per
-  // sweep so every A segment loaded from cache feeds four axpys — the
-  // register blocking that lifts the kernel off the A-stream bandwidth
-  // ceiling. Element r of column c still receives exactly the scalar
-  // path's fuse-free `a * w` products in the same kk order (zero weights
-  // skipped identically), so results are bit-identical.
-  const bool use_simd =
-      std::is_same_v<T, CT> && be.vectorized() && !a.is_transposed();
-#endif
-
   ka::timed_launch(be, desc, [=](ka::WorkGroupCtx& wg) {
-    auto Yi = wg.priv<CT>(static_cast<std::size_t>(ts));
+    // unisvd-lint: begin-kernel(sketch-gemm)
+    // kSketchCols output columns per sweep of A, so every A segment loaded
+    // feeds that many axpys (the register blocking that lifts the kernel
+    // off the A-stream bandwidth ceiling). A is read in place when its
+    // column segment is contiguous and already in compute precision, and
+    // staged through a local column otherwise. Per output element the
+    // products a(r, kk) * w still accumulate in kk order with zero weights
+    // skipped, as in a one-column-per-work-item body, so the bits do not
+    // depend on the blocking, COLPERBLOCK or the ISA.
+    constexpr int CB = kSketchCols;
+    auto Acc = wg.local<CT>(static_cast<std::size_t>(CB) * ts);
+    auto Acol = wg.local<CT>(static_cast<std::size_t>(ts));
     const index_t rt = wg.group_id() % row_tiles;
     const index_t cb = wg.group_id() / row_tiles;
     const index_t rbase = rt * ts;
-    const index_t rend = std::min<index_t>(m, rbase + ts);
+    const int len = static_cast<int>(std::min<index_t>(m, rbase + ts) - rbase);
     const index_t cg0 = cb * cpb;
+    const int ncg = static_cast<int>(std::min<index_t>(cpb, l - cg0));
 
-#if UNISVD_SIMD_COMPILED
-    if (use_simd) {
-      if constexpr (std::is_same_v<T, CT>) {
-        namespace sd = ka::simd;
-        constexpr int L = sd::lanes_v<CT>;
-        constexpr int CB = 4;  // output columns blocked per A sweep
-        const int len = static_cast<int>(rend - rbase);
-        auto Acc = wg.local<CT>(static_cast<std::size_t>(CB) * ts);
-        const int ncg = static_cast<int>(std::min<index_t>(cpb, l - cg0));
-        for (int t0 = 0; t0 < ncg; t0 += CB) {
-          const int ncb = std::min(CB, ncg - t0);
-          for (int i = 0; i < ncb * ts; ++i) Acc[i] = CT(0);
-          for (index_t kk = 0; kk < n; ++kk) {
-            CT w[CB] = {};
-            bool all_nz = ncb == CB;
-            for (int j = 0; j < ncb; ++j) {
-              w[j] = omega.at(kk, cg0 + t0 + j);
-              all_nz = all_nz && w[j] != CT(0);
-            }
-            const CT* acol = &a.at(rbase, kk);
-            if (all_nz) {
-              CT* a0 = Acc.data();
-              CT* a1 = a0 + ts;
-              CT* a2 = a1 + ts;
-              CT* a3 = a2 + ts;
-              const sd::vec_t<CT> w0 = sd::broadcast(w[0]);
-              const sd::vec_t<CT> w1 = sd::broadcast(w[1]);
-              const sd::vec_t<CT> w2 = sd::broadcast(w[2]);
-              const sd::vec_t<CT> w3 = sd::broadcast(w[3]);
-              int r = 0;
-              for (; r + L <= len; r += L) {
-                const sd::vec_t<CT> va = sd::load<CT>(acol + r);
-                sd::store(a0 + r, sd::load<CT>(a0 + r) + va * w0);
-                sd::store(a1 + r, sd::load<CT>(a1 + r) + va * w1);
-                sd::store(a2 + r, sd::load<CT>(a2 + r) + va * w2);
-                sd::store(a3 + r, sd::load<CT>(a3 + r) + va * w3);
-              }
-              for (; r < len; ++r) {
-                a0[r] += acol[r] * w[0];
-                a1[r] += acol[r] * w[1];
-                a2[r] += acol[r] * w[2];
-                a3[r] += acol[r] * w[3];
-              }
-            } else {
-              for (int j = 0; j < ncb; ++j) {
-                if (w[j] == CT(0)) continue;
-                sd::add_scaled(Acc.data() + static_cast<std::size_t>(j) * ts,
-                               acol, w[j], len);
-              }
-            }
+    for (int t0 = 0; t0 < ncg; t0 += CB) {
+      const int ncb = std::min(CB, ncg - t0);
+      for (int i = 0; i < CB * ts; ++i) Acc[i] = CT(0);
+      for (index_t kk = 0; kk < n; ++kk) {
+        CT w[CB] = {};
+        bool all_nz = ncb == CB;
+        for (int j = 0; j < ncb; ++j) {
+          w[j] = omega.at(kk, cg0 + t0 + j);
+          all_nz = all_nz && w[j] != CT(0);
+        }
+        const CT* acol = qr::stage_column(a, rbase, kk, 0, len, Acol.data());
+        if (all_nz) {
+          // Disjoint ts-slices of local memory, apart from A: restrict spares
+          // the vectorized loop its runtime overlap checks on every kk.
+          CT* __restrict a0 = Acc.data();
+          CT* __restrict a1 = a0 + ts;
+          CT* __restrict a2 = a1 + ts;
+          CT* __restrict a3 = a2 + ts;
+          const CT* __restrict av = acol;
+          for (int r = 0; r < len; ++r) {
+            const CT v = av[r];
+            a0[r] += v * w[0];
+            a1[r] += v * w[1];
+            a2[r] += v * w[2];
+            a3[r] += v * w[3];
           }
+        } else {
           for (int j = 0; j < ncb; ++j) {
-            const CT* acc = Acc.data() + static_cast<std::size_t>(j) * ts;
-            const index_t c = cg0 + t0 + j;
-            for (int r = 0; r < len; ++r) {
-              const CT v = scale == 1.0 ? acc[r] : acc[r] / s;
-              y.at(rbase + r, c) = static_cast<T>(v);
-            }
+            if (w[j] == CT(0)) continue;
+            CT* acc = Acc.data() + static_cast<std::size_t>(j) * ts;
+            for (int r = 0; r < len; ++r) acc[r] += acol[r] * w[j];
           }
         }
-        return;
+      }
+      for (int j = 0; j < ncb; ++j) {
+        const CT* acc = Acc.data() + static_cast<std::size_t>(j) * ts;
+        const index_t c = cg0 + t0 + j;
+        for (int r = 0; r < len; ++r) {
+          const CT v = scale == 1.0 ? acc[r] : acc[r] / s;
+          y.at(rbase + r, c) = static_cast<T>(v);
+        }
       }
     }
-#endif
-
-    wg.items([&](int t) {
-      const index_t c = cg0 + t;
-      if (c >= l) return;
-      auto acc = Yi(t);
-      for (int r = 0; r < ts; ++r) acc[r] = CT(0);
-      for (index_t kk = 0; kk < n; ++kk) {
-        const CT w = omega.at(kk, c);
-        if (w == CT(0)) continue;
-        for (index_t r = rbase; r < rend; ++r) {
-          acc[r - rbase] += static_cast<CT>(a.at(r, kk)) * w;
-        }
-      }
-      for (index_t r = rbase; r < rend; ++r) {
-        const CT v = scale == 1.0 ? acc[r - rbase] : acc[r - rbase] / s;
-        y.at(r, c) = static_cast<T>(v);
-      }
-    });
+    // unisvd-lint: end-kernel
   }, times);
 }
 

@@ -13,11 +13,8 @@
 #include <thread>
 #include <vector>
 
-#include <cstdlib>
-
 #include "common/error.hpp"
 #include "ka/backend.hpp"
-#include "ka/simd/dispatch.hpp"
 #include "ka/stage_times.hpp"
 
 using namespace unisvd;
@@ -576,19 +573,12 @@ TEST(StageTimes, AccumulatesPerStage) {
 }
 
 TEST(Backend, DefaultBackendExecutesAndMatchesDispatch) {
-  // The default backend is the SIMD CPU backend exactly when runtime
-  // dispatch allows vectorization (SIMD compiled in, CPU capable, no
-  // UNISVD_FORCE_SCALAR before first use); the scalar CPU backend otherwise.
+  // Every build serves the process from one pooled CPU backend: the ISA is
+  // a compile flag, not a runtime choice between backends.
   auto& be = ka::default_backend();
   EXPECT_TRUE(be.executes());
-  if (ka::simd::runtime_enabled()) {
-    EXPECT_EQ(be.name(), "simd");
-    EXPECT_TRUE(be.vectorized());
-  } else {
-    EXPECT_EQ(be.name(), "cpu");
-    EXPECT_FALSE(be.vectorized());
-  }
-  ASSERT_NE(be.batch_pool(), nullptr);  // both choices are pooled backends
+  EXPECT_EQ(be.name(), "cpu");
+  ASSERT_NE(be.batch_pool(), nullptr);
 }
 
 TEST(Backend, BatchPoolExposedOnlyByPooledBackends) {
@@ -600,83 +590,6 @@ TEST(Backend, BatchPoolExposedOnlyByPooledBackends) {
   EXPECT_EQ(serial.batch_pool(), nullptr);
   ka::TraceBackend trace;
   EXPECT_EQ(trace.batch_pool(), nullptr);
-}
-
-TEST(Backend, OnlySimdBackendReportsVectorized) {
-  ka::SerialBackend serial;
-  ka::CpuBackend cpu(2);
-  ka::TraceBackend trace;
-  EXPECT_FALSE(serial.vectorized());
-  EXPECT_FALSE(cpu.vectorized());
-  EXPECT_FALSE(trace.vectorized());
-  ka::SimdCpuBackend simd(2);
-  EXPECT_EQ(simd.name(), "simd");
-  // Whatever dispatch decides, the backend must agree with it at
-  // construction time.
-  EXPECT_EQ(simd.vectorized(), ka::simd::runtime_enabled());
-  // A SIMD backend is still a pooled CPU backend (batched scheduling works).
-  ASSERT_NE(simd.batch_pool(), nullptr);
-  EXPECT_EQ(simd.batch_pool()->size(), 2u);
-}
-
-TEST(SimdDispatch, CompileGateConsistent) {
-#if defined(UNISVD_SIMD) && UNISVD_SIMD
-  EXPECT_TRUE(ka::simd::compiled());
-  EXPECT_GT(ka::simd::lanes(Precision::FP32), 0);
-  EXPECT_GT(ka::simd::lanes(Precision::FP64), 0);
-  // FP16 computes in FP32, so it vectorizes at FP32 width.
-  EXPECT_EQ(ka::simd::lanes(Precision::FP16), ka::simd::lanes(Precision::FP32));
-  // 32-byte vectors: twice as many float lanes as double lanes.
-  EXPECT_EQ(ka::simd::lanes(Precision::FP32), 2 * ka::simd::lanes(Precision::FP64));
-#else
-  EXPECT_FALSE(ka::simd::compiled());
-  EXPECT_FALSE(ka::simd::runtime_enabled());
-  EXPECT_EQ(ka::simd::lanes(Precision::FP32), 0);
-  EXPECT_EQ(ka::simd::isa_name(), "scalar-build");
-#endif
-}
-
-TEST(SimdDispatch, ForceScalarEnvHonored) {
-  // Snapshot and restore: other tests in this binary consult dispatch.
-  const char* prev = std::getenv("UNISVD_FORCE_SCALAR");
-  const std::string saved = prev ? prev : "";
-  const bool had = prev != nullptr;
-
-  ASSERT_EQ(unsetenv("UNISVD_FORCE_SCALAR"), 0);
-  EXPECT_FALSE(ka::simd::force_scalar_env());
-
-  ASSERT_EQ(setenv("UNISVD_FORCE_SCALAR", "1", 1), 0);
-  EXPECT_TRUE(ka::simd::force_scalar_env());
-  EXPECT_FALSE(ka::simd::runtime_enabled());  // overrides compile gate + CPUID
-  EXPECT_EQ(ka::simd::isa_name(),
-            ka::simd::compiled() ? "scalar-forced" : "scalar-build");
-  {
-    // A backend constructed under the override runs scalar even in a SIMD
-    // build — construction-time sampling is the contract.
-    ka::SimdCpuBackend forced(1);
-    EXPECT_FALSE(forced.vectorized());
-    EXPECT_EQ(forced.name(), "simd");
-  }
-
-  // "0" and empty mean "not forced".
-  ASSERT_EQ(setenv("UNISVD_FORCE_SCALAR", "0", 1), 0);
-  EXPECT_FALSE(ka::simd::force_scalar_env());
-  ASSERT_EQ(setenv("UNISVD_FORCE_SCALAR", "", 1), 0);
-  EXPECT_FALSE(ka::simd::force_scalar_env());
-
-  if (had) {
-    ASSERT_EQ(setenv("UNISVD_FORCE_SCALAR", saved.c_str(), 1), 0);
-  } else {
-    ASSERT_EQ(unsetenv("UNISVD_FORCE_SCALAR"), 0);
-  }
-}
-
-TEST(SimdDispatch, RuntimeEnabledIsConjunction) {
-  // runtime_enabled() must equal the conjunction of its three documented
-  // conditions, whatever this machine and build happen to be.
-  EXPECT_EQ(ka::simd::runtime_enabled(),
-            ka::simd::compiled() && ka::simd::cpu_supported() &&
-                !ka::simd::force_scalar_env());
 }
 
 // ---------------------------------------------------------------------------

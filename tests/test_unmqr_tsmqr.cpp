@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+#include <string>
+#include <utility>
+
 #include "common/linalg_ref.hpp"
 #include "ka/backend.hpp"
 #include "qr/band_reduction.hpp"
@@ -32,6 +36,46 @@ qr::KernelConfig config(int ts, int cpb) {
   cfg.tilesize = ts;
   cfg.colperblock = cpb;
   return cfg;
+}
+
+/// GEQRT + UNMQR on tile row 0, then TSQRT + fused TSMQR over tile rows
+/// 1..nt-1, at one COLPERBLOCK. Returns the matrix after UNMQR and after
+/// the fused TSMQR.
+template <class T>
+std::pair<Matrix<T>, Matrix<T>> update_at_colperblock(int ts, int cpb, index_t nt) {
+  Matrix<T> w = testutil::convert<T>(random_matrix(nt * ts, nt * ts, 77));
+  Matrix<T> tau(nt, ts, T(0));
+  ka::CpuBackend be(4);
+  const auto cfg = config(ts, cpb);
+  qr::geqrt<T>(be, w.view(), 0, 0, tau.view(), cfg);
+  qr::unmqr<T>(be, w.view(), 0, 0, 1, nt, tau.view(), cfg);
+  Matrix<T> after_unmqr = w;
+  qr::tsqrt<T>(be, w.view(), 0, 0, 1, nt, tau.view(), cfg);
+  qr::tsmqr<T>(be, w.view(), 0, 0, 1, nt, 1, nt, tau.view(), cfg);
+  return {std::move(after_unmqr), std::move(w)};
+}
+
+template <class T>
+void expect_same_bits(const Matrix<T>& a, const Matrix<T>& b, const std::string& what) {
+  for (index_t j = 0; j < a.cols(); ++j) {
+    for (index_t i = 0; i < a.rows(); ++i) {
+      ASSERT_EQ(a(i, j), b(i, j)) << what << " at (" << i << ", " << j << ")";
+    }
+  }
+}
+
+template <class T>
+void expect_colperblock_invariant(int ts, std::initializer_list<int> cpbs) {
+  const index_t nt = 3;
+  const auto ref = update_at_colperblock<T>(ts, *cpbs.begin(), nt);
+  for (const int cpb : cpbs) {
+    const auto got = update_at_colperblock<T>(ts, cpb, nt);
+    const std::string what = std::string(sizeof(T) == 4 ? "fp32" : "fp64") +
+                             " ts=" + std::to_string(ts) +
+                             " cpb=" + std::to_string(cpb);
+    expect_same_bits(ref.first, got.first, "unmqr " + what);
+    expect_same_bits(ref.second, got.second, "fused tsmqr " + what);
+  }
 }
 
 }  // namespace
@@ -67,25 +111,15 @@ TEST(Unmqr, MatchesReferenceApplication) {
 }
 
 TEST(Unmqr, ResultIndependentOfColperblock) {
-  const int ts = 32;
-  for (int cpb : {8, 16, 32}) {
-    World wd = make_world(ts, 2, 77);  // same seed: same input
-    ka::CpuBackend be(4);
-    const auto cfg = config(ts, cpb);
-    qr::geqrt<double>(be, wd.w.view(), 0, 0, wd.tau.view(), cfg);
-    qr::unmqr<double>(be, wd.w.view(), 0, 0, 1, 2, wd.tau.view(), cfg);
-    static Matrix<double> reference;
-    if (cpb == 8) {
-      reference = wd.w;
-    } else {
-      // COLPERBLOCK only re-partitions columns over workgroups: bitwise equal.
-      for (index_t j = 0; j < wd.w.cols(); ++j) {
-        for (index_t i = 0; i < wd.w.rows(); ++i) {
-          ASSERT_EQ(wd.w(i, j), reference(i, j)) << "cpb=" << cpb;
-        }
-      }
-    }
-  }
+  // COLPERBLOCK only re-partitions columns over workgroups, and each lane
+  // chunk of a group (kLaneChunk columns) runs every column's own operation
+  // sequence: UNMQR and fused TSMQR results are bitwise equal across it.
+  // ts 32 covers groups narrower than one chunk (8, 16) and exactly one
+  // (32); ts 128 adds narrower (4, 8) and several-chunk groups (64, 128).
+  expect_colperblock_invariant<float>(32, {8, 16, 32});
+  expect_colperblock_invariant<double>(32, {8, 16, 32});
+  expect_colperblock_invariant<float>(128, {4, 8, 32, 64, 128});
+  expect_colperblock_invariant<double>(128, {4, 8, 32, 64, 128});
 }
 
 TEST(Tsmqr, PairUpdateMatchesReference) {
