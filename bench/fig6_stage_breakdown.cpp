@@ -91,9 +91,10 @@ int main() {
       "\nExpected shape (paper Fig. 6): stage-1 (panel+trailing) share grows\n"
       "with n; the trailing/panel ratio grows with n, saturating earlier on\n"
       "GPUs with fewer multiprocessors (RTX4060). Vector accumulation (the\n"
-      "extension) owns ALL vector work: the Stage-1 accumulator launches AND\n"
-      "the Stage-2/3 accumulator rotations (split out of the band2bi/bi2diag\n"
-      "timers via their acc_seconds out-params), so band2bi/bi2diag stay\n"
-      "comparable between values-only and vector jobs.\n");
+      "extension) is the back-transformation after Stage 3: the Stage-2\n"
+      "rotation replay and the Stage-1 (and tall-panel) reflector replays.\n"
+      "Stage 2 only logs its rotations and D&C (bi2diag) returns the\n"
+      "bidiagonal's factors, so band2bi stays comparable between values-only\n"
+      "and vector jobs.\n");
   return 0;
 }

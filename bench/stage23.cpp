@@ -1,192 +1,136 @@
-/// Flagship Stage-2+3 engine comparison with CI acceptance gates.
+/// Vector-job cost of the default pipeline, with CI acceptance gates.
 ///
-/// One banded problem (Stage-1 output shape: upper band of bandwidth bw),
-/// two engine stacks over identity-seeded n x n accumulators:
+/// One n x n FP32 input (default n = 2048, a 1-decade log spectrum — the
+/// dense profile of the repository benchmark) is solved by default-config
+/// svd_values_report as ValuesOnly and as Thin: one untimed warm-up pair,
+/// then `--pairs` (default 5) interleaved pairs, the side order
+/// alternating from pair to pair. A Thin
+/// solve adds to the values-only one the Stage-2 rotation log, the D&C
+/// Stage 3 and the back-transformation of both factors. The binary EXITS
+/// NON-ZERO unless
 ///
-///   baseline : eager accumulator mirroring  +  implicit-QR Stage 3
-///   blocked  : cache-blocked, vectorized rotation-batch replay
-///              (band/rot_batch.hpp)
-///              +  divide-and-conquer Stage 3 (dc/dc_svd.hpp)
-///
-/// and a values-only implicit-QR oracle for the accuracy gate. The binary
-/// EXITS NON-ZERO unless, at the default n = 2048 FP32 Thin-equivalent
-/// setup,
-///
-///   * blocked + D&C beats eager + QR by >= 2.0x on Stage-2+3 wall clock,
-///   * every D&C singular value matches the oracle within 50 eps n
-///     (relative to sigma_1, FP32 storage eps),
-///   * the D&C factors stay orthogonal within the same 50 eps n budget,
+///   * the median over pairs of the Thin / values-only wall-clock ratio is
+///     at most kRatioGate,
+///   * every Thin singular value matches the values-only one within
+///     50 eps n (relative to sigma_1, FP32 storage eps),
+///   * U and V^T are orthogonal within the same 50 eps n budget,
 ///
 /// so the Release CI smoke run (--json BENCH_stage23.json) enforces the
-/// performance claim by exit code. The Stage-2-only ratio
-/// (`stage2_speedup`) is printed and recorded but not gated. `--n <extent>`
-/// overrides the size for local exploration (the speedup gate still
-/// applies).
+/// vector-job cost claim by exit code. kRatioGate sits between the ratios
+/// measured with the back-transformation (4.72-5.60 over 10 runs) and with
+/// the forward accumulation it replaced (7.24-8.15), on a 4-core x86 VM.
+/// It is calibrated at n = 2048; `--n <extent>` overrides the size for
+/// local exploration (the gate still applies).
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
-#include "band/band_matrix.hpp"
-#include "band/band_to_bidiag.hpp"
 #include "bench_util.hpp"
-#include "bidiag/bidiag_qr.hpp"
 #include "common/linalg_ref.hpp"
-#include "dc/dc_svd.hpp"
-#include "ka/backend.hpp"
+#include "core/svd.hpp"
+#include "rand/matrix_gen.hpp"
 #include "rand/rng.hpp"
+#include "rand/spectrum.hpp"
 
 using namespace unisvd;
 
 namespace {
+
+constexpr double kRatioGate = 6.4;
 
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
 }
 
-/// Random dense n x n with entries only in the upper band [0, bw] — the
-/// shape Stage 1 hands to Stage 2, without paying an untimed Stage-1 run.
-Matrix<float> random_banded(index_t n, index_t bw, std::uint64_t seed) {
-  rnd::Xoshiro256 rng(seed);
-  Matrix<float> a(n, n, 0.0f);
-  for (index_t j = 0; j < n; ++j) {
-    for (index_t i = (j > bw ? j - bw : 0); i <= j && i < n; ++i) {
-      a(i, j) = static_cast<float>(rng.normal());
-    }
-  }
-  return a;
-}
-
-Matrix<float> identity_acc(index_t n) {
-  Matrix<float> m(n, n, 0.0f);
-  for (index_t i = 0; i < n; ++i) m(i, i) = 1.0f;
-  return m;
-}
-
-struct ArmResult {
-  double stage2_seconds = 0.0;
-  double stage3_seconds = 0.0;
-  std::vector<float> values;
-  Matrix<float> ut;
-  Matrix<float> vt;
-  double batch_flushes = 0.0;
-
-  [[nodiscard]] double total() const { return stage2_seconds + stage3_seconds; }
-};
-
-ArmResult run_arm(const Matrix<float>& dense, index_t bw, bool blocked_dc,
-                  ka::Backend& backend) {
-  ArmResult out;
-  const index_t n = dense.rows();
-  auto b = band::extract_band<float>(dense.view(), bw);
-  out.ut = identity_acc(n);
-  out.vt = identity_acc(n);
-  MatrixView<float> utv = out.ut.view();
-  MatrixView<float> vtv = out.vt.view();
-  std::vector<float> d, e;
-
-  auto t0 = std::chrono::steady_clock::now();
-  if (blocked_dc) {
-    band::Stage2Options<float> opts;
-    opts.ut = &utv;
-    opts.vt = &vtv;
-    opts.backend = &backend;
-    opts.rot_batch = 4096;
-    out.batch_flushes = band::band_to_bidiag(b, d, e, opts).batch_flushes;
-  } else {
-    band::band_to_bidiag(b, d, e, &utv, &vtv);
-  }
-  out.stage2_seconds = seconds_since(t0);
-
-  t0 = std::chrono::steady_clock::now();
-  if (blocked_dc) {
-    dc::DcOptions dco;
-    dco.pool = backend.batch_pool();
-    out.values =
-        dc::bidiag_svd_dc<float>(std::move(d), std::move(e), &utv, &vtv, dco);
-  } else {
-    out.values =
-        bidiag::bidiag_svd_qr_vectors(std::move(d), std::move(e), utv, vtv);
-  }
-  out.stage3_seconds = seconds_since(t0);
-  return out;
-}
-
-void print_arm(const char* name, const ArmResult& a) {
-  std::printf("%-22s %10s %10s %10s %10.0f\n", name,
-              benchutil::fmt_seconds(a.stage2_seconds).c_str(),
-              benchutil::fmt_seconds(a.stage3_seconds).c_str(),
-              benchutil::fmt_seconds(a.total()).c_str(), a.batch_flushes);
+double timed_solve(const Matrix<float>& a, SvdJob job, SvdReport& out) {
+  SvdConfig cfg;
+  cfg.job = job;
+  const auto t0 = std::chrono::steady_clock::now();
+  out = svd_values_report<float>(a.view(), cfg);
+  return seconds_since(t0);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   index_t n = 2048;
-  index_t bw = 32;
+  int pairs = 5;
   for (int i = 0; i + 1 < argc; ++i) {
     if (std::strcmp(argv[i], "--n") == 0) n = std::atoll(argv[i + 1]);
-    if (std::strcmp(argv[i], "--bw") == 0) bw = std::atoll(argv[i + 1]);
+    if (std::strcmp(argv[i], "--pairs") == 0) pairs = std::atoi(argv[i + 1]);
   }
+  pairs = std::max(pairs, 1);
   auto json = benchutil::JsonSink::from_args("stage23", argc, argv);
-  ka::CpuBackend backend;
 
-  benchutil::print_header("Stage-2+3 engine comparison (FP32, gated)");
-  std::printf("n = %lld, bandwidth = %lld\n\n", static_cast<long long>(n),
-              static_cast<long long>(bw));
+  benchutil::print_header("Thin vs values-only, default pipeline (FP32, gated)");
+  std::printf("n = %lld, %d interleaved pairs\n\n", static_cast<long long>(n), pairs);
 
-  const Matrix<float> dense = random_banded(n, bw, 2300 + static_cast<std::uint64_t>(n));
+  rnd::Xoshiro256 rng(2300 + static_cast<std::uint64_t>(n));
+  const Matrix<float> a = rnd::round_to<float>(
+      rnd::matrix_with_spectrum_fast(rnd::logarithmic_spectrum(n, 1.0), rng));
 
-  // Values-only implicit-QR oracle: the historic bit-identical reference.
-  std::vector<double> oracle;
-  {
-    auto b = band::extract_band<float>(dense.view(), bw);
-    std::vector<float> d, e;
-    band::band_to_bidiag(b, d, e);
-    const auto vals = bidiag::bidiag_svd_qr(std::move(d), std::move(e));
-    oracle.assign(vals.begin(), vals.end());
+  std::vector<double> values_s;
+  std::vector<double> thin_s;
+  std::vector<double> ratios;
+  SvdReport vals;
+  SvdReport thin;
+  // One untimed pair first: the first solve of a process pays page faults
+  // and pool start-up.
+  timed_solve(a, SvdJob::ValuesOnly, vals);
+  timed_solve(a, SvdJob::Thin, thin);
+  std::printf("%-6s %12s %12s %8s\n", "pair", "values-only", "thin", "ratio");
+  for (int p = 0; p < pairs; ++p) {
+    double tv = 0.0;
+    double tt = 0.0;
+    if (p % 2 == 0) {
+      tv = timed_solve(a, SvdJob::ValuesOnly, vals);
+      tt = timed_solve(a, SvdJob::Thin, thin);
+    } else {
+      tt = timed_solve(a, SvdJob::Thin, thin);
+      tv = timed_solve(a, SvdJob::ValuesOnly, vals);
+    }
+    values_s.push_back(tv);
+    thin_s.push_back(tt);
+    ratios.push_back(tt / tv);
+    std::printf("%-6d %12s %12s %8.2f\n", p, benchutil::fmt_seconds(tv).c_str(),
+                benchutil::fmt_seconds(tt).c_str(), tt / tv);
   }
+  const auto rq = benchutil::quartiles(ratios);
+  const double values_med = benchutil::quartiles(values_s).median;
+  const double thin_med = benchutil::quartiles(thin_s).median;
 
-  std::printf("%-22s %10s %10s %10s %10s\n", "engine stack", "stage2", "stage3",
-              "total", "flushes");
-  const ArmResult eager = run_arm(dense, bw, /*blocked_dc=*/false, backend);
-  print_arm("eager + implicit QR", eager);
-  const ArmResult blocked = run_arm(dense, bw, /*blocked_dc=*/true, backend);
-  print_arm("blocked + D&C", blocked);
-
-  const double speedup = eager.total() / blocked.total();
-  // Reported, not gated: eager mirroring runs on one thread and the
-  // blocked replay on the backend's pool, so this ratio scales with cores.
-  const double stage2_speedup = eager.stage2_seconds / blocked.stage2_seconds;
   const double eps = 1.1920928955078125e-07;  // FP32 storage eps
   const double tol = 50.0 * eps * static_cast<double>(n);
-
   double sigma_err = 0.0;
-  const double denom = oracle.empty() ? 1.0 : std::max(oracle[0], 1e-30);
-  for (std::size_t i = 0; i < oracle.size() && i < blocked.values.size(); ++i) {
-    sigma_err = std::max(
-        sigma_err, std::abs(static_cast<double>(blocked.values[i]) - oracle[i]) / denom);
+  const double denom = vals.values.empty() ? 1.0 : std::max(vals.values[0], 1e-30);
+  for (std::size_t i = 0; i < vals.values.size() && i < thin.values.size(); ++i) {
+    sigma_err = std::max(sigma_err, std::abs(thin.values[i] - vals.values[i]) / denom);
   }
-  const double ortho_u = ref::orthogonality_defect(blocked.ut.view());
-  const double ortho_v = ref::orthogonality_defect(blocked.vt.view());
+  // Square factors: U^T U and V V^T both measure the defect, and these
+  // orientations read the column-major storage contiguously.
+  const double ortho_u = ref::orthogonality_defect(thin.u.view());
+  const double ortho_v = ref::orthogonality_defect(thin.vt.view());
 
-  std::printf("\nspeedup (stage2+3)     %8.2fx   (gate >= 2.00x)\n", speedup);
-  std::printf("stage2_speedup         %8.2fx   (not gated)\n", stage2_speedup);
+  std::printf("\nratio median %.2f (quartiles %.2f / %.2f)   (gate <= %.2f)\n",
+              rq.median, rq.q1, rq.q3, kRatioGate);
   std::printf("max rel sigma error    %8.2e   (gate <= %.2e)\n", sigma_err, tol);
   std::printf("orthogonality defect   %8.2e / %8.2e (gate <= %.2e)\n", ortho_u,
               ortho_v, tol);
 
   json.record("n", static_cast<double>(n), "extent");
-  json.record("stage2_eager_seconds", eager.stage2_seconds, "s");
-  json.record("stage3_qr_seconds", eager.stage3_seconds, "s");
-  json.record("stage2_blocked_seconds", blocked.stage2_seconds, "s");
-  json.record("stage3_dc_seconds", blocked.stage3_seconds, "s");
-  json.record("batch_flushes", blocked.batch_flushes, "count");
-  json.record("speedup", speedup, "x");
-  json.record("stage2_speedup", stage2_speedup, "x");
+  json.record("pairs", static_cast<double>(pairs), "count");
+  json.record("values_seconds", values_med, "s");
+  json.record("thin_seconds", thin_med, "s");
+  json.record("thin_values_ratio", rq.median, "x");
+  json.record("thin_values_ratio_q1", rq.q1, "x");
+  json.record("thin_values_ratio_q3", rq.q3, "x");
   json.record("max_rel_sigma_error", sigma_err, "rel");
   json.record("ortho_defect_u", ortho_u, "fro");
   json.record("ortho_defect_v", ortho_v, "fro");
@@ -197,9 +141,9 @@ int main(int argc, char** argv) {
     std::printf("[%s] %s\n", ok ? "PASS" : "FAIL", what);
     if (!ok) ++failures;
   };
-  gate(speedup >= 2.0, "blocked + D&C >= 2x over eager + QR on stage2+3");
-  gate(sigma_err <= tol, "D&C sigma within 50 eps n of the QR oracle");
-  gate(ortho_u <= tol && ortho_v <= tol, "D&C factors orthogonal within 50 eps n");
-  gate(blocked.batch_flushes > 0.0, "blocked arm exercised the rotation batch");
+  gate(vals.status == SvdStatus::Ok && thin.status == SvdStatus::Ok, "both solves ok");
+  gate(rq.median <= kRatioGate, "median Thin / values-only ratio within the gate");
+  gate(sigma_err <= tol, "Thin sigma within 50 eps n of values-only");
+  gate(ortho_u <= tol && ortho_v <= tol, "U and V^T orthogonal within 50 eps n");
   return failures == 0 ? 0 : 1;
 }

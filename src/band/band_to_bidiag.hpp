@@ -12,16 +12,16 @@
 /// transformations are used, so singular values are preserved exactly (in
 /// exact arithmetic).
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
-#include <optional>
 #include <utility>
 #include <vector>
 
 #include "band/band_matrix.hpp"
 #include "band/rot_batch.hpp"
 #include "common/error.hpp"
-#include "common/givens_rows.hpp"
 
 namespace unisvd::band {
 
@@ -37,7 +37,7 @@ std::pair<CT, CT> givens(CT f, CT g) {
   // Subnormal inputs carry only a few mantissa bits, so f/r and g/r can
   // land far off the unit circle (c^2 + s^2 up to 1.06 observed at FP32 on
   // severely graded bands) and thousands of such rotations inflate the
-  // accumulators without ever producing a NaN. (c, s) depend only on the
+  // vectors without ever producing a NaN. (c, s) depend only on the
   // ratio f : g, so rescale both by a power of two (exact) into the normal
   // range first.
   const CT tiny = std::numeric_limits<CT>::min();
@@ -50,68 +50,58 @@ std::pair<CT, CT> givens(CT f, CT g) {
   return {f / r, g / r};
 }
 
+/// Rotations one side of the chase makes at most on an n x n band of
+/// bandwidth bw: each (column j, superdiagonal dd) starts one chain of
+/// 1 + (n - 1 - (j + dd)) / bw left and as many right rotations (fewer when
+/// a bulge is exactly zero).
+inline index_t chase_rotation_bound(index_t n, index_t bw) {
+  index_t count = 0;
+  for (index_t j = 0; bw >= 2 && j + 2 <= n - 1; ++j) {
+    for (index_t dd = std::min(bw, n - 1 - j); dd >= 2; --dd) {
+      count += 1 + (n - 1 - (j + dd)) / bw;
+    }
+  }
+  return count;
+}
+
 }  // namespace detail
 
 /// Statistics of one Stage-2 run (reported on SvdReport::chase_stats).
 struct ChaseStats {
   double rotations = 0.0;      ///< Givens rotations applied
-  double batch_flushes = 0.0;  ///< rotation-batch replay passes (0 = eager)
-};
-
-/// Options of the Stage-2 chase (the accumulator-carrying overload below).
-template <class CT>
-struct Stage2Options {
-  MatrixView<CT>* ut = nullptr;      ///< left accumulator (rows = vectors)
-  MatrixView<CT>* vt = nullptr;      ///< right accumulator
-  double* acc_seconds = nullptr;     ///< Stage::VectorAccumulation share
-  /// Cache-blocked rotation batching (band/rot_batch.hpp): when `backend`
-  /// is non-null and `rot_batch` > 0, accumulator mirroring buffers up to
-  /// `rot_batch` rotations and replays each batch panel-by-panel through a
-  /// backend launch — bit-identical to the eager per-rotation path, but
-  /// cache-blocked, vectorized across accumulator columns and visible in
-  /// traces. The accumulators must then be whole matrices (untransposed,
-  /// ld == rows). Otherwise (the default) rotations mirror eagerly as they
-  /// are made.
-  ka::Backend* backend = nullptr;
-  index_t rot_batch = 0;
+  double batch_flushes = 0.0;  ///< replay passes of the logged rotations
 };
 
 /// Reduce `b` (upper band, bandwidth bw) to upper bidiagonal; returns the
 /// diagonal d and superdiagonal e (compute precision).
 ///
-/// Optional singular-vector accumulation: when `ut` / `vt` are non-null,
-/// every left (row) rotation G applied to band rows (r1, r2) is mirrored as
-/// Ut <- G * Ut and every right (column) rotation as Vt <- G^T * Vt — both
-/// are exactly the apply_givens_rows pair rotation on rows of the
-/// transposed accumulator (matching the Stage-1 convention), preserving the
-/// invariant A = ut^T * B * vt across the chase. The band arithmetic is identical
-/// with or without accumulators, so d/e — and the singular values — stay
-/// bit-identical. Identity rotations (c == 1, s == 0), which the padding
-/// region produces in bulk, skip the accumulator update (an exact no-op).
-///
-/// When `acc_seconds` is non-null, the wall clock the accumulator updates
-/// consume is added to it — the pipeline driver subtracts that share from
-/// the Stage-2 stopwatch and books it under Stage::VectorAccumulation, so
-/// the Figure 6 breakdown attributes vector work to the vector stage.
+/// When `log` is non-null (vector jobs) every left (row) rotation is
+/// appended to log->left and every right (column) rotation to log->right,
+/// in generation order, for the back-transformation's reverse replay
+/// (band/rot_batch.hpp). Identity rotations (c == 1, s == 0), which the
+/// padding region produces in bulk, are not logged: they are exact no-ops.
+/// The band arithmetic is the same with or without a log, so d/e — and the
+/// singular values — stay bit-identical.
 template <class CT>
 ChaseStats band_to_bidiag(BandMatrix<CT>& b, std::vector<CT>& d, std::vector<CT>& e,
-                          const Stage2Options<CT>& opts) {
+                          ChaseLog<CT>* log = nullptr) {
   const index_t n = b.n();
   const index_t bw = b.bandwidth();
-  MatrixView<CT>* ut = opts.ut;
-  MatrixView<CT>* vt = opts.vt;
   ChaseStats stats;
-  const AccTimer acc_timer(opts.acc_seconds);
-
-  // Rotation-batch replay: buffer the mirror rotations and apply them to
-  // one 64-column accumulator panel at a time instead of sweeping the full
-  // accumulator once per rotation. Bit-identical (see rot_batch.hpp); the
-  // batch holds the accumulators in its own layout until finish().
-  std::optional<GivensBatch<CT>> batch;
-  if (opts.backend != nullptr && opts.rot_batch > 0 &&
-      (ut != nullptr || vt != nullptr)) {
-    batch.emplace(*opts.backend, ut, vt, opts.rot_batch, acc_timer);
+  if (log != nullptr) {
+    UNISVD_REQUIRE(n <= std::numeric_limits<std::int32_t>::max(),
+                   "band_to_bidiag: extent exceeds the rotation log's index range");
+    const auto bound = static_cast<std::size_t>(detail::chase_rotation_bound(n, bw));
+    log->left.clear();
+    log->right.clear();
+    log->left.reserve(bound);
+    log->right.reserve(bound);
   }
+  const auto record = [&](RotationLog<CT>& side, index_t r, CT c, CT s) {
+    if (!(c == CT(1) && s == CT(0))) {
+      side.push_back(ChaseRotation<CT>{static_cast<std::int32_t>(r), c, s});
+    }
+  };
 
   auto rotate_cols = [&](index_t c1, index_t c2, index_t ilo, index_t ihi, CT c, CT s) {
     for (index_t i = ilo; i <= ihi; ++i) {
@@ -122,13 +112,7 @@ ChaseStats band_to_bidiag(BandMatrix<CT>& b, std::vector<CT>& d, std::vector<CT>
       u = nu;
       v = nv;
     }
-    if (vt != nullptr && !(c == CT(1) && s == CT(0))) {
-      if (batch.has_value()) {
-        batch->push(GivensBatch<CT>::Side::Right, c1, c2, c, s);
-      } else {
-        acc_timer.timed([&] { apply_givens_rows(*vt, c1, c2, c, s); });
-      }
-    }
+    if (log != nullptr) record(log->right, c1, c, s);
     stats.rotations += 1.0;
   };
   auto rotate_rows = [&](index_t r1, index_t r2, index_t jlo, index_t jhi, CT c, CT s) {
@@ -140,13 +124,7 @@ ChaseStats band_to_bidiag(BandMatrix<CT>& b, std::vector<CT>& d, std::vector<CT>
       u = nu;
       v = nv;
     }
-    if (ut != nullptr && !(c == CT(1) && s == CT(0))) {
-      if (batch.has_value()) {
-        batch->push(GivensBatch<CT>::Side::Left, r1, r2, c, s);
-      } else {
-        acc_timer.timed([&] { apply_givens_rows(*ut, r1, r2, c, s); });
-      }
-    }
+    if (log != nullptr) record(log->left, r1, c, s);
     stats.rotations += 1.0;
   };
 
@@ -186,11 +164,6 @@ ChaseStats band_to_bidiag(BandMatrix<CT>& b, std::vector<CT>& d, std::vector<CT>
     }
   }
 
-  if (batch.has_value()) {
-    batch->finish();
-    stats.batch_flushes = static_cast<double>(batch->flushes());
-  }
-
   d.resize(static_cast<std::size_t>(n));
   e.resize(static_cast<std::size_t>(n > 0 ? n - 1 : 0));
   for (index_t i = 0; i < n; ++i) {
@@ -198,20 +171,6 @@ ChaseStats band_to_bidiag(BandMatrix<CT>& b, std::vector<CT>& d, std::vector<CT>
     if (i + 1 < n) e[static_cast<std::size_t>(i)] = b.at(i, i + 1);
   }
   return stats;
-}
-
-/// Back-compatible eager-mirroring entry point (the historic signature):
-/// identical arithmetic, no rotation batching.
-template <class CT>
-ChaseStats band_to_bidiag(BandMatrix<CT>& b, std::vector<CT>& d, std::vector<CT>& e,
-                          MatrixView<CT>* ut = nullptr,
-                          MatrixView<CT>* vt = nullptr,
-                          double* acc_seconds = nullptr) {
-  Stage2Options<CT> opts;
-  opts.ut = ut;
-  opts.vt = vt;
-  opts.acc_seconds = acc_seconds;
-  return band_to_bidiag(b, d, e, opts);
 }
 
 }  // namespace unisvd::band

@@ -13,7 +13,7 @@
 /// compiler sees the same arithmetic on d/e as before, so values stay
 /// bit-identical), while bidiag_svd_qr_vectors plugs in a sink that mirrors
 /// every Givens rotation onto rows of the transposed factor accumulators
-/// Ut / Vt (matching the Stage-1/Stage-2 convention: U = Ut^T).
+/// Ut / Vt (U = Ut^T).
 ///
 /// Robustness: reduced-precision iteration can stagnate on strongly graded
 /// spectra (observed in FP32 with clustered log-spaced values). When a
@@ -53,35 +53,26 @@ struct NullRotationSink {
 /// Sink applying rotations to rows of the transposed accumulators Ut / Vt.
 /// "Rotate U columns (j, i)" of the textbook formulation is exactly the
 /// apply_givens_rows pair rotation on rows j, i of Ut (and likewise for V
-/// on Vt) — the same shared helper Stage 2 mirrors its chase rotations
-/// through. The AccTimer books the accumulator wall clock separately so the
-/// driver can attribute it to Stage::VectorAccumulation (the d/e iteration
-/// itself stays under BidiagonalToDiagonal).
+/// on Vt).
 template <class AT>
 struct MatrixRotationSink {
   static constexpr bool kActive = true;
   static constexpr bool kAllowRescue = true;
   MatrixView<AT> ut;
   MatrixView<AT> vt;
-  // Default member initializer keeps the two-field aggregate init used by
-  // callers that never time the accumulators (tests, the rescue path)
-  // valid and warning-free.
-  AccTimer timer = AccTimer(nullptr);
 
   template <class S>
   void rotate_u(long r1, long r2, S c, S s) {
-    timer.timed([&] { apply_givens_rows(ut, r1, r2, c, s); });
+    apply_givens_rows(ut, r1, r2, c, s);
   }
   template <class S>
   void rotate_v(long r1, long r2, S c, S s) {
-    timer.timed([&] { apply_givens_rows(vt, r1, r2, c, s); });
+    apply_givens_rows(vt, r1, r2, c, s);
   }
   void negate_v(long r) {
-    timer.timed([&] {
-      for (index_t j = 0; j < vt.cols(); ++j) {
-        vt.at(r, j) = -vt.at(r, j);
-      }
-    });
+    for (index_t j = 0; j < vt.cols(); ++j) {
+      vt.at(r, j) = -vt.at(r, j);
+    }
   }
 };
 
@@ -307,24 +298,21 @@ std::vector<CT> bidiag_svd_qr(std::vector<CT> d, std::vector<CT> e) {
 
 /// Stage 3 with singular-vector accumulation. Same d/e arithmetic as
 /// bidiag_svd_qr — the returned values are bit-identical — with every
-/// rotation mirrored onto rows of `ut` / `vt` (transposed accumulators in
-/// the Stage-1/2 convention; only the first n rows are touched, so `ut` may
-/// be wider/taller than the bidiagonal, as it is for tall inputs). The
+/// rotation mirrored onto rows of `ut` / `vt` (transposed accumulators,
+/// rows = vectors; only the first n rows are touched, so they may be larger
+/// than the bidiagonal, as D&C's right factor with its null row is). The
 /// final descending sort permutes the first n rows of both accumulators in
-/// step with the values. A non-null `acc_seconds` receives the wall clock
-/// spent on the accumulator updates (rotations, negations, the final row
-/// permutation) so a caller can book it under Stage::VectorAccumulation.
+/// step with the values.
 template <class CT>
 std::vector<CT> bidiag_svd_qr_vectors(std::vector<CT> d, std::vector<CT> e,
-                                      MatrixView<CT> ut, MatrixView<CT> vt,
-                                      double* acc_seconds = nullptr) {
+                                      MatrixView<CT> ut, MatrixView<CT> vt) {
   const auto n = static_cast<long>(d.size());
   UNISVD_REQUIRE(n >= 1, "bidiag_svd_qr_vectors: empty input");
   UNISVD_REQUIRE(e.size() + 1 == d.size(),
                  "bidiag_svd_qr_vectors: e must have length n-1");
   UNISVD_REQUIRE(ut.rows() >= n && vt.rows() >= n,
                  "bidiag_svd_qr_vectors: accumulators must cover n rows");
-  detail::MatrixRotationSink<CT> sink{ut, vt, AccTimer(acc_seconds)};
+  detail::MatrixRotationSink<CT> sink{ut, vt};
   if (n == 1) {
     if (d[0] < CT(0)) {
       d[0] = -d[0];
@@ -370,10 +358,8 @@ std::vector<CT> bidiag_svd_qr_vectors(std::vector<CT> d, std::vector<CT> e,
       }
     }
   };
-  sink.timer.timed([&] {
-    permute_rows(ut);
-    permute_rows(vt);
-  });
+  permute_rows(ut);
+  permute_rows(vt);
   return w;
 }
 

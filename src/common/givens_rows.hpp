@@ -1,41 +1,14 @@
 #pragma once
 /// \file givens_rows.hpp
 /// Shared Givens plane-rotation application for the transposed factor
-/// accumulators (Ut / Vt, rows = singular vectors). Stage 2 mirrors its
-/// bulge-chase rotations and Stage 3 its QR-iteration rotations through
-/// this ONE helper, so the accumulator arithmetic cannot drift between
-/// stages.
-
-#include <chrono>
+/// accumulators (Ut / Vt, rows = singular vectors): the Stage-3 QR
+/// iteration and D&C's leaf solver mirror their rotations through this ONE
+/// helper, and it is the eager reference of the Stage-2 reverse replay
+/// (band/rot_batch.hpp).
 
 #include "common/matrix.hpp"
 
 namespace unisvd {
-
-/// Accumulating stopwatch for singular-vector accumulator updates: Stage 2
-/// (bulge chasing) and Stage 3 (bidiagonal QR) report the seconds their
-/// rotations spent on the Ut/Vt factors through an optional `double*`, so
-/// the pipeline driver can attribute that share to
-/// Stage::VectorAccumulation instead of the reduction stage itself (the
-/// Figure 6 breakdown). A null target compiles down to the bare call.
-class AccTimer {
- public:
-  explicit AccTimer(double* acc = nullptr) noexcept : acc_(acc) {}
-  template <class F>
-  void timed(F&& f) const {
-    if (acc_ == nullptr) {
-      f();
-      return;
-    }
-    const auto t0 = std::chrono::steady_clock::now();
-    f();
-    *acc_ += std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-                 .count();
-  }
-
- private:
-  double* acc_;
-};
 
 /// Apply the rotation pair (c, s) to full rows (r1, r2) of `m`:
 /// row r1 <- c*r1 + s*r2, row r2 <- -s*r1 + c*r2. The rotation scalars may

@@ -27,7 +27,7 @@ using index_t = std::int64_t;
 // Allocation accounting: every Matrix<T> buffer is counted into a process-
 // wide live-bytes gauge with a high-water mark. This is how memory claims
 // become testable facts — e.g. the tall path's guarantee that a
-// Thin solve peaks at O(m_pad * n_pad) accumulator bytes instead of
+// Thin solve peaks at O(m_pad * n_pad) vector working bytes instead of
 // O(m_pad^2) is asserted against matrix_peak_bytes() in the test suite.
 // Counters are atomic (batched solvers allocate concurrently) and cost one
 // relaxed RMW per allocation — noise next to the fill that follows.

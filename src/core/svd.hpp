@@ -21,6 +21,7 @@
 #include "band/band_to_bidiag.hpp"
 #include "common/matrix.hpp"
 #include "common/precision.hpp"
+#include "dc/dc_svd.hpp"
 #include "ka/backend.hpp"
 #include "ka/stage_times.hpp"
 #include "qr/kernel_config.hpp"
@@ -30,15 +31,15 @@ namespace unisvd {
 /// What the solver produces besides the singular values. The job is also
 /// the only Stage-3 engine selector: ValuesOnly runs implicit-shift
 /// bidiagonal QR (src/bidiag), Thin and Full run divide-and-conquer
-/// (src/dc) over the blocked Stage-2 rotation replay.
+/// (src/dc) and then the back-transformation.
 enum class SvdJob {
   ValuesOnly,  ///< singular values only — the fast path, bit-identical to
-               ///< the historic svd_values behaviour (no accumulators are
-               ///< allocated, no accumulation kernels launch)
+               ///< the historic svd_values behaviour (no sweep's reflectors
+               ///< or rotations are kept, no vector kernels launch)
   Thin,        ///< U is m x min(m, n), Vt is min(m, n) x n — the economy
                ///< factorization that PCA / low-rank use. Tall (or wide, on
                ///< the lazy transpose) inputs compose U = Q * U_R from the
-               ///< retained panel QR, so accumulators peak at
+               ///< retained panel QR, so the vector working set peaks at
                ///< O(m_pad * n_pad), never O(max(m,n)_pad^2)
   Full         ///< U is m x m, Vt is n x n (orthonormal completions of the
                ///< thin factors; O(m^2) memory for tall inputs). Values are
@@ -71,11 +72,11 @@ struct SvdConfig {
   /// Singular vectors are scale-invariant, so SvdJob::Thin/Full factors are
   /// unaffected.
   bool auto_scale = false;
-  /// Whether to accumulate singular vectors (see SvdJob). ValuesOnly keeps
-  /// the historic fast path byte-for-byte; Thin/Full thread transform
-  /// accumulation through all three pipeline stages (compute-precision
-  /// accumulators, Stage::VectorAccumulation timing) and fill
-  /// SvdReport::u / SvdReport::vt. Thin and Full values are bit-identical;
+  /// Whether to compute singular vectors (see SvdJob). ValuesOnly keeps
+  /// the historic fast path byte-for-byte; Thin/Full keep each stage's
+  /// reflectors and rotations, build the vectors in one back-transformation
+  /// after Stage 3 (compute precision, Stage::VectorAccumulation timing) and
+  /// fill SvdReport::u / SvdReport::vt. Thin and Full values are bit-identical;
   /// they agree with the ValuesOnly solve within the accuracy gates
   /// (50*eps*n), not bitwise, because Stage 3 runs divide-and-conquer
   /// for vector jobs and implicit QR for values-only ones.
@@ -143,6 +144,9 @@ struct SvdReport {
   Matrix<double> vt;
   ka::StageTimes stage_times;   ///< wall clock per pipeline stage
   band::ChaseStats chase_stats; ///< Stage-2 rotation counts
+  /// D&C events of a pipeline vector job (zero for ValuesOnly and fused
+  /// solves).
+  dc::DcStats dc_stats;
   index_t padded_n = 0;         ///< square working extent after padding
   /// True when this solve took the fused tiny-problem path (min(m, n) <=
   /// SvdConfig::small_svd_threshold): one stack-resident one-sided Jacobi

@@ -6,7 +6,6 @@
 #include "dc/dc_svd.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -323,16 +322,9 @@ Factor merge(const Factor& f1, const Factor& f2, double alpha, double beta,
   // Left basis: slot 0 = e_k (the removed row), child-1 rows in columns
   // [0, k), child-2 rows in [k+1, n). Right basis: child-1 rows in
   // columns [0, k], child-2 rows in [k+1, n], with the null-combination
-  // folded into the coefficient of each child's own null row.
-  Factor out;
-  out.s.resize(static_cast<std::size_t>(n));
-  for (index_t r = 0; r < n; ++r) {
-    out.s[static_cast<std::size_t>(r)] =
-        triples[static_cast<std::size_t>(r)].sigma;
-  }
-  out.ut = Matrix<double>(n, n);
-  out.vt = Matrix<double>(n + 1, n + 1);
-
+  // folded into the coefficient of each child's own null row. um / vm are
+  // released before the outputs are allocated, so the merge never holds
+  // both: its peak is the children plus a1/a2/b1/b2 plus the output.
   Matrix<double> a1(n, k);
   Matrix<double> a2(n, n2);
   Matrix<double> b1(n, k + 1);
@@ -349,11 +341,24 @@ Factor merge(const Factor& f1, const Factor& f2, double alpha, double beta,
       }
     }
   }
+  std::vector<double> um0(static_cast<std::size_t>(n));
   for (index_t r = 0; r < n; ++r) {
     b1(r, k) = cnull * vm(r, 0);
     b2(r, n2) = snull * vm(r, 0);
-    out.ut(r, k) = um(r, 0);
+    um0[static_cast<std::size_t>(r)] = um(r, 0);
   }
+  um = Matrix<double>();
+  vm = Matrix<double>();
+
+  Factor out;
+  out.s.resize(static_cast<std::size_t>(n));
+  for (index_t r = 0; r < n; ++r) {
+    out.s[static_cast<std::size_t>(r)] =
+        triples[static_cast<std::size_t>(r)].sigma;
+  }
+  out.ut = Matrix<double>(n, n);
+  out.vt = Matrix<double>(n + 1, n + 1);
+  std::copy(um0.begin(), um0.end(), &out.ut(0, k));
 
   gemm_into(pool, a1, f1.ut, out.ut, 0);
   gemm_into(pool, a2, f2.ut, out.ut, k + 1);
@@ -399,49 +404,26 @@ Factor solve_recursive(const double* d, const double* e, index_t n,
   return merge(f1, f2, d[k], e[k], k, n, opts.pool, stats);
 }
 
-/// acc[0..n-1, :] <- F[0..n-1, 0..n-1] * acc[0..n-1, :], accumulating in
-/// double and narrowing once per element. Column blocks are independent,
-/// so the pool parallelizes across them with one n-row scratch each.
+/// The leading n x n block of `f`, narrowed once to CT.
 template <class CT>
-void compose_onto(ka::ThreadPool* pool, const Matrix<double>& f, index_t n,
-                  MatrixView<CT> acc) {
-  const index_t cols = acc.cols();
-  constexpr index_t kColBlock = 32;
-  const index_t nblocks = (cols + kColBlock - 1) / kColBlock;
-  pfor(pool, nblocks, [&](index_t blk) {
-    const index_t cbeg = blk * kColBlock;
-    const index_t cend = std::min(cols, cbeg + kColBlock);
-    std::vector<double> tmp(static_cast<std::size_t>(n));
-    for (index_t col = cbeg; col < cend; ++col) {
-      std::fill(tmp.begin(), tmp.end(), 0.0);
-      for (index_t j = 0; j < n; ++j) {
-        const double w = static_cast<double>(acc.at(j, col));
-        if (w == 0.0) continue;
-        const double* fj = &f(0, j);
-        for (index_t r = 0; r < n; ++r) tmp[static_cast<std::size_t>(r)] += fj[r] * w;
-      }
-      for (index_t r = 0; r < n; ++r) {
-        acc.at(r, col) = static_cast<CT>(tmp[static_cast<std::size_t>(r)]);
-      }
-    }
-  });
+Matrix<CT> narrow_leading(const Matrix<double>& f, index_t n) {
+  Matrix<CT> out(n, n);
+  for (index_t j = 0; j < n; ++j) {
+    for (index_t i = 0; i < n; ++i) out(i, j) = static_cast<CT>(f(i, j));
+  }
+  return out;
 }
 
 }  // namespace
 
 template <class CT>
-std::vector<CT> bidiag_svd_dc(std::vector<CT> d, std::vector<CT> e,
-                              MatrixView<CT>* ut, MatrixView<CT>* vt,
-                              const DcOptions& opts, DcStats* stats) {
+DcResult<CT> bidiag_svd_dc(std::vector<CT> d, std::vector<CT> e,
+                           const DcOptions& opts, DcStats* stats) {
   const auto n = static_cast<index_t>(d.size());
   UNISVD_REQUIRE(n >= 1, "bidiag_svd_dc: empty input");
   UNISVD_REQUIRE(e.size() + 1 == d.size(),
                  "bidiag_svd_dc: e must have length n-1");
   UNISVD_REQUIRE(opts.qr_tail >= 1, "bidiag_svd_dc: qr_tail must be >= 1");
-  UNISVD_REQUIRE(ut == nullptr || ut->rows() >= n,
-                 "bidiag_svd_dc: ut must cover n rows");
-  UNISVD_REQUIRE(vt == nullptr || vt->rows() >= n,
-                 "bidiag_svd_dc: vt must cover n rows");
 
   // Embed the square problem as [B 0]: the appended zero coupling adds an
   // exact right null direction that the recursion preserves bit-for-bit
@@ -457,29 +439,22 @@ std::vector<CT> bidiag_svd_dc(std::vector<CT> d, std::vector<CT> e,
 
   Factor f = solve_recursive(dd.data(), ee.data(), n, opts, stats);
 
-  const AccTimer timer(opts.acc_seconds);
-  timer.timed([&] {
-    if (ut != nullptr) compose_onto<CT>(opts.pool, f.ut, n, *ut);
-    if (vt != nullptr) compose_onto<CT>(opts.pool, f.vt, n, *vt);
-  });
-
-  std::vector<CT> values(static_cast<std::size_t>(n));
+  DcResult<CT> out;
+  out.values.resize(static_cast<std::size_t>(n));
   for (index_t i = 0; i < n; ++i) {
-    values[static_cast<std::size_t>(i)] =
+    out.values[static_cast<std::size_t>(i)] =
         static_cast<CT>(f.s[static_cast<std::size_t>(i)]);
   }
-  return values;
+  out.ut = narrow_leading<CT>(f.ut, n);
+  f.ut = Matrix<double>();
+  out.vt = narrow_leading<CT>(f.vt, n);  // drops the embedding's null row
+  return out;
 }
 
-template std::vector<float> bidiag_svd_dc<float>(std::vector<float>,
-                                                 std::vector<float>,
-                                                 MatrixView<float>*,
-                                                 MatrixView<float>*,
-                                                 const DcOptions&, DcStats*);
-template std::vector<double> bidiag_svd_dc<double>(std::vector<double>,
-                                                   std::vector<double>,
-                                                   MatrixView<double>*,
-                                                   MatrixView<double>*,
-                                                   const DcOptions&, DcStats*);
+template DcResult<float> bidiag_svd_dc<float>(std::vector<float>, std::vector<float>,
+                                              const DcOptions&, DcStats*);
+template DcResult<double> bidiag_svd_dc<double>(std::vector<double>,
+                                                std::vector<double>,
+                                                const DcOptions&, DcStats*);
 
 }  // namespace unisvd::dc

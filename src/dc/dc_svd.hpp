@@ -3,8 +3,8 @@
 /// Stage 3 of every vector job: divide-and-conquer bidiagonal SVD (LAPACK
 /// dlasd0-family structure, after Liu et al.'s GPU-centered D&C — see
 /// PAPERS.md). Where the implicit-QR kernel (src/bidiag/bidiag_qr.hpp)
-/// sweeps rotations sequentially and mirrors each one across the full
-/// accumulator rows — O(n^3) strided scalar work — the D&C solver
+/// sweeps rotations sequentially and mirrors each one across full factor
+/// rows — O(n^3) strided scalar work — the D&C solver
 ///
 ///   * recursively splits the bidiagonal at its middle row into two
 ///     independent sub-problems (solved in parallel via ka::ThreadPool),
@@ -44,12 +44,9 @@ struct DcOptions {
   /// GEMM column blocks. Nested use (from inside a batched solve) runs
   /// inline — same contract as every other pipeline stage.
   ka::ThreadPool* pool = nullptr;
-  /// Wall clock spent composing the result onto the caller's accumulators
-  /// (the Stage::VectorAccumulation share), accumulated when non-null.
-  double* acc_seconds = nullptr;
 };
 
-/// Observability counters for tests and the flagship bench.
+/// Numerical events of one solve (reported on SvdReport::dc_stats).
 struct DcStats {
   index_t merges = 0;         ///< secular merge steps performed
   index_t tail_solves = 0;    ///< leaf sub-problems sent to implicit QR
@@ -57,17 +54,20 @@ struct DcStats {
   index_t secular_roots = 0;  ///< secular equations actually solved
 };
 
-/// Divide-and-conquer bidiagonal SVD with optional singular-vector
-/// composition. Same interface contract as bidiag::bidiag_svd_qr_vectors:
-/// d is the n-point diagonal, e the (n-1)-point superdiagonal, and the
-/// non-null accumulators (rows >= n; only the first n rows are touched)
-/// are replaced by U_B^T * ut and V_B^T * vt. Returns the singular values
-/// in descending order, computed in double and narrowed to CT. Passing
-/// null for both accumulators skips the final composition (values only).
+/// Singular values and factors of an n x n bidiagonal B:
+/// B = ut^T * diag(values) * vt.
 template <class CT>
-std::vector<CT> bidiag_svd_dc(std::vector<CT> d, std::vector<CT> e,
-                              MatrixView<CT>* ut, MatrixView<CT>* vt,
-                              const DcOptions& opts = {},
-                              DcStats* stats = nullptr);
+struct DcResult {
+  std::vector<CT> values;  ///< n singular values, descending
+  Matrix<CT> ut;           ///< n x n, rows = left singular vectors (U_B^T)
+  Matrix<CT> vt;           ///< n x n, rows = right singular vectors (V_B^T)
+};
+
+/// Divide-and-conquer bidiagonal SVD: d is the n-point diagonal, e the
+/// (n-1)-point superdiagonal. Values and factors are computed in double and
+/// narrowed once to CT.
+template <class CT>
+DcResult<CT> bidiag_svd_dc(std::vector<CT> d, std::vector<CT> e,
+                           const DcOptions& opts = {}, DcStats* stats = nullptr);
 
 }  // namespace unisvd::dc

@@ -24,11 +24,10 @@ enum class Stage {
   TrailingUpdate,       ///< UNMQR / TSMQR (and fused TSMQR)
   BandToBidiagonal,     ///< Phase 2 bulge chasing
   BidiagonalToDiagonal, ///< Phase 3 singular values of the bidiagonal
-  VectorAccumulation,   ///< singular-vector accumulation (SvdJob::Thin/Full):
-                        ///< Stage-1 reflector applications to the U/V factors,
-                        ///< the Stage-2/3 accumulator rotations (split out of
-                        ///< the band2bi/bi2diag stopwatches), and the final
-                        ///< factor composition/unpadding
+  VectorAccumulation,   ///< singular-vector work (SvdJob::Thin/Full): the
+                        ///< back-transformation after Stage 3 — the Stage-2
+                        ///< rotation replay, the Stage-1 and tall-panel
+                        ///< reflector replays, seeding and unpadding
   RandomizedSketch,     ///< randomized truncated SVD (src/rsvd): Gaussian
                         ///< sketch GEMM launches (Y = A * Omega)
   FusedSmall,           ///< fused tiny-problem path (src/small): the whole

@@ -8,15 +8,12 @@ namespace unisvd::qr {
 // into the library (the C++ counterpart of Julia specializing Algorithm 2
 // per element type at compile time).
 template void band_reduction<Half>(ka::Backend&, MatrixView<Half>, MatrixView<Half>,
-                                   const KernelConfig&, ka::StageTimes*,
-                                   MatrixView<float>*, MatrixView<float>*);
+                                   const KernelConfig&, ka::StageTimes*);
 template void band_reduction<float>(ka::Backend&, MatrixView<float>, MatrixView<float>,
-                                    const KernelConfig&, ka::StageTimes*,
-                                    MatrixView<float>*, MatrixView<float>*);
+                                    const KernelConfig&, ka::StageTimes*);
 template void band_reduction<double>(ka::Backend&, MatrixView<double>,
                                      MatrixView<double>, const KernelConfig&,
-                                     ka::StageTimes*, MatrixView<double>*,
-                                     MatrixView<double>*);
+                                     ka::StageTimes*);
 
 template void schedule_band_reduction<Half>(index_t, const KernelConfig&,
                                             ka::TraceRecorder&);

@@ -28,16 +28,13 @@ namespace unisvd::qr {
 /// tile row ntrows-1; the trailing update covers tile columns
 /// [k+1, ntcols). The grid may be rectangular (tall QR preprocessing).
 ///
-/// When `acc` is non-null the sweep additionally accumulates its orthogonal
-/// transform into the compute-precision accumulator: every reflector set is
+/// When `acc` is non-null the sweep additionally applies its orthogonal
+/// transform to the compute-precision target: every reflector set is
 /// applied (as Q^T from the left, via unmqr_apply/tsmqr_apply) to ALL tile
 /// columns of *acc immediately after its factorization, in the same order
-/// the trailing update sees it. Seeding the accumulator with the identity
-/// therefore yields Q_sweep^T after the sweep; threading the same
-/// accumulator through every sweep yields the transposed left (QR sweeps)
-/// or right (LQ sweeps on the lazy-transposed view) factor of the whole
-/// reduction. The values path (acc == nullptr) launches exactly the same
-/// kernels on W as before — results stay bit-identical.
+/// the trailing update sees it — the randomized range finder's hook
+/// (panel_qr_factor). With acc == nullptr the sweep launches exactly the
+/// same kernels on W.
 template <class T>
 void qr_sweep(ka::Backend& be, MatrixView<T> W, MatrixView<T> Tau, index_t k,
               index_t row0, index_t ntrows, index_t ntcols, const KernelConfig& cfg,
@@ -80,30 +77,32 @@ void qr_sweep(ka::Backend& be, MatrixView<T> W, MatrixView<T> Tau, index_t k,
 template <class T>
 void getsmqrt(ka::Backend& be, MatrixView<T> W, MatrixView<T> Tau, index_t k,
               index_t row0, index_t ntiles, const KernelConfig& cfg,
-              ka::StageTimes* times = nullptr,
-              MatrixView<compute_t<T>>* acc = nullptr) {
-  qr_sweep(be, W, Tau, k, row0, ntiles, ntiles, cfg, times, acc);
+              ka::StageTimes* times = nullptr) {
+  qr_sweep(be, W, Tau, k, row0, ntiles, ntiles, cfg, times);
+}
+
+/// Rows of a band_reduction Tau workspace that keeps every sweep's
+/// (ntiles x TILESIZE) tau block: QR sweep k at row k * ntiles, LQ sweep k
+/// at row (ntiles + k) * ntiles — two stacks laid out as panel_tau_rows
+/// lays out a panel's.
+[[nodiscard]] constexpr index_t band_tau_rows(index_t ntiles) noexcept {
+  return 2 * ntiles * ntiles;
 }
 
 /// Reduce A (square, extent divisible by TILESIZE) to upper band form of
-/// bandwidth TILESIZE via alternating QR/LQ sweeps (Algorithm 2). Tau is an
-/// (ntiles x TILESIZE) workspace in storage precision, reused per sweep.
+/// bandwidth TILESIZE via alternating QR/LQ sweeps (Algorithm 2).
 ///
-/// Optional singular-vector accumulation (SvdJob::Thin/Full): `ut` receives
-/// the transposed left factor (QR sweeps: ut <- Q_sweep^T * ut), `vt` the
-/// transposed right factor (LQ sweeps on the lazy-transposed view:
-/// vt <- P_sweep^T * vt). Seed both with the identity to obtain
-/// A = ut^T * Band * vt on exit (in exact arithmetic). Accumulators are
-/// compute-precision views whose row/column extent is a multiple of
-/// TILESIZE covering at least the sweep row range; the extra kernel
-/// launches are attributed to Stage::VectorAccumulation and never touch A,
-/// so the band (and the singular values downstream) is bit-identical with
-/// or without accumulation.
+/// Tau (storage precision) is either one (ntiles x TILESIZE) block that
+/// every sweep reuses (values-only), or band_tau_rows(ntiles) rows that
+/// keep each sweep's block (vector jobs). The kernels on A are the same
+/// either way. Every reflector tail stays in A outside the band — QR tails
+/// below the diagonal tiles, LQ tails in the strictly upper part of the
+/// superdiagonal tiles and beyond — and no later sweep overwrites it, so A
+/// and the kept tau blocks are Q1 (the QR sweeps) and P1 (the LQ sweeps on
+/// A's transpose) for the back-transformation's panel_apply_q replay.
 template <class T>
 void band_reduction(ka::Backend& be, MatrixView<T> A, MatrixView<T> Tau,
-                    const KernelConfig& cfg, ka::StageTimes* times = nullptr,
-                    MatrixView<compute_t<T>>* ut = nullptr,
-                    MatrixView<compute_t<T>>* vt = nullptr) {
+                    const KernelConfig& cfg, ka::StageTimes* times = nullptr) {
   cfg.validate();
   UNISVD_REQUIRE(A.rows() == A.cols(), "band_reduction: matrix must be square");
   UNISVD_REQUIRE(A.rows() % cfg.tilesize == 0,
@@ -111,12 +110,16 @@ void band_reduction(ka::Backend& be, MatrixView<T> A, MatrixView<T> Tau,
   const index_t ntiles = A.rows() / cfg.tilesize;
   UNISVD_REQUIRE(Tau.rows() >= ntiles && Tau.cols() >= cfg.tilesize,
                  "band_reduction: Tau workspace too small");
+  const bool keep = Tau.rows() >= band_tau_rows(ntiles);
+  const auto tau = [&](index_t block) {
+    return keep ? Tau.block(block * ntiles, 0, ntiles, cfg.tilesize) : Tau;
+  };
 
   for (index_t k = 0; k + 1 < ntiles; ++k) {
-    getsmqrt(be, A, Tau, k, k, ntiles, cfg, times, ut);                  // QR sweep
-    getsmqrt(be, A.transposed(), Tau, k, k + 1, ntiles, cfg, times, vt); // LQ sweep
+    getsmqrt(be, A, tau(k), k, k, ntiles, cfg, times);                         // QR
+    getsmqrt(be, A.transposed(), tau(ntiles + k), k, k + 1, ntiles, cfg, times);  // LQ
   }
-  getsmqrt(be, A, Tau, ntiles - 1, ntiles - 1, ntiles, cfg, times, ut);
+  getsmqrt(be, A, tau(ntiles - 1), ntiles - 1, ntiles - 1, ntiles, cfg, times);
 }
 
 /// Emit the exact Phase-1 launch schedule for an (ntiles*ts)^2 matrix into

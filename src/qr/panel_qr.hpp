@@ -14,14 +14,17 @@
 ///
 /// Two pipelines ride this file (which is why it lives in qr/, not rsvd/):
 /// the randomized truncated SVD factors its sketch panels here, and the
-/// dense driver (core/svd.cpp) factors every tall input A = Q R here,
-/// solves the small R, and — for vector jobs — replays Q onto the thin
-/// factor, keeping accumulators at m_pad x n_pad instead of m_pad^2.
+/// dense driver (core/svd.cpp) factors every tall input A = Q R here and
+/// solves the small R. A vector job's back-transformation then replays,
+/// through panel_apply_q, Stage 1's kept sweeps and then this Q onto the
+/// vectors in m_pad x n_pad slabs, never an m_pad^2 working set.
 ///
 /// An optional compute-precision side target `acc` receives Q^T * acc
 /// interleaved with the factorization (qr_sweep's accumulator hook). The
 /// range finder passes a padded copy of A here, so ONE pass yields both
 /// the factored panel and the projection B = Q_full^T A.
+
+#include <algorithm>
 
 #include "common/matrix.hpp"
 #include "common/precision.hpp"
@@ -66,16 +69,20 @@ void panel_qr_factor(ka::Backend& be, MatrixView<T> A, MatrixView<T> TauAll,
   }
 }
 
-/// C <- Q * C for the factorization left in (A, TauAll) by panel_qr_factor.
-/// C is compute-precision (or any storage type), >= A.rows() rows and a
-/// TILESIZE multiple of columns. The replay runs the sweeps in reverse —
-/// last panel column first, TSQRT chain before GEQRT, rows descending —
-/// with each kernel in ApplyDir::Backward, exactly inverting the forward
-/// (Q^T) application order.
+/// C <- Q * C for a factorization whose sweeps kept their own tau blocks:
+/// panel_qr_factor's (A, TauAll), or one of band_reduction's two stacks —
+/// the QR sweeps on A, or the LQ sweeps on A's transpose with
+/// `row_off` = 1, since LQ sweep k factors tile row k + 1 down. Sweep k's
+/// panel starts at tile row k + row_off, and its tau block at row
+/// k * (A.rows() / TILESIZE) of TauAll. C is compute-precision (or any
+/// storage type), >= A.rows() rows and a TILESIZE multiple of columns. The
+/// replay runs the sweeps in reverse — last sweep first, TSQRT chain
+/// before GEQRT, rows descending — with each kernel in ApplyDir::Backward,
+/// exactly inverting the forward (Q^T) application order.
 template <class TS, class TA>
 void panel_apply_q(ka::Backend& be, MatrixView<TS> A, MatrixView<TS> TauAll,
                    MatrixView<TA> C, const qr::KernelConfig& cfg,
-                   ka::StageTimes* times = nullptr) {
+                   ka::StageTimes* times = nullptr, index_t row_off = 0) {
   cfg.validate();
   UNISVD_REQUIRE(A.rows() % cfg.tilesize == 0 && A.cols() % cfg.tilesize == 0,
                  "panel_apply_q: extents must be multiples of TILESIZE");
@@ -83,24 +90,25 @@ void panel_apply_q(ka::Backend& be, MatrixView<TS> A, MatrixView<TS> TauAll,
                  "panel_apply_q: target must cover the panel rows and be a "
                  "TILESIZE multiple of columns");
   const index_t ntrows = A.rows() / cfg.tilesize;
-  const index_t ntcols = A.cols() / cfg.tilesize;
-  UNISVD_REQUIRE(TauAll.rows() >= panel_tau_rows(ntrows, ntcols) &&
+  const index_t sweeps = std::min(A.cols() / cfg.tilesize, ntrows - row_off);
+  UNISVD_REQUIRE(row_off >= 0 && TauAll.rows() >= sweeps * ntrows &&
                      TauAll.cols() >= cfg.tilesize,
                  "panel_apply_q: TauAll workspace too small");
   const index_t cnt = C.cols() / cfg.tilesize;
-  for (index_t k = ntcols; k-- > 0;) {
+  for (index_t k = sweeps; k-- > 0;) {
     MatrixView<TS> tau = TauAll.block(k * ntrows, 0, ntrows, cfg.tilesize);
-    if (k + 1 < ntrows) {
+    const index_t row0 = k + row_off;
+    if (row0 + 1 < ntrows) {
       if (cfg.fused) {
-        qr::tsmqr_apply_q(be, A, tau, C, k, k, k + 1, ntrows, 0, cnt, cfg,
+        qr::tsmqr_apply_q(be, A, tau, C, row0, k, row0 + 1, ntrows, 0, cnt, cfg,
                           times);
       } else {
-        for (index_t l = ntrows; l-- > k + 1;) {
-          qr::tsmqr_apply_q(be, A, tau, C, k, k, l, l + 1, 0, cnt, cfg, times);
+        for (index_t l = ntrows; l-- > row0 + 1;) {
+          qr::tsmqr_apply_q(be, A, tau, C, row0, k, l, l + 1, 0, cnt, cfg, times);
         }
       }
     }
-    qr::unmqr_apply_q(be, A, tau, C, k, k, 0, cnt, cfg, times);
+    qr::unmqr_apply_q(be, A, tau, C, row0, k, 0, cnt, cfg, times);
   }
 }
 

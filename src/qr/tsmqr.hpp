@@ -180,13 +180,12 @@ void tsmqr(ka::Backend& be, MatrixView<T> W, index_t row0, index_t k,
                      ka::Stage::TrailingUpdate, times);
 }
 
-/// Singular-vector accumulation variant of TSMQR: apply the TSQRT
-/// reflector sets stored in tiles (l, k) of `V`, l in [lbegin, lend) (tau
-/// rows l of `Tau`), to tile rows row0 (top) and l (bottom) of a
-/// *different* matrix `C`, tile columns [jbegin, jend). Reflector source
-/// and update target have independent storage types — the U/V accumulators
-/// stay in compute precision. Launches are attributed to
-/// Stage::VectorAccumulation.
+/// Separate-target variant of TSMQR: apply the TSQRT reflector sets stored
+/// in tiles (l, k) of `V`, l in [lbegin, lend) (tau rows l of `Tau`), to
+/// tile rows row0 (top) and l (bottom) of a *different* matrix `C`, tile
+/// columns [jbegin, jend). Reflector source and update target have
+/// independent storage types — targets stay in compute precision.
+/// Launches are attributed to Stage::VectorAccumulation.
 template <class TS, class TA>
 void tsmqr_apply(ka::Backend& be, MatrixView<TS> V, MatrixView<TS> Tau,
                  MatrixView<TA> C, index_t row0, index_t k, index_t lbegin,
@@ -200,8 +199,8 @@ void tsmqr_apply(ka::Backend& be, MatrixView<TS> V, MatrixView<TS> Tau,
 /// sets of tiles (l, k), l in [lbegin, lend) — the same kernel body as
 /// tsmqr_apply with BOTH the row chain and each tile's reflector loop
 /// reversed (each Householder factor is symmetric, so reverse order
-/// composes Q instead of Q^T). Used by the randomized truncated SVD
-/// (src/rsvd) to expand the implicit range basis Q onto projected factors.
+/// composes Q instead of Q^T). Used through panel_apply_q by the
+/// back-transformation and the randomized truncated SVD.
 template <class TS, class TA>
 void tsmqr_apply_q(ka::Backend& be, MatrixView<TS> V, MatrixView<TS> Tau,
                    MatrixView<TA> C, index_t row0, index_t k, index_t lbegin,

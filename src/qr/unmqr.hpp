@@ -179,12 +179,11 @@ void unmqr(ka::Backend& be, MatrixView<T> W, index_t row0, index_t k,
                      ka::Stage::TrailingUpdate, times);
 }
 
-/// Singular-vector accumulation variant of UNMQR: apply Q^T of the GEQRT
-/// factorization stored in tile (row0, k) of `V` (tau row `row0` of `Tau`)
-/// to tile row `row0` of a *different* matrix `C`, tile columns
-/// [jbegin, jend). The reflector source and the update target have
-/// independent storage types: the pipeline keeps the U/V factor
-/// accumulators in compute precision (FP32 for FP16 inputs) while the
+/// Separate-target variant of UNMQR: apply Q^T of the GEQRT factorization
+/// stored in tile (row0, k) of `V` (tau row `row0` of `Tau`) to tile row
+/// `row0` of a *different* matrix `C`, tile columns [jbegin, jend). The
+/// reflector source and the update target have independent storage types:
+/// targets stay in compute precision (FP32 for FP16 inputs) while the
 /// reflectors stay in storage precision. Launches are attributed to
 /// Stage::VectorAccumulation.
 template <class TS, class TA>
@@ -199,9 +198,9 @@ void unmqr_apply(ka::Backend& be, MatrixView<TS> V, MatrixView<TS> Tau,
 /// Backward (un-transposed) application: C <- Q * C for the GEQRT reflector
 /// set of tile (row0, k) of `V` — the same kernel body as unmqr_apply with
 /// the reflector loop reversed (each Householder factor is symmetric, so
-/// reversing the order composes Q instead of Q^T). Used by the randomized
-/// truncated SVD (src/rsvd) to expand the implicit range basis Q onto the
-/// projected factors, the role LAPACK's ORMQR with trans='N' plays.
+/// reversing the order composes Q instead of Q^T). Used through
+/// panel_apply_q by the back-transformation and the randomized truncated
+/// SVD, the role LAPACK's ORMQR with trans='N' plays.
 template <class TS, class TA>
 void unmqr_apply_q(ka::Backend& be, MatrixView<TS> V, MatrixView<TS> Tau,
                    MatrixView<TA> C, index_t row0, index_t k, index_t jbegin,

@@ -10,10 +10,12 @@
 ///     square/tall/wide, full accuracy gates on composed factors including
 ///     repeated and clustered spectra on the default path, batched
 ///     dispatch, and the truncated projected solve honoring its SvdConfig;
-///   * Stage-2 rotation batching: blocked accumulator replay is
-///     bit-identical to the eager path for every capacity, on one and on
-///     several (ragged) 64-column panels in FP64 and FP32, and rejects an
-///     accumulator view it cannot re-lay in place.
+///   * the merge workspace: a solve peaks at no more than 5.5 n^2 doubles;
+///   * the D&C event counters on SvdReport;
+///   * the Stage-2 rotation log: its blocked reverse replay, whole or in
+///     chunks, is bit-identical to an eager reversed loop, on one and on
+///     several (ragged) 64-row panels in FP64 and FP32, and logging leaves
+///     d/e bit-identical.
 
 #include <gtest/gtest.h>
 
@@ -26,7 +28,9 @@
 
 #include "band/band_matrix.hpp"
 #include "band/band_to_bidiag.hpp"
+#include "band/rot_batch.hpp"
 #include "bidiag/bidiag_qr.hpp"
+#include "common/givens_rows.hpp"
 #include "common/linalg_ref.hpp"
 #include "core/batch.hpp"
 #include "core/svd.hpp"
@@ -54,7 +58,7 @@ Matrix<double> dense_bidiag(const std::vector<double>& d,
   return b;
 }
 
-/// || B - Ut^T diag(s) Vt ||_F / ||B||_F with transposed accumulators.
+/// || B - Ut^T diag(s) Vt ||_F / ||B||_F with transposed factors.
 double dc_residual(const std::vector<double>& d, const std::vector<double>& e,
                    const std::vector<double>& s, const Matrix<double>& ut,
                    const Matrix<double>& vt) {
@@ -75,23 +79,22 @@ double dc_residual(const std::vector<double>& d, const std::vector<double>& e,
   return denom == 0.0 ? diff : diff / denom;
 }
 
-/// Run the D&C kernel on (d, e) with identity accumulators and check the
-/// full gate set against the values-only QR kernel as oracle.
+/// Run the D&C kernel on (d, e) and check the full gate set against the
+/// values-only QR kernel as oracle.
 void check_dc_kernel(std::vector<double> d, std::vector<double> e,
                      const char* tag, index_t qr_tail = 8,
                      dc::DcStats* stats_out = nullptr) {
   const auto n = static_cast<index_t>(d.size());
-  Matrix<double> ut(n, n, 0.0);
-  Matrix<double> vt(n, n, 0.0);
-  for (index_t i = 0; i < n; ++i) ut(i, i) = vt(i, i) = 1.0;
-  MatrixView<double> utv = ut.view();
-  MatrixView<double> vtv = vt.view();
-
   dc::DcOptions opts;
   opts.qr_tail = qr_tail;
   dc::DcStats stats;
-  const auto s = dc::bidiag_svd_dc<double>(d, e, &utv, &vtv, opts, &stats);
+  const auto res = dc::bidiag_svd_dc<double>(d, e, opts, &stats);
   if (stats_out != nullptr) *stats_out = stats;
+  const std::vector<double>& s = res.values;
+  const Matrix<double>& ut = res.ut;
+  const Matrix<double>& vt = res.vt;
+  ASSERT_EQ(ut.rows(), n) << tag;
+  ASSERT_EQ(vt.rows(), n) << tag;
 
   const auto oracle = bidiag::bidiag_svd_qr<double>(d, e);
   ASSERT_EQ(s.size(), oracle.size()) << tag;
@@ -213,23 +216,6 @@ TEST(DcKernel, QrTailInsensitivity) {
   }
 }
 
-TEST(DcKernel, ValuesOnlyModeMatchesVectorMode) {
-  const auto d = random_vec(50, 31);
-  const auto e = random_vec(49, 32);
-  dc::DcOptions opts;
-  opts.qr_tail = 8;
-  const auto vals = dc::bidiag_svd_dc<double>(d, e, nullptr, nullptr, opts);
-
-  Matrix<double> ut(50, 50, 0.0), vt(50, 50, 0.0);
-  for (index_t i = 0; i < 50; ++i) ut(i, i) = vt(i, i) = 1.0;
-  MatrixView<double> utv = ut.view(), vtv = vt.view();
-  const auto vals2 = dc::bidiag_svd_dc<double>(d, e, &utv, &vtv, opts);
-  ASSERT_EQ(vals.size(), vals2.size());
-  for (std::size_t i = 0; i < vals.size(); ++i) {
-    EXPECT_EQ(vals[i], vals2[i]) << i;  // same recursion, same bits
-  }
-}
-
 TEST(DcKernel, PoolParallelismMatchesSerial) {
   // The pool only changes scheduling, never arithmetic: results must be
   // bit-identical with and without worker threads.
@@ -237,23 +223,35 @@ TEST(DcKernel, PoolParallelismMatchesSerial) {
   const auto e = random_vec(79, 42);
   dc::DcOptions serial;
   serial.qr_tail = 8;
-  Matrix<double> ut1(80, 80, 0.0), vt1(80, 80, 0.0);
-  for (index_t i = 0; i < 80; ++i) ut1(i, i) = vt1(i, i) = 1.0;
-  MatrixView<double> ut1v = ut1.view(), vt1v = vt1.view();
-  const auto s1 = dc::bidiag_svd_dc<double>(d, e, &ut1v, &vt1v, serial);
+  const auto r1 = dc::bidiag_svd_dc<double>(d, e, serial);
 
   ka::ThreadPool pool(4);
   dc::DcOptions par = serial;
   par.pool = &pool;
-  Matrix<double> ut2(80, 80, 0.0), vt2(80, 80, 0.0);
-  for (index_t i = 0; i < 80; ++i) ut2(i, i) = vt2(i, i) = 1.0;
-  MatrixView<double> ut2v = ut2.view(), vt2v = vt2.view();
-  const auto s2 = dc::bidiag_svd_dc<double>(d, e, &ut2v, &vt2v, par);
+  const auto r2 = dc::bidiag_svd_dc<double>(d, e, par);
 
-  ASSERT_EQ(s1.size(), s2.size());
-  for (std::size_t i = 0; i < s1.size(); ++i) EXPECT_EQ(s1[i], s2[i]) << i;
-  EXPECT_EQ(ref::fro_diff(ut1.view(), ut2.view()), 0.0);
-  EXPECT_EQ(ref::fro_diff(vt1.view(), vt2.view()), 0.0);
+  ASSERT_EQ(r1.values.size(), r2.values.size());
+  for (std::size_t i = 0; i < r1.values.size(); ++i) {
+    EXPECT_EQ(r1.values[i], r2.values[i]) << i;
+  }
+  EXPECT_EQ(ref::fro_diff(r1.ut.view(), r2.ut.view()), 0.0);
+  EXPECT_EQ(ref::fro_diff(r1.vt.view(), r2.vt.view()), 0.0);
+}
+
+TEST(DcKernel, MergeWorkspacePeaksAtFiveSquares) {
+  // The top merge holds the children's factors, the a1/a2/b1/b2 coefficient
+  // copies and its output, but never um/vm beside the output: at most 5
+  // n x n double arrays live at once (7 if um/vm outlived the allocation).
+  const index_t n = 512;
+  const auto d = random_vec(n, 51);
+  const auto e = random_vec(n - 1, 52);
+  const std::size_t live0 = matrix_live_bytes();
+  matrix_reset_peak();
+  const auto res = dc::bidiag_svd_dc<double>(d, e);
+  const double peak = static_cast<double>(matrix_peak_bytes() - live0);
+  const double square = static_cast<double>(n * n) * sizeof(double);
+  EXPECT_LE(peak, 5.5 * square) << "peak " << peak / square << " n^2 doubles";
+  EXPECT_EQ(res.ut.rows(), n);
 }
 
 // ---------------------------------------------------------------------------
@@ -350,6 +348,8 @@ void expect_default_thin_gates(const Matrix<T>& a, const std::vector<double>& si
   cfg.job = SvdJob::Thin;
   const auto rep = svd_values_report<T>(a.view(), cfg);
   ASSERT_EQ(rep.status, SvdStatus::Ok) << tag;
+  EXPECT_GT(rep.dc_stats.merges, 0) << tag;
+  EXPECT_GT(rep.dc_stats.deflated, 0) << tag;
   ASSERT_EQ(rep.values.size(), sigma.size()) << tag;
   const double tol = driver_tol<T>(a.rows(), a.cols());
   double sigma_err = 0.0;
@@ -387,6 +387,16 @@ TEST(DcDriver, DefaultThinSolveHandlesRepeatedAndClusteredSigma) {
     const Matrix<float> a =
         rnd::round_to<float>(rnd::rect_matrix_with_spectrum(n, n, sigma, rng));
     expect_default_thin_gates<float>(a, sigma, "FP32 four near-equal clusters");
+
+    // The event counters belong to the D&C engine: a values-only solve of
+    // the same input runs implicit QR and reports none.
+    SvdConfig cfg;
+    cfg.job = SvdJob::ValuesOnly;
+    const auto vals = svd_values_report<float>(a.view(), cfg);
+    EXPECT_EQ(vals.dc_stats.merges, 0);
+    EXPECT_EQ(vals.dc_stats.tail_solves, 0);
+    EXPECT_EQ(vals.dc_stats.deflated, 0);
+    EXPECT_EQ(vals.dc_stats.secular_roots, 0);
   }
 }
 
@@ -452,7 +462,7 @@ TEST(DcDriver, TruncatedProjectedSolveHonorsSvdConfig) {
 }
 
 // ---------------------------------------------------------------------------
-// Stage-2 rotation batching: blocked replay == eager mirror, bitwise
+// Stage-2 rotation log: blocked reverse replay == eager reversed loop, bitwise
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -472,97 +482,81 @@ Matrix<T> random_banded(index_t n, index_t bw, std::uint64_t seed) {
 }
 
 template <class T>
-Matrix<T> identity_acc(index_t n) {
-  Matrix<T> m(n, n, T(0));
-  for (index_t i = 0; i < n; ++i) m(i, i) = T(1);
-  return m;
-}
-
-template <class T>
 bool same_bits(const T* a, const T* b, std::size_t count) {
   return std::memcmp(a, b, count * sizeof(T)) == 0;
 }
 
-/// Chase one random band eagerly and then through the rotation batch at
-/// every capacity; d, e, Ut and Vt must match the eager mirror bitwise.
+/// Chase one random band with and without a log (d/e must match bitwise),
+/// then replay each side's log onto a random n x n factor held as row
+/// panels through the blocked kernel, whole or in chunks; it must match,
+/// bitwise, the eager loop of apply_givens_rows with (c, -s) over the
+/// reversed log on the factor's transpose.
 template <class T>
 void expect_blocked_replay_matches_eager(index_t n, index_t bw,
                                          std::uint64_t seed) {
   const Matrix<T> dense = random_banded<T>(n, bw, seed);
   ka::CpuBackend backend(4);
 
-  // Eager baseline: the historic signature (no backend, no batching).
-  auto b_eager = band::extract_band<T>(dense.view(), bw);
-  Matrix<T> ut_e = identity_acc<T>(n);
-  Matrix<T> vt_e = identity_acc<T>(n);
-  MatrixView<T> ut_ev = ut_e.view(), vt_ev = vt_e.view();
-  std::vector<T> d_e, e_e;
-  const auto stats_e = band::band_to_bidiag(b_eager, d_e, e_e, &ut_ev, &vt_ev);
-  EXPECT_EQ(stats_e.batch_flushes, 0.0);
+  auto b_plain = band::extract_band<T>(dense.view(), bw);
+  std::vector<T> d_p, e_p;
+  const auto stats_p = band::band_to_bidiag(b_plain, d_p, e_p);
 
-  for (const index_t capacity : {index_t{1}, index_t{3}, index_t{64},
-                                 index_t{1} << 20}) {
-    const std::string where = "n " + std::to_string(n) + " capacity " +
-                              std::to_string(capacity);
-    auto b = band::extract_band<T>(dense.view(), bw);
-    Matrix<T> ut = identity_acc<T>(n);
-    Matrix<T> vt = identity_acc<T>(n);
-    MatrixView<T> utv = ut.view(), vtv = vt.view();
-    std::vector<T> d, e;
-    band::Stage2Options<T> opts;
-    opts.ut = &utv;
-    opts.vt = &vtv;
-    opts.backend = &backend;
-    opts.rot_batch = capacity;
-    const auto stats = band::band_to_bidiag(b, d, e, opts);
-    EXPECT_GT(stats.batch_flushes, 0.0) << where;
-    EXPECT_EQ(stats.rotations, stats_e.rotations) << where;
+  auto b = band::extract_band<T>(dense.view(), bw);
+  std::vector<T> d, e;
+  band::ChaseLog<T> log;
+  const auto stats = band::band_to_bidiag(b, d, e, &log);
+  EXPECT_EQ(stats.rotations, stats_p.rotations);
+  ASSERT_EQ(d.size(), d_p.size());
+  ASSERT_EQ(e.size(), e_p.size());
+  EXPECT_TRUE(same_bits(d.data(), d_p.data(), d.size())) << "d";
+  EXPECT_TRUE(same_bits(e.data(), e_p.data(), e.size())) << "e";
+  EXPECT_EQ(static_cast<double>(log.left.size() + log.right.size()), stats.rotations);
 
-    ASSERT_EQ(d.size(), d_e.size()) << where;
-    ASSERT_EQ(e.size(), e_e.size()) << where;
-    EXPECT_TRUE(same_bits(d.data(), d_e.data(), d.size())) << where << " d";
-    EXPECT_TRUE(same_bits(e.data(), e_e.data(), e.size())) << where << " e";
-    const auto elems = static_cast<std::size_t>(n * n);
-    EXPECT_TRUE(same_bits(ut.data(), ut_e.data(), elems)) << where << " Ut";
-    EXPECT_TRUE(same_bits(vt.data(), vt_e.data(), elems)) << where << " Vt";
+  const Matrix<T> f0 = testutil::convert<T>(testutil::random_matrix(n, n, seed + 7));
+  const auto elems = static_cast<std::size_t>(n * n);
+  for (const band::RotationLog<T>* side : {&log.left, &log.right}) {
+    ASSERT_FALSE(side->empty());
+    Matrix<T> eager = f0;
+    for (auto it = side->rbegin(); it != side->rend(); ++it) {
+      apply_givens_rows(eager.view().transposed(), it->r, it->r + 1, it->c, -it->s);
+    }
+    for (const index_t chunk : {index_t{1}, index_t{3}, index_t{64},
+                                index_t{1} << 20}) {
+      const std::string where = "n " + std::to_string(n) + " chunk " +
+                                std::to_string(chunk) +
+                                (side == &log.left ? " left" : " right");
+      // Consecutive chunks of the log, last chunk first, compose to the
+      // whole reversed log.
+      band::RowPanels<T> f(f0.view());
+      index_t passes = 0;
+      for (auto hi = static_cast<index_t>(side->size()); hi > 0; hi -= chunk) {
+        const band::RotationLog<T> part(side->begin() + std::max<index_t>(0, hi - chunk),
+                                        side->begin() + hi);
+        passes += band::replay_reverse(backend, part, f);
+      }
+      const auto size = static_cast<index_t>(side->size());
+      EXPECT_EQ(passes, (size + chunk - 1) / chunk) << where;
+      Matrix<T> got(n, n);
+      for (index_t j = 0; j < n; ++j) {
+        for (index_t i = 0; i < n; ++i) got(i, j) = f(i, j);
+      }
+      EXPECT_TRUE(same_bits(got.data(), eager.data(), elems)) << where;
+    }
   }
 }
 
 }  // namespace
 
-TEST(Stage2Batch, BlockedReplayBitIdenticalToEagerForEveryCapacity) {
-  // The rotation batch's correctness anchor: rotations touch each accumulator
-  // column independently and the batch replays them per column in original
-  // order with the same narrowed expression, so the panel-wise replay is
-  // BIT-identical to the historic eager mirror — whatever the capacity
-  // (including capacity 1, which flushes every rotation). n = 64 is one
-  // 64-column panel; n = 150 is panels of 64, 64 and 22, so a panel-offset
-  // or ragged-panel error shows. FP32 is the compute type of both FP16 and
-  // FP32 solves.
+TEST(Stage2Log, BlockedReverseReplayBitIdenticalToEagerForEveryChunk) {
+  // The back-transformation's Q2 anchor: a rotation of coordinates
+  // (r, r+1) touches each factor row independently and the blocked kernel
+  // replays them per row in reversed order with the same expression, so it
+  // is BIT-identical to the eager loop, also when the log is replayed in
+  // chunks (1 is one launch per rotation). n = 64 is one 64-row panel; n = 150 is
+  // panels of 64, 64 and 22, so a panel-offset or ragged-panel error shows.
+  // FP32 is the compute type of both FP16 and FP32 solves.
   expect_blocked_replay_matches_eager<double>(64, 8, 401);
   expect_blocked_replay_matches_eager<double>(150, 8, 402);
   expect_blocked_replay_matches_eager<float>(64, 8, 403);
   expect_blocked_replay_matches_eager<float>(150, 8, 404);
-}
-
-TEST(Stage2Batch, RejectsAccumulatorViewWithLeadingDimensionAboveRows) {
-  // The batch re-lays whole accumulators in place, so a strided sub-view
-  // (ld > rows) would scramble the elements between its columns.
-  const index_t n = 16;
-  const index_t bw = 4;
-  const Matrix<double> dense = random_banded<double>(n, bw, 405);
-  auto b = band::extract_band<double>(dense.view(), bw);
-  Matrix<double> big = identity_acc<double>(n + 8);
-  MatrixView<double> utv = big.view().block(0, 0, n, n);
-  ASSERT_GT(utv.ld(), utv.rows());
-  Matrix<double> vt = identity_acc<double>(n);
-  MatrixView<double> vtv = vt.view();
-  ka::CpuBackend backend(2);
-  std::vector<double> d, e;
-  band::Stage2Options<double> opts;
-  opts.ut = &utv;
-  opts.vt = &vtv;
-  opts.backend = &backend;
-  opts.rot_batch = 64;
-  EXPECT_THROW(band::band_to_bidiag(b, d, e, opts), Error);
 }

@@ -269,12 +269,10 @@ TEST(SvdVectors, VectorAccumulationStageIsTimed) {
 }
 
 TEST(SvdVectors, Stage23AccumulatorTimeAttributedToVectorStage) {
-  // Stage-2/3 accumulator rotations are booked under VectorAccumulation,
-  // NOT under the band2bidiag/bidiag2diag stages. Exercise the split
-  // directly: the acc_seconds out-params must report positive time on a
-  // matrix whose chase and iteration really rotate the accumulators, and
-  // the d/e outputs must be bit-identical with and without the timer.
-  using CT = double;
+  // Stage 2 touches no factor: a vector job only logs the chase rotations,
+  // the band arithmetic is the same, so d/e are bit-identical with and
+  // without the log. The vectors are built after Stage 3 and booked under
+  // VectorAccumulation, NOT under the band2bidiag/bidiag2diag stages.
   const index_t n = 96;
   const int bw = 8;
   const auto dense = testutil::random_matrix(n, n, 512);
@@ -289,43 +287,21 @@ TEST(SvdVectors, Stage23AccumulatorTimeAttributedToVectorStage) {
     return band::extract_band<double>(banded.view(), bw);
   };
 
-  const auto identity = [&](index_t rows) {
-    Matrix<CT> m(rows, rows, CT(0));
-    for (index_t i = 0; i < rows; ++i) m(i, i) = CT(1);
-    return m;
-  };
-
-  // Timed run.
   auto b1 = make_band();
-  Matrix<CT> ut1 = identity(n);
-  Matrix<CT> vt1 = identity(n);
-  MatrixView<CT> ut1v = ut1.view();
-  MatrixView<CT> vt1v = vt1.view();
-  std::vector<CT> d1;
-  std::vector<CT> e1;
-  double acc2 = 0.0;
-  band::band_to_bidiag(b1, d1, e1, &ut1v, &vt1v, &acc2);
-  EXPECT_GT(acc2, 0.0);
+  std::vector<double> d1;
+  std::vector<double> e1;
+  band::ChaseLog<double> log;
+  band::band_to_bidiag(b1, d1, e1, &log);
+  EXPECT_FALSE(log.left.empty());
+  EXPECT_FALSE(log.right.empty());
 
-  // Untimed run: identical chase arithmetic.
   auto b2 = make_band();
-  Matrix<CT> ut2 = identity(n);
-  Matrix<CT> vt2 = identity(n);
-  MatrixView<CT> ut2v = ut2.view();
-  MatrixView<CT> vt2v = vt2.view();
-  std::vector<CT> d2;
-  std::vector<CT> e2;
-  band::band_to_bidiag(b2, d2, e2, &ut2v, &vt2v);
+  std::vector<double> d2;
+  std::vector<double> e2;
+  band::band_to_bidiag(b2, d2, e2);
+  ASSERT_EQ(d1.size(), d2.size());
   for (std::size_t i = 0; i < d1.size(); ++i) EXPECT_EQ(d1[i], d2[i]);
   for (std::size_t i = 0; i < e1.size(); ++i) EXPECT_EQ(e1[i], e2[i]);
-  EXPECT_EQ(ref::fro_diff(ut1.view(), ut2.view()), 0.0);
-
-  // Stage 3: same contract.
-  double acc3 = 0.0;
-  const auto sv1 = bidiag::bidiag_svd_qr_vectors(d1, e1, ut1v, vt1v, &acc3);
-  EXPECT_GT(acc3, 0.0);
-  const auto sv2 = bidiag::bidiag_svd_qr_vectors(d2, e2, ut2v, vt2v);
-  for (std::size_t i = 0; i < sv1.size(); ++i) EXPECT_EQ(sv1[i], sv2[i]);
 
   // End to end: a vector solve books strictly more under VectorAccumulation
   // than a values-only solve (which books none).
