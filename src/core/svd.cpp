@@ -73,16 +73,6 @@ std::vector<index_t> select_real_rows(const band::RowPanels<CT>& f, index_t real
   return rows;
 }
 
-/// Kept reflectors of one orthogonal factor, as qr::panel_apply_q replays
-/// them: Stage 1's QR sweeps (Q1) or LQ sweeps (P1), or a tall input's
-/// panel QR.
-template <class T>
-struct Reflectors {
-  MatrixView<T> a;    ///< factored matrix holding the reflector tails
-  MatrixView<T> tau;  ///< one tau block per sweep
-  index_t row_off;    ///< sweep row offset (1 for the LQ sweeps)
-};
-
 /// The back-transformation of one side — U = Q_panel * Q1 * Q2 * U_B, or
 /// V = P1 * P2 * V_B — and the one composer of square, tall and wide
 /// inputs.
@@ -102,15 +92,17 @@ struct Reflectors {
 /// columns give zero reflector tails (a zero tile column's reflector is at
 /// most a sign flip of its own coordinate) and identity rotations. So the
 /// selection made after Q2 holds for the whole chain, and the completion
-/// seeds — padding coordinates of Q1, which it at most flips in sign, so
-/// slabs holding only completion seeds skip it — replay through the panel
-/// Q into its orthonormal completion directions.
+/// seeds replay through the panel Q into its orthonormal completion
+/// directions. Slabs after the first hold only completion seeds at
+/// coordinates >= n_pad, which Q1 does not touch, so only slab 0 replays
+/// Q1.
 ///
 /// `dest` receives vector j in its column j (`dest_transposed` false) or
 /// its row j (true); the other extent is the number of real coordinates.
 template <class T, class CT>
 void back_transform(ka::Backend& be, Matrix<CT> fac, const band::RotationLog<CT>& rots,
-                    const Reflectors<T>& stage1, const Reflectors<T>* panel,
+                    const qr::SweepReflectors<T>& stage1,
+                    const qr::SweepReflectors<T>* panel,
                     index_t n, bool full, const qr::KernelConfig& cfg,
                     SvdReport& rep, Matrix<double>& dest, bool dest_transposed) {
   auto t0 = std::chrono::steady_clock::now();
@@ -151,7 +143,7 @@ void back_transform(ka::Backend& be, Matrix<CT> fac, const band::RotationLog<CT>
     }
     rep.stage_times.add(ka::Stage::VectorAccumulation, seconds_since(t0));
     const MatrixView<CT> slab = comp.view().block(0, 0, slab_rows, w);
-    if (c0 < n) {
+    if (c0 == 0) {
       qr::panel_apply_q<T, CT>(be, stage1.a, stage1.tau, slab.block(0, 0, npad, w),
                                cfg, &rep.stage_times, stage1.row_off);
     }
@@ -312,10 +304,9 @@ SvdReport svd_values_report(ConstMatrixView<T> a, const SvdConfig& config,
   const index_t ucols = full ? m : n;
   udest = wide ? Matrix<double>(ucols, m) : Matrix<double>(m, ucols);
   vdest = Matrix<double>(n, n);
-  const index_t nt2 = nt * nt;
-  const Reflectors<T> q1{square.view(), tau.view().block(0, 0, nt2, ts), 0};
-  const Reflectors<T> p1{square.transposed(), tau.view().block(nt2, 0, nt2, ts), 1};
-  const Reflectors<T> qpanel{panel.view(), panel_tau.view(), 0};
+  const auto q1 = qr::band_reflectors(square.view(), tau.view(), ts, false);
+  const auto p1 = qr::band_reflectors(square.view(), tau.view(), ts, true);
+  const qr::SweepReflectors<T> qpanel{panel.view(), panel_tau.view(), 0};
   back_transform<T, CT>(backend, std::move(bfac.ut), log.left, q1,
                         panel.rows() > 0 ? &qpanel : nullptr, n, full,
                         config.kernels, rep, udest, wide);

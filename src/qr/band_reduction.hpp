@@ -81,12 +81,45 @@ void getsmqrt(ka::Backend& be, MatrixView<T> W, MatrixView<T> Tau, index_t k,
   qr_sweep(be, W, Tau, k, row0, ntiles, ntiles, cfg, times);
 }
 
-/// Rows of a band_reduction Tau workspace that keeps every sweep's
-/// (ntiles x TILESIZE) tau block: QR sweep k at row k * ntiles, LQ sweep k
-/// at row (ntiles + k) * ntiles — two stacks laid out as panel_tau_rows
-/// lays out a panel's.
+/// Rows of a stacked tau workspace that keeps one (ntrows x TILESIZE) tau
+/// block per sweep of an (ntrows x ntcols)-tile panel, stacked by sweep
+/// index: panel_qr_factor's, and each of band_reduction's two stacks.
+[[nodiscard]] constexpr index_t panel_tau_rows(index_t ntrows,
+                                               index_t ntcols) noexcept {
+  return ntrows * ntcols;
+}
+
+/// Rows of a band_reduction Tau workspace that keeps every sweep's tau
+/// block: the QR sweeps' stack, then the LQ sweeps'.
 [[nodiscard]] constexpr index_t band_tau_rows(index_t ntiles) noexcept {
-  return 2 * ntiles * ntiles;
+  return 2 * panel_tau_rows(ntiles, ntiles);
+}
+
+/// The kept reflectors of one orthogonal factor, as panel_apply_q replays
+/// them: sweep k's panel starts at tile row k + row_off of `a`, and its tau
+/// block at row k * (a.rows() / TILESIZE) of `tau`.
+template <class T>
+struct SweepReflectors {
+  MatrixView<T> a;    ///< factored matrix holding the reflector tails
+  MatrixView<T> tau;  ///< one tau block per sweep, stacked by sweep index
+  index_t row_off;    ///< tile row of sweep 0's panel
+};
+
+/// One side of band_reduction(A, Tau): Q1, the QR sweeps on A, or (`lq`)
+/// P1, the LQ sweeps on A's transpose, whose sweep k factors tile row k + 1
+/// down. With band_tau_rows(ntiles) rows, Tau holds the QR sweeps' stack
+/// and then the LQ sweeps'; a shorter Tau is the one block every sweep
+/// reuses (values-only), and both sides see all of it.
+template <class T>
+[[nodiscard]] SweepReflectors<T> band_reflectors(MatrixView<T> A, MatrixView<T> Tau,
+                                                 index_t ts, bool lq) {
+  const index_t ntiles = A.rows() / ts;
+  const index_t stack = panel_tau_rows(ntiles, ntiles);
+  const MatrixView<T> tau = Tau.rows() >= band_tau_rows(ntiles)
+                                ? Tau.block(lq ? stack : 0, 0, stack, ts)
+                                : Tau;
+  return lq ? SweepReflectors<T>{A.transposed(), tau, 1}
+            : SweepReflectors<T>{A, tau, 0};
 }
 
 /// Reduce A (square, extent divisible by TILESIZE) to upper band form of
@@ -97,9 +130,8 @@ void getsmqrt(ka::Backend& be, MatrixView<T> W, MatrixView<T> Tau, index_t k,
 /// keep each sweep's block (vector jobs). The kernels on A are the same
 /// either way. Every reflector tail stays in A outside the band — QR tails
 /// below the diagonal tiles, LQ tails in the strictly upper part of the
-/// superdiagonal tiles and beyond — and no later sweep overwrites it, so A
-/// and the kept tau blocks are Q1 (the QR sweeps) and P1 (the LQ sweeps on
-/// A's transpose) for the back-transformation's panel_apply_q replay.
+/// superdiagonal tiles and beyond — and no later sweep overwrites it, so
+/// band_reflectors(A, Tau) are Q1 and P1 for the back-transformation.
 template <class T>
 void band_reduction(ka::Backend& be, MatrixView<T> A, MatrixView<T> Tau,
                     const KernelConfig& cfg, ka::StageTimes* times = nullptr) {
@@ -111,15 +143,19 @@ void band_reduction(ka::Backend& be, MatrixView<T> A, MatrixView<T> Tau,
   UNISVD_REQUIRE(Tau.rows() >= ntiles && Tau.cols() >= cfg.tilesize,
                  "band_reduction: Tau workspace too small");
   const bool keep = Tau.rows() >= band_tau_rows(ntiles);
-  const auto tau = [&](index_t block) {
-    return keep ? Tau.block(block * ntiles, 0, ntiles, cfg.tilesize) : Tau;
+  const auto q1 = band_reflectors(A, Tau, cfg.tilesize, false);
+  const auto p1 = band_reflectors(A, Tau, cfg.tilesize, true);
+  const auto sweep = [&](const SweepReflectors<T>& side, index_t k) {
+    const MatrixView<T> tau =
+        keep ? side.tau.block(k * ntiles, 0, ntiles, cfg.tilesize) : side.tau;
+    getsmqrt(be, side.a, tau, k, k + side.row_off, ntiles, cfg, times);
   };
 
   for (index_t k = 0; k + 1 < ntiles; ++k) {
-    getsmqrt(be, A, tau(k), k, k, ntiles, cfg, times);                         // QR
-    getsmqrt(be, A.transposed(), tau(ntiles + k), k, k + 1, ntiles, cfg, times);  // LQ
+    sweep(q1, k);  // QR
+    sweep(p1, k);  // LQ
   }
-  getsmqrt(be, A, tau(ntiles - 1), ntiles - 1, ntiles - 1, ntiles, cfg, times);
+  sweep(q1, ntiles - 1);
 }
 
 /// Emit the exact Phase-1 launch schedule for an (ntiles*ts)^2 matrix into

@@ -34,13 +34,6 @@
 
 namespace unisvd::qr {
 
-/// Rows the stacked tau workspace of panel_qr_factor needs for an
-/// (ntrows x ntcols)-tile panel: one (ntrows x TILESIZE) block per sweep.
-[[nodiscard]] constexpr index_t panel_tau_rows(index_t ntrows,
-                                               index_t ntcols) noexcept {
-  return ntrows * ntcols;
-}
-
 /// Factor a tall padded panel A (rows >= cols, both TILESIZE multiples) by
 /// column sweeps, retaining every sweep's reflectors: on exit A holds R in
 /// its top triangle and the Householder tails below, and TauAll (at least
@@ -70,15 +63,14 @@ void panel_qr_factor(ka::Backend& be, MatrixView<T> A, MatrixView<T> TauAll,
 }
 
 /// C <- Q * C for a factorization whose sweeps kept their own tau blocks:
-/// panel_qr_factor's (A, TauAll), or one of band_reduction's two stacks —
-/// the QR sweeps on A, or the LQ sweeps on A's transpose with
-/// `row_off` = 1, since LQ sweep k factors tile row k + 1 down. Sweep k's
-/// panel starts at tile row k + row_off, and its tau block at row
-/// k * (A.rows() / TILESIZE) of TauAll. C is compute-precision (or any
-/// storage type), >= A.rows() rows and a TILESIZE multiple of columns. The
-/// replay runs the sweeps in reverse — last sweep first, TSQRT chain
-/// before GEQRT, rows descending — with each kernel in ApplyDir::Backward,
-/// exactly inverting the forward (Q^T) application order.
+/// panel_qr_factor's (A, TauAll) with `row_off` = 0, or one side of
+/// band_reduction as band_reflectors gives it. Sweep k's panel starts at
+/// tile row k + row_off, and its tau block at row k * (A.rows() / TILESIZE)
+/// of TauAll. C is compute-precision (or any storage type), >= A.rows()
+/// rows and a TILESIZE multiple of columns. The replay runs the sweeps in
+/// reverse — last sweep first, TSQRT chain before GEQRT, rows descending —
+/// with each kernel in ApplyDir::Backward, exactly inverting the forward
+/// (Q^T) application order.
 template <class TS, class TA>
 void panel_apply_q(ka::Backend& be, MatrixView<TS> A, MatrixView<TS> TauAll,
                    MatrixView<TA> C, const qr::KernelConfig& cfg,

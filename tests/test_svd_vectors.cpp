@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "baseline/jacobi.hpp"
@@ -158,6 +159,36 @@ TYPED_TEST(SvdVectorsTyped, WideFullHasOrthonormalCompletion) {
   const auto a = testutil::convert<TypeParam>(testutil::random_matrix(16, 33, 508));
   const auto rep = svd_report<TypeParam>(a.view(), vec_config(SvdJob::Full));
   expect_valid_svd<TypeParam>(a.view(), rep, SvdJob::Full, "wide full 16x33");
+}
+
+TYPED_TEST(SvdVectorsTyped, UnfusedKernelsGiveValidFactorsAndThinMatchesFull) {
+  // Tuned configurations may turn the fused TSQRT/TSMQR chain off; the
+  // back-transformation then replays Q1, P1 and a tall input's panel Q one
+  // tile row at a time. Padded square, tall and wide inputs pass the gates
+  // either way, and the Thin factors are the leading block of the Full
+  // ones, bit for bit.
+  const std::pair<index_t, index_t> shapes[] = {{37, 37}, {53, 21}, {21, 53}};
+  const auto leading = [](const Matrix<double>& full, const Matrix<double>& thin) {
+    return ConstMatrixView<double>(full.data(), thin.rows(), thin.cols(), full.rows());
+  };
+  for (const bool fused : {true, false}) {
+    for (const auto& [m, n] : shapes) {
+      const std::string tag = std::to_string(m) + "x" + std::to_string(n) +
+                              (fused ? " fused" : " unfused");
+      const auto a = testutil::convert<TypeParam>(
+          testutil::random_matrix(m, n, 520 + static_cast<std::uint64_t>(m)));
+      auto thin_cfg = vec_config(SvdJob::Thin);
+      auto full_cfg = vec_config(SvdJob::Full);
+      thin_cfg.kernels.fused = fused;
+      full_cfg.kernels.fused = fused;
+      const auto thin = svd_report<TypeParam>(a.view(), thin_cfg);
+      const auto full = svd_report<TypeParam>(a.view(), full_cfg);
+      expect_valid_svd<TypeParam>(a.view(), thin, SvdJob::Thin, tag.c_str());
+      expect_valid_svd<TypeParam>(a.view(), full, SvdJob::Full, tag.c_str());
+      EXPECT_EQ(ref::fro_diff(thin.u.view(), leading(full.u, thin.u)), 0.0) << tag;
+      EXPECT_EQ(ref::fro_diff(thin.vt.view(), leading(full.vt, thin.vt)), 0.0) << tag;
+    }
+  }
 }
 
 TYPED_TEST(SvdVectorsTyped, ValuesAgreeAcrossJobs) {
