@@ -15,19 +15,22 @@
 /// every Givens rotation onto rows of the transposed factor accumulators
 /// Ut / Vt (U = Ut^T).
 ///
-/// Robustness: reduced-precision iteration can stagnate on strongly graded
-/// spectra (observed in FP32 with clustered log-spaced values). When a
-/// block exhausts its sweep budget, the solver falls back to Sturm
-/// bisection on that block — an independent algorithm with guaranteed
-/// convergence — so the routine always completes. With vectors requested,
-/// the stagnated block is additionally re-iterated in double precision
-/// with a larger budget to recover its rotations; the *values* still come
-/// from bisection, keeping them bit-identical to the values-only path.
+/// Budget: like LAPACK's bdsqr, the iteration bounds its total work, not
+/// each value's: it counts inner steps across the whole bidiagonal (an
+/// implicit QR step on block [l, k] adds k - l) and stops before any step
+/// that would pass kMaxIter * n^2. Graded spectra need many sweeps for
+/// their bottom value but few per value on average, so a per-value cap
+/// would stop them early. On exhaustion the values-only iteration settles
+/// the unconverged leading part by Sturm bisection (bidiag_svd_bisect), an
+/// independent algorithm with guaranteed convergence; the vector iteration
+/// throws unisvd::Error, as bdsqr returns INFO > 0. QrStats reports the
+/// sweeps and the bisected rows.
 
 #include <algorithm>
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "bidiag/bisection.hpp"
@@ -37,17 +40,26 @@
 
 namespace unisvd::bidiag {
 
+/// LAPACK's MAXITR: an n x n bidiagonal gets kMaxIter * n^2 inner steps in
+/// total (see the file comment).
+inline constexpr long kMaxIter = 6;
+
+/// Inner-step budget of an n x n bidiagonal.
+constexpr long step_budget(long n) noexcept { return kMaxIter * n * n; }
+
+/// Numerical events of one values-only solve (reported on
+/// SvdReport::qr_stats).
+struct QrStats {
+  index_t sweeps = 0;         ///< implicit QR steps, one chase of a block each
+  index_t bisected_rows = 0;  ///< rows the exhausted budget left to bisection
+};
+
 namespace detail {
 
-/// Sink that discards every rotation: the values-only fast path.
+/// Sink that discards every rotation: the values-only fast path. The
+/// iteration only calls a sink under `if constexpr (Sink::kActive)`.
 struct NullRotationSink {
   static constexpr bool kActive = false;
-  static constexpr bool kAllowRescue = false;
-  template <class S>
-  void rotate_u(long, long, S, S) noexcept {}
-  template <class S>
-  void rotate_v(long, long, S, S) noexcept {}
-  void negate_v(long) noexcept {}
 };
 
 /// Sink applying rotations to rows of the transposed accumulators Ut / Vt.
@@ -57,18 +69,11 @@ struct NullRotationSink {
 template <class AT>
 struct MatrixRotationSink {
   static constexpr bool kActive = true;
-  static constexpr bool kAllowRescue = true;
   MatrixView<AT> ut;
   MatrixView<AT> vt;
 
-  template <class S>
-  void rotate_u(long r1, long r2, S c, S s) {
-    apply_givens_rows(ut, r1, r2, c, s);
-  }
-  template <class S>
-  void rotate_v(long r1, long r2, S c, S s) {
-    apply_givens_rows(vt, r1, r2, c, s);
-  }
+  void rotate_u(long r1, long r2, AT c, AT s) { apply_givens_rows(ut, r1, r2, c, s); }
+  void rotate_v(long r1, long r2, AT c, AT s) { apply_givens_rows(vt, r1, r2, c, s); }
   void negate_v(long r) {
     for (index_t j = 0; j < vt.cols(); ++j) {
       vt.at(r, j) = -vt.at(r, j);
@@ -76,43 +81,33 @@ struct MatrixRotationSink {
   }
 };
 
-/// Sink adapter shifting row indices by a block offset — used when the
-/// double-precision stagnation rescue iterates a sub-block [l, k] whose
-/// local indices must land on global accumulator rows. kAllowRescue is
-/// false: the rescue itself runs with a 4x budget and settles for bisection
-/// values if even double stagnates — no nested rescues (which would also
-/// recurse at template-instantiation time).
-template <class Base>
-struct OffsetRotationSink {
-  static constexpr bool kActive = true;
-  static constexpr bool kAllowRescue = false;
-  Base* base;
-  long offset;
-
-  template <class S>
-  void rotate_u(long r1, long r2, S c, S s) {
-    base->rotate_u(r1 + offset, r2 + offset, c, s);
+/// The values-only fallback of both iterations (this one and the fused
+/// path's): overwrite the unconverged leading part w[0..k] with its
+/// singular values from Sturm bisection and zero its couplings, so every
+/// remaining position reads as converged.
+template <class CT>
+void bisect_leading(CT* w, CT* rv1, long k) {
+  const auto len = static_cast<std::size_t>(k + 1);
+  const std::vector<double> bd(w, w + len);
+  const std::vector<double> be(rv1 + 1, rv1 + len);
+  const auto vals = bidiag_svd_bisect(bd, be);  // descending
+  for (std::size_t i = 0; i < len; ++i) {
+    w[i] = static_cast<CT>(vals[i]);
+    rv1[i] = CT(0);
   }
-  template <class S>
-  void rotate_v(long r1, long r2, S c, S s) {
-    base->rotate_v(r1 + offset, r2 + offset, c, s);
-  }
-  void negate_v(long r) { base->negate_v(r + offset); }
-};
-
-constexpr int kMaxSweeps = 60;
+}
 
 /// The Golub-Reinsch iteration on w (diagonal) and rv1 (superdiagonal,
-/// rv1[i] couples w[i-1] and w[i]; rv1[0] unused). On exit every w[i] is a
-/// non-negative singular value (unsorted); rotations went to `sink`. The
-/// stagnation rescue only compiles for sinks with kAllowRescue (the rescue
-/// runs once, in double, and if it stagnates too settles for bisection
-/// values).
+/// rv1[i] couples w[i-1] and w[i]; rv1[0] unused), within `max_steps`
+/// inner steps in total. The entry points pass step_budget(n); tests pass
+/// less to reach exhaustion. On exit every w[i] is a non-negative singular
+/// value (unsorted); rotations went to `sink`.
 template <class CT, class Sink>
-void golub_reinsch_iterate(std::vector<CT>& w, std::vector<CT>& rv1, Sink& sink,
-                           int max_sweeps) {
+QrStats golub_reinsch_iterate(std::vector<CT>& w, std::vector<CT>& rv1, Sink& sink,
+                              long max_steps) {
   const auto n = static_cast<long>(w.size());
   const CT eps = std::numeric_limits<CT>::epsilon();
+  QrStats stats;
   CT anorm = CT(0);
   for (long i = 0; i < n; ++i) {
     anorm = std::max(anorm, std::abs(w[static_cast<std::size_t>(i)]) +
@@ -120,16 +115,16 @@ void golub_reinsch_iterate(std::vector<CT>& w, std::vector<CT>& rv1, Sink& sink,
   }
   if (anorm == CT(0)) {
     std::fill(w.begin(), w.end(), CT(0));
-    return;
+    return stats;
   }
 
   const auto at = [](std::vector<CT>& a, long i) -> CT& {
     return a[static_cast<std::size_t>(i)];
   };
 
+  long steps = 0;
   for (long k = n - 1; k >= 0; --k) {
-    bool converged = false;
-    for (int its = 0; its < max_sweeps && !converged; ++its) {
+    for (;;) {
       bool flag = true;  // true: a negligible diagonal requires cancellation
       long l = k;
       for (; l >= 0; --l) {
@@ -163,66 +158,20 @@ void golub_reinsch_iterate(std::vector<CT>& w, std::vector<CT>& rv1, Sink& sink,
           at(w, k) = -z;
           if constexpr (Sink::kActive) sink.negate_v(k);
         }
-        converged = true;
         break;
       }
-      if (its == max_sweeps - 1) {
-        // Stagnation: resolve the active block [l, k] by bisection (the
-        // values stay bit-identical to the values-only path). With vectors
-        // requested, additionally recover the block's rotations by
-        // re-running the iteration on a double-precision copy with a 4x
-        // budget — double converges where reduced precision stagnated —
-        // then order the block's vectors descending to match the bisection
-        // values assigned below.
-        std::vector<double> bd;
-        std::vector<double> be;
-        for (long i = l; i <= k; ++i) {
-          bd.push_back(static_cast<double>(at(w, i)));
-          if (i > l) be.push_back(static_cast<double>(at(rv1, i)));
+      if (steps + (k - l) > max_steps) {
+        if constexpr (Sink::kActive) {
+          throw Error("bidiag QR: no convergence within " + std::to_string(max_steps) +
+                      " inner steps");
+        } else {
+          bisect_leading(w.data(), rv1.data(), k);
+          stats.bisected_rows = k + 1;
+          break;
         }
-        if constexpr (Sink::kAllowRescue) {
-          {
-            const auto bn = static_cast<std::size_t>(k - l + 1);
-            std::vector<double> wd(bd);
-            std::vector<double> rvd(bn, 0.0);
-            for (std::size_t i = 1; i < bn; ++i) rvd[i] = be[i - 1];
-            OffsetRotationSink<Sink> osink{&sink, l};
-            // 4x budget with a floor: the rescue must get a real chance to
-            // converge even when the caller's budget is tiny (tests pin
-            // this path with max_sweeps == 1).
-            golub_reinsch_iterate(wd, rvd, osink,
-                                  std::max(4 * max_sweeps, 4 * kMaxSweeps));
-            // Sort the rescued block descending (rows of Ut/Vt follow) so
-            // vector i pairs with the i-th largest bisection value. Each
-            // exchange is the rotation (c, s) = (0, 1) applied to BOTH
-            // accumulators: it swaps the two rows and negates one of them
-            // in U and V alike, leaving u_i * v_i^T — and the product
-            // U diag(w) V^T — unchanged.
-            std::vector<std::size_t> idx(bn);
-            std::iota(idx.begin(), idx.end(), std::size_t{0});
-            std::stable_sort(idx.begin(), idx.end(), [&](std::size_t a, std::size_t b) {
-              return wd[a] > wd[b];
-            });
-            for (std::size_t i = 0; i < bn; ++i) {
-              std::size_t target = idx[i];
-              while (target < i) target = idx[target];
-              if (target == i) continue;
-              std::swap(wd[i], wd[target]);
-              sink.rotate_u(l + static_cast<long>(i), l + static_cast<long>(target),
-                            0.0, 1.0);
-              sink.rotate_v(l + static_cast<long>(i), l + static_cast<long>(target),
-                            0.0, 1.0);
-            }
-          }
-        }
-        const auto vals = bidiag_svd_bisect(bd, be);  // descending
-        for (long i = l; i <= k; ++i) {
-          at(w, i) = static_cast<CT>(vals[static_cast<std::size_t>(i - l)]);
-          at(rv1, i) = CT(0);
-        }
-        converged = true;
-        break;
       }
+      steps += k - l;
+      ++stats.sweeps;
 
       // Implicit QR step on [l, k] with Wilkinson-style shift from the
       // trailing 2x2 of B^T B.
@@ -268,12 +217,16 @@ void golub_reinsch_iterate(std::vector<CT>& w, std::vector<CT>& rv1, Sink& sink,
       at(w, k) = x;
     }
   }
+  return stats;
 }
 
 }  // namespace detail
 
+/// Singular values, descending; `stats`, when given, receives the
+/// iteration's events.
 template <class CT>
-std::vector<CT> bidiag_svd_qr(std::vector<CT> d, std::vector<CT> e) {
+std::vector<CT> bidiag_svd_qr(std::vector<CT> d, std::vector<CT> e,
+                              QrStats* stats = nullptr) {
   const auto n = static_cast<long>(d.size());
   UNISVD_REQUIRE(n >= 1, "bidiag_svd_qr: empty input");
   UNISVD_REQUIRE(e.size() + 1 == d.size(), "bidiag_svd_qr: e must have length n-1");
@@ -289,7 +242,8 @@ std::vector<CT> bidiag_svd_qr(std::vector<CT> d, std::vector<CT> e) {
   for (long i = 1; i < n; ++i) rv1[static_cast<std::size_t>(i)] = e[static_cast<std::size_t>(i - 1)];
 
   detail::NullRotationSink sink;
-  detail::golub_reinsch_iterate(w, rv1, sink, detail::kMaxSweeps);
+  const QrStats st = detail::golub_reinsch_iterate(w, rv1, sink, step_budget(n));
+  if (stats != nullptr) *stats = st;
 
   for (auto& v : w) v = std::abs(v);
   std::sort(w.begin(), w.end(), std::greater<CT>());
@@ -302,7 +256,8 @@ std::vector<CT> bidiag_svd_qr(std::vector<CT> d, std::vector<CT> e) {
 /// rows = vectors; only the first n rows are touched, so they may be larger
 /// than the bidiagonal, as D&C's right factor with its null row is). The
 /// final descending sort permutes the first n rows of both accumulators in
-/// step with the values.
+/// step with the values. Throws unisvd::Error where bidiag_svd_qr would
+/// fall back to bisection: the step budget ran out.
 template <class CT>
 std::vector<CT> bidiag_svd_qr_vectors(std::vector<CT> d, std::vector<CT> e,
                                       MatrixView<CT> ut, MatrixView<CT> vt) {
@@ -325,15 +280,7 @@ std::vector<CT> bidiag_svd_qr_vectors(std::vector<CT> d, std::vector<CT> e,
   std::vector<CT> rv1(static_cast<std::size_t>(n), CT(0));
   for (long i = 1; i < n; ++i) rv1[static_cast<std::size_t>(i)] = e[static_cast<std::size_t>(i - 1)];
 
-  detail::golub_reinsch_iterate(w, rv1, sink, detail::kMaxSweeps);
-
-  for (long i = 0; i < n; ++i) {
-    auto& v = w[static_cast<std::size_t>(i)];
-    if (v < CT(0)) {  // defensive: the iteration leaves values non-negative
-      v = -v;
-      sink.negate_v(i);
-    }
-  }
+  detail::golub_reinsch_iterate(w, rv1, sink, step_budget(n));
 
   // Descending sort with the permutation applied to the accumulator rows.
   // stable_sort on indices yields the same value sequence as the values-only

@@ -11,18 +11,14 @@
 namespace unisvd {
 
 /// Apply the rotation pair (c, s) to full rows (r1, r2) of `m`:
-/// row r1 <- c*r1 + s*r2, row r2 <- -s*r1 + c*r2. The rotation scalars may
-/// arrive in a wider type than the accumulator storage (the Stage-3
-/// double-precision stagnation rescue); they are narrowed once up front.
-template <class AT, class S>
-void apply_givens_rows(MatrixView<AT> m, index_t r1, index_t r2, S c, S s) {
-  const AT cc = static_cast<AT>(c);
-  const AT ss = static_cast<AT>(s);
+/// row r1 <- c*r1 + s*r2, row r2 <- -s*r1 + c*r2.
+template <class AT>
+void apply_givens_rows(MatrixView<AT> m, index_t r1, index_t r2, AT c, AT s) {
   for (index_t j = 0; j < m.cols(); ++j) {
     AT& u = m.at(r1, j);
     AT& v = m.at(r2, j);
-    const AT nu = cc * u + ss * v;
-    const AT nv = -ss * u + cc * v;
+    const AT nu = c * u + s * v;
+    const AT nv = -s * u + c * v;
     u = nu;
     v = nv;
   }

@@ -60,19 +60,19 @@ double fro_diff(ConstMatrixView<TA> a, ConstMatrixView<TB> b) {
   return std::sqrt(s);
 }
 
-/// || Q^T Q - I ||_F : orthogonality defect of the columns of Q.
+/// || Q^T Q - I ||_F : orthogonality defect of the columns of Q. Q^T Q is
+/// symmetric, so each off-diagonal dot is computed once and counted twice.
 template <class T>
 double orthogonality_defect(ConstMatrixView<T> q) {
   const index_t n = q.cols();
   double s = 0.0;
   for (index_t j = 0; j < n; ++j) {
-    for (index_t i = 0; i < n; ++i) {
+    for (index_t i = 0; i <= j; ++i) {
       double dot = 0.0;
       for (index_t k = 0; k < q.rows(); ++k) {
         dot += static_cast<double>(q.at(k, i)) * static_cast<double>(q.at(k, j));
       }
-      const double target = (i == j) ? 1.0 : 0.0;
-      s += (dot - target) * (dot - target);
+      s += (i == j) ? (dot - 1.0) * (dot - 1.0) : 2.0 * dot * dot;
     }
   }
   return std::sqrt(s);

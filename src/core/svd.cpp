@@ -267,8 +267,9 @@ SvdReport svd_values_report(ConstMatrixView<T> a, const SvdConfig& config,
   rep.stage_times.add(ka::Stage::BandToBidiagonal, seconds_since(t0));
 
   // Stage 3: bidiagonal -> singular values. The job selects the engine:
-  // values-only solves run the implicit-shift QR iteration (the historic
-  // path, bit-identical to every prior release); vector jobs run the
+  // values-only solves run the implicit-shift QR iteration (bit-identical
+  // to prior releases wherever their per-value sweep cap never fired, its
+  // events in rep.qr_stats); vector jobs run the
   // divide-and-conquer solver (src/dc), whose own implicit-QR leaf handles
   // the small sub-problems, so Thin and Full values are bit-identical and
   // agree with values-only ones within the accuracy gates. D&C also
@@ -283,7 +284,7 @@ SvdReport svd_values_report(ConstMatrixView<T> a, const SvdConfig& config,
     bfac = dc::bidiag_svd_dc<CT>(std::move(d), std::move(e), dco, &rep.dc_stats);
     sv = std::move(bfac.values);
   } else {
-    sv = bidiag::bidiag_svd_qr(std::move(d), std::move(e));
+    sv = bidiag::bidiag_svd_qr(std::move(d), std::move(e), &rep.qr_stats);
   }
   rep.stage_times.add(ka::Stage::BidiagonalToDiagonal, seconds_since(t0));
 

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "band/band_to_bidiag.hpp"
+#include "bidiag/bidiag_qr.hpp"
 #include "common/matrix.hpp"
 #include "common/precision.hpp"
 #include "dc/dc_svd.hpp"
@@ -34,8 +35,10 @@ namespace unisvd {
 /// (src/dc) and then the back-transformation.
 enum class SvdJob {
   ValuesOnly,  ///< singular values only — the fast path, bit-identical to
-               ///< the historic svd_values behaviour (no sweep's reflectors
-               ///< or rotations are kept, no vector kernels launch)
+               ///< the historic svd_values behaviour wherever its
+               ///< per-value Stage-3 sweep cap never fired (no sweep's
+               ///< reflectors or rotations are kept, no vector kernels
+               ///< launch)
   Thin,        ///< U is m x min(m, n), Vt is min(m, n) x n — the economy
                ///< factorization that PCA / low-rank use. Tall (or wide, on
                ///< the lazy transpose) inputs compose U = Q * U_R from the
@@ -73,7 +76,8 @@ struct SvdConfig {
   /// unaffected.
   bool auto_scale = false;
   /// Whether to compute singular vectors (see SvdJob). ValuesOnly keeps
-  /// the historic fast path byte-for-byte; Thin/Full keep each stage's
+  /// the historic fast path byte-for-byte wherever its per-value Stage-3
+  /// sweep cap never fired; Thin/Full keep each stage's
   /// reflectors and rotations, build the vectors in one back-transformation
   /// after Stage 3 (compute precision, Stage::VectorAccumulation timing) and
   /// fill SvdReport::u / SvdReport::vt. Thin and Full values are bit-identical;
@@ -147,6 +151,9 @@ struct SvdReport {
   /// D&C events of a pipeline vector job (zero for ValuesOnly and fused
   /// solves).
   dc::DcStats dc_stats;
+  /// Implicit-QR events of a ValuesOnly solve, pipeline or fused (zero for
+  /// vector jobs).
+  bidiag::QrStats qr_stats;
   index_t padded_n = 0;         ///< square working extent after padding
   /// True when this solve took the fused tiny-problem path (min(m, n) <=
   /// SvdConfig::small_svd_threshold): one stack-resident one-sided Jacobi

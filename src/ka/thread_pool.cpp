@@ -1,5 +1,9 @@
 #include "ka/thread_pool.hpp"
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include <algorithm>
 #include <chrono>
 
@@ -28,6 +32,20 @@ struct BusyInlineScope {
   BusyInlineScope() noexcept { tls_busy_inline = true; }
   ~BusyInlineScope() { tls_busy_inline = prev; }
 };
+
+/// CPUs the calling thread may run on: the size of its affinity mask, so a
+/// pinned or cpuset-limited process sizes its pools to its cores. Falls
+/// back to the hardware concurrency where the mask cannot be read.
+unsigned available_cpus() {
+#if defined(__linux__)
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    return static_cast<unsigned>(CPU_COUNT(&set));
+  }
+#endif
+  return std::thread::hardware_concurrency();
+}
 }  // namespace
 
 ScopedInlineNested::ScopedInlineNested() noexcept : prev_(tls_inline_nested) {
@@ -38,7 +56,7 @@ ScopedInlineNested::~ScopedInlineNested() { tls_inline_nested = prev_; }
 
 ThreadPool::ThreadPool(unsigned num_threads) {
   if (num_threads == 0) {
-    num_threads = std::max(1u, std::thread::hardware_concurrency());
+    num_threads = std::max(1u, available_cpus());
   }
   const unsigned spawned = num_threads > 1 ? num_threads - 1 : 0;
   workers_.reserve(spawned);

@@ -74,8 +74,10 @@ struct ParallelForOptions {
 
 class ThreadPool {
  public:
-  /// Spawns `num_threads` workers (0 = hardware concurrency). The calling
-  /// thread of parallel_for participates, so `num_threads - 1` are spawned.
+  /// Spawns `num_threads` workers (0 = the CPUs in the calling thread's
+  /// affinity mask, or the hardware concurrency where it cannot be read).
+  /// The calling thread of parallel_for participates, so `num_threads - 1`
+  /// are spawned.
   explicit ThreadPool(unsigned num_threads = 0);
   ~ThreadPool();
 

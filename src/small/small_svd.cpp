@@ -10,7 +10,7 @@
 #include <utility>
 #include <vector>
 
-#include "bidiag/bisection.hpp"
+#include "bidiag/bidiag_qr.hpp"
 #include "common/error.hpp"
 #include "common/half.hpp"
 #include "common/linalg_ref.hpp"
@@ -262,13 +262,15 @@ void svd_2x2_values(CT f, CT g, CT h, CT& ssmin, CT& ssmax) noexcept {
 ///     each Givens pair costs ONE reciprocal instead of two divides;
 ///   * a block that shrinks to 2x2 closes in one svd_2x2_values call
 ///     instead of iterating its tail away;
-///   * a block that exhausts the sweep budget falls back to Sturm bisection
-///     (bidiag_svd_bisect) exactly like the pipeline's Stage 3, so strongly
-///     graded FP32 spectra still complete.
+///   * it shares the pipeline's total budget of bidiag::step_budget(n)
+///     inner steps and its one fallback: an exhausted budget leaves the
+///     unconverged leading part to Sturm bisection (bidiag::detail::
+///     bisect_leading).
 ///
-/// On exit w holds the unsorted non-negative singular values.
+/// On exit w holds the unsorted non-negative singular values; `stats`
+/// receives the sweeps and bisected rows.
 template <class CT>
-void gr_values_small(CT* w, CT* rv1, index_t n) {
+void gr_values_small(CT* w, CT* rv1, index_t n, bidiag::QrStats& stats) {
   const CT eps = CT(16) * std::numeric_limits<CT>::epsilon();
   CT anorm = CT(0);
   for (index_t i = 0; i < n; ++i) {
@@ -283,9 +285,10 @@ void gr_values_small(CT* w, CT* rv1, index_t n) {
     w[i] *= prescale;
     rv1[i] *= prescale;
   }
-  constexpr int kMaxIts = 60;
+  const long budget = bidiag::step_budget(n);
+  long steps = 0;
   for (index_t k = n - 1; k >= 0; --k) {
-    for (int its = 0;; ++its) {
+    for (;;) {
       bool flag = true;  // true: negligible diagonal needs cancellation
       index_t l = k;
       for (; l >= 0; --l) {
@@ -321,25 +324,17 @@ void gr_values_small(CT* w, CT* rv1, index_t n) {
         rv1[k] = CT(0);
         break;
       }
-      if (its == kMaxIts - 1) {
-        // Stagnation: settle the active block by bisection (guaranteed).
+      if (steps + (k - l) > budget) {
         // unisvd-lint: begin-allow(kernel-alloc) cold fallback, entered only
-        // when a block exhausts the sweep budget — never on the hot path,
-        // and the bisection driver takes vectors by contract.
-        std::vector<double> bd;
-        std::vector<double> be;
-        for (index_t i = l; i <= k; ++i) {
-          bd.push_back(static_cast<double>(w[i]));
-          if (i > l) be.push_back(static_cast<double>(rv1[i]));
-        }
-        const auto vals = bidiag::bidiag_svd_bisect(bd, be);  // descending
+        // when the whole solve exhausts its step budget — never on the hot
+        // path; it allocates because bidiag_svd_bisect takes vectors.
+        bidiag::detail::bisect_leading(w, rv1, k);
         // unisvd-lint: end-allow
-        for (index_t i = l; i <= k; ++i) {
-          w[i] = static_cast<CT>(vals[static_cast<std::size_t>(i - l)]);
-          rv1[i] = CT(0);
-        }
+        stats.bisected_rows = k + 1;
         break;
       }
+      steps += k - l;
+      ++stats.sweeps;
 
       // Implicit QR step on [l, k], Wilkinson-style shift from the trailing
       // 2x2 of B^T B. The chase is a serial latency chain — every position
@@ -479,7 +474,7 @@ SvdReport small_svd_solve(ConstMatrixView<T> a, const SvdConfig& config) {
     bidiagonalize_small(g, m, n, d, e, rv1, dotbuf);
     rv1[0] = CT(0);
     for (index_t i = 1; i < n; ++i) rv1[i] = e[i - 1];
-    gr_values_small(d, rv1, n);
+    gr_values_small(d, rv1, n, rep.qr_stats);
     std::sort(d, d + n, std::greater<CT>());
     rep.values.resize(static_cast<std::size_t>(n));
     for (index_t i = 0; i < n; ++i) {
@@ -506,7 +501,7 @@ SvdReport small_svd_solve(ConstMatrixView<T> a, const SvdConfig& config) {
   // arithmetic stops improving instead of spinning on the double oracle's
   // 1e-14.
   const double tol = 16.0 * static_cast<double>(std::numeric_limits<CT>::epsilon());
-  constexpr int kMaxSweeps = 60;
+  constexpr int kMaxJacobiSweeps = 60;
   Tournament tour(n);
   // Cached squared column norms: each pair probe then costs one cross dot
   // (rotate_pair_cached) instead of the three-measure Gram pass. Refreshed
@@ -514,7 +509,7 @@ SvdReport small_svd_solve(ConstMatrixView<T> a, const SvdConfig& config) {
   // accumulates past a sweep.
   std::vector<double> norm_sq(static_cast<std::size_t>(n));
   bool converged = false;
-  for (int sweep = 0; sweep < kMaxSweeps && !converged; ++sweep) {
+  for (int sweep = 0; sweep < kMaxJacobiSweeps && !converged; ++sweep) {
     for (index_t j = 0; j < n; ++j) {
       norm_sq[static_cast<std::size_t>(j)] = norm_sq_column<CT>(g + j * m, m);
     }

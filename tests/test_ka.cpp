@@ -3,6 +3,9 @@
 /// recording.
 
 #include <gtest/gtest.h>
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 #include <atomic>
 #include <chrono>
@@ -25,6 +28,33 @@ TEST(ThreadPool, RunsAllIndicesExactlyOnce) {
   pool.parallel_for(1000, [&](index_t i) { hits[static_cast<std::size_t>(i)]++; });
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
+
+#if defined(__linux__)
+TEST(ThreadPool, DefaultWidthFollowsAffinityMask) {
+  cpu_set_t original;
+  CPU_ZERO(&original);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(original), &original), 0);
+  if (CPU_COUNT(&original) < 2) {
+    GTEST_SKIP() << "the affinity mask holds fewer than 2 CPUs";
+  }
+  cpu_set_t two;
+  CPU_ZERO(&two);
+  for (int c = 0, picked = 0; c < CPU_SETSIZE && picked < 2; ++c) {
+    if (CPU_ISSET(c, &original)) {
+      CPU_SET(c, &two);
+      ++picked;
+    }
+  }
+  ASSERT_EQ(sched_setaffinity(0, sizeof(two), &two), 0);
+  unsigned width = 0;
+  {
+    ka::ThreadPool pool(0);
+    width = pool.size();
+  }
+  ASSERT_EQ(sched_setaffinity(0, sizeof(original), &original), 0);
+  EXPECT_EQ(width, 2u);
+}
+#endif
 
 TEST(ThreadPool, EmptyAndSingleRange) {
   ka::ThreadPool pool(4);

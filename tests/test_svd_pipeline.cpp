@@ -1,9 +1,13 @@
 /// End-to-end tests of the unified svd_values API: accuracy across
 /// precisions, sizes and spectra (the Table 1 protocol at test scale),
-/// padding, degenerate inputs, failure injection, determinism, and
-/// agreement with both baselines.
+/// padding, degenerate inputs, failure injection, determinism, agreement
+/// with both baselines, and Stage 3's step budget on graded spectra.
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
 
 #include "baseline/jacobi.hpp"
 #include "baseline/onestage.hpp"
@@ -207,4 +211,75 @@ TEST(SvdPipeline, ValuesReturnedInStoragePrecision) {
   ASSERT_EQ(sv.size(), 16u);
   EXPECT_GT(float(sv.front()), 0.9f);
   for (std::size_t i = 1; i < sv.size(); ++i) EXPECT_LE(float(sv[i]), float(sv[i - 1]));
+}
+
+// ---- Stage-3 step budget on graded spectra ----
+//
+// On these inputs some singular value needs more than 60 implicit-QR
+// sweeps before it deflates, although the whole solve needs only about 1.2
+// sweeps per value. A per-value cap of 60 sweeps sent part or all of each
+// bidiagonal to Sturm bisection (each seed is one where it did); the total
+// budget of bidiag::step_budget(n) inner steps converges them all. Default
+// config, so this is the library's own svdvals path.
+
+namespace {
+
+template <class T>
+void expect_graded_spectrum_converges(index_t n, double decades, std::uint64_t seed) {
+  rnd::Xoshiro256 rng(seed);
+  const auto sigma = rnd::logarithmic_spectrum(n, decades);
+  const Matrix<T> a = rnd::round_to<T>(rnd::matrix_with_spectrum_fast(sigma, rng));
+  const SvdReport rep = svd_values_report<T>(a.view());
+  EXPECT_FALSE(rep.small_path);
+  EXPECT_EQ(rep.qr_stats.bisected_rows, 0);
+  EXPECT_GT(rep.qr_stats.sweeps, 0);
+  ASSERT_EQ(rep.values.size(), sigma.size());
+  const double tol = 50.0 * precision_traits<T>::storage_eps * static_cast<double>(n);
+  double err = 0.0;
+  for (std::size_t i = 0; i < sigma.size(); ++i) {
+    err = std::max(err, std::abs(rep.values[i] - sigma[i]) / sigma[0]);
+  }
+  EXPECT_LE(err, tol);
+}
+
+}  // namespace
+
+TEST(Stage3StepBudget, Fp32DefaultSpectrumAt1024) {
+  // logarithmic_spectrum(n)'s default: 3 decades.
+  expect_graded_spectrum_converges<float>(1024, 3.0, 3);
+}
+
+TEST(Stage3StepBudget, Fp32FourDecadesAt256) {
+  expect_graded_spectrum_converges<float>(256, 4.0, 1);
+}
+
+TEST(Stage3StepBudget, Fp64EightDecadesAt256) {
+  expect_graded_spectrum_converges<double>(256, 8.0, 5);
+}
+
+TEST(Stage3StepBudget, Fp64TwelveDecadesAt256) {
+  expect_graded_spectrum_converges<double>(256, 12.0, 2);
+}
+
+TEST(Stage3StepBudget, QrStatsReportValuesOnlySolves) {
+  // Pipeline and fused ValuesOnly solves report their sweeps; vector jobs,
+  // which run D&C, report zeros.
+  const auto a = testutil::random_matrix(48, 48, 11);
+  SvdConfig values_cfg = small_config();
+  const SvdReport pipeline = svd_values_report<double>(a.view(), values_cfg);
+  EXPECT_FALSE(pipeline.small_path);
+  EXPECT_GT(pipeline.qr_stats.sweeps, 0);
+  EXPECT_EQ(pipeline.qr_stats.bisected_rows, 0);
+
+  const auto tiny = testutil::random_matrix(16, 16, 12);
+  const SvdReport fused = svd_values_report<double>(tiny.view());
+  EXPECT_TRUE(fused.small_path);
+  EXPECT_GT(fused.qr_stats.sweeps, 0);
+  EXPECT_EQ(fused.qr_stats.bisected_rows, 0);
+
+  SvdConfig thin_cfg = small_config();
+  thin_cfg.job = SvdJob::Thin;
+  const SvdReport thin = svd_values_report<double>(a.view(), thin_cfg);
+  EXPECT_EQ(thin.qr_stats.sweeps, 0);
+  EXPECT_EQ(thin.qr_stats.bisected_rows, 0);
 }

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "baseline/jacobi.hpp"
-#include "bidiag/bidiag_qr.hpp"
 #include "common/linalg_ref.hpp"
 #include "core/batch.hpp"
 #include "core/svd.hpp"
@@ -418,109 +417,4 @@ TEST(SvdVectorsBatched, StorageConversionShapes) {
   EXPECT_EQ(out[1].vt.cols(), 12);
   EXPECT_EQ(out[0].values.size(), 16u);
   EXPECT_EQ(out[1].values.size(), 12u);
-}
-
-// ---- Stage-3 stagnation rescue (deterministic) ----
-//
-// The rescue path — bisection values + double-precision re-iteration for
-// the rotations — normally fires only when reduced precision stagnates.
-// Pin it by calling the iteration core with max_sweeps == 1: every block
-// hits the budget immediately, so ALL vectors flow through the rescue
-// (including the OffsetRotationSink block-offset path when a zero coupling
-// splits the bidiagonal into blocks with l > 0).
-
-#include "bidiag/bidiag_qr.hpp"
-
-namespace {
-
-/// Run the iteration core on (d, e) with the given sweep budget, vectors
-/// accumulated; return max of reconstruction error ||B - Ut^T diag(w) Vt||
-/// and the two orthogonality defects (all Frobenius, computed in double).
-template <class CT>
-double rescue_path_error(std::vector<CT> d, std::vector<CT> e, int max_sweeps) {
-  const index_t n = static_cast<index_t>(d.size());
-  Matrix<double> b(n, n, 0.0);
-  for (index_t i = 0; i < n; ++i) {
-    b(i, i) = static_cast<double>(d[static_cast<std::size_t>(i)]);
-    if (i + 1 < n) b(i, i + 1) = static_cast<double>(e[static_cast<std::size_t>(i)]);
-  }
-
-  std::vector<CT> w = d;
-  std::vector<CT> rv1(static_cast<std::size_t>(n), CT(0));
-  for (index_t i = 1; i < n; ++i) {
-    rv1[static_cast<std::size_t>(i)] = e[static_cast<std::size_t>(i - 1)];
-  }
-  Matrix<CT> ut(n, n, CT(0));
-  Matrix<CT> vt(n, n, CT(0));
-  for (index_t i = 0; i < n; ++i) ut(i, i) = vt(i, i) = CT(1);
-  auto utv = ut.view();
-  auto vtv = vt.view();
-  bidiag::detail::MatrixRotationSink<CT> sink{utv, vtv};
-  bidiag::detail::golub_reinsch_iterate(w, rv1, sink, max_sweeps);
-
-  // Reconstruction: B ?= Ut^T diag(w) Vt (iteration order, unsorted).
-  Matrix<double> recon(n, n, 0.0);
-  for (index_t r = 0; r < n; ++r) {
-    const double s = static_cast<double>(w[static_cast<std::size_t>(r)]);
-    for (index_t j = 0; j < n; ++j) {
-      const double vs = s * static_cast<double>(vt(r, j));
-      for (index_t i = 0; i < n; ++i) {
-        recon(i, j) += static_cast<double>(ut(r, i)) * vs;
-      }
-    }
-  }
-  const Matrix<double>& bc = b;
-  double err = ref::fro_diff(bc.view(), ConstMatrixView<double>(recon.view()));
-  err = std::max(err, ref::orthogonality_defect(ut.view().transposed()));
-  err = std::max(err, ref::orthogonality_defect(vt.view().transposed()));
-  return err;
-}
-
-}  // namespace
-
-TEST(SvdVectorsRescue, BudgetOfOneForcesRescueOnWholeMatrix) {
-  // No negligible couplings: the first stagnating block spans l == 0.
-  std::vector<double> d{3.0, -1.5, 0.75, 2.25, -0.5, 1.0};
-  std::vector<double> e{0.5, 0.25, -1.0, 0.125, 0.375};
-  EXPECT_LT(rescue_path_error(d, e, 1), 1e-12);
-  // Sanity: the same input converges normally with the real budget.
-  EXPECT_LT(rescue_path_error(d, e, bidiag::detail::kMaxSweeps), 1e-12);
-}
-
-TEST(SvdVectorsRescue, ZeroCouplingExercisesBlockOffset) {
-  // e[3] == 0 splits [0,3] and [4,7]: the second block rescues with l > 0,
-  // driving OffsetRotationSink's row-offset mapping.
-  std::vector<double> d{2.0, 1.0, -3.0, 0.5, 4.0, -0.25, 1.5, 0.875};
-  std::vector<double> e{0.5, -0.75, 0.25, 0.0, 1.0, 0.5, -0.125};
-  EXPECT_LT(rescue_path_error(d, e, 1), 1e-12);
-}
-
-TEST(SvdVectorsRescue, Fp32RescueMatchesValuesOnlyBits) {
-  // In CT = float the rescued values must still be bit-identical to the
-  // values-only path under the same (tiny) budget: both take them from the
-  // same bisection call.
-  std::vector<float> d{2.0f, 1.0f, -3.0f, 0.5f, 4.0f, -0.25f};
-  std::vector<float> e{0.5f, -0.75f, 0.25f, 1.0f, 0.5f};
-  EXPECT_LT(rescue_path_error(d, e, 1), 1e-4);
-
-  std::vector<float> w_vec = d;
-  std::vector<float> rv_vec(d.size(), 0.0f);
-  for (std::size_t i = 1; i < d.size(); ++i) rv_vec[i] = e[i - 1];
-  Matrix<float> ut(6, 6, 0.0f);
-  Matrix<float> vt(6, 6, 0.0f);
-  for (index_t i = 0; i < 6; ++i) ut(i, i) = vt(i, i) = 1.0f;
-  auto utv = ut.view();
-  auto vtv = vt.view();
-  bidiag::detail::MatrixRotationSink<float> sink{utv, vtv};
-  bidiag::detail::golub_reinsch_iterate(w_vec, rv_vec, sink, 1);
-
-  std::vector<float> w_plain = d;
-  std::vector<float> rv_plain(d.size(), 0.0f);
-  for (std::size_t i = 1; i < d.size(); ++i) rv_plain[i] = e[i - 1];
-  bidiag::detail::NullRotationSink null_sink;
-  bidiag::detail::golub_reinsch_iterate(w_plain, rv_plain, null_sink, 1);
-
-  for (std::size_t i = 0; i < w_vec.size(); ++i) {
-    EXPECT_EQ(w_vec[i], w_plain[i]) << "i=" << i;
-  }
 }
