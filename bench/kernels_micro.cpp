@@ -1,7 +1,8 @@
 /// Kernel microbenchmarks (google-benchmark): REAL CPU-backend throughput
 /// of every Phase-1 kernel across TILESIZE / COLPERBLOCK / SPLITK and
 /// storage precision — the raw material behind the paper's §4.2 analysis
-/// and the hyperparameter discussion of §3.3.
+/// and the hyperparameter discussion of §3.3 — plus the D&C composition
+/// GEMM at its largest n = 1024 shape.
 ///
 /// Every kernel has one body, vectorized by the compiler for the ISA the
 /// build targets; the label column names that ISA (ka::simd::isa_name()).
@@ -13,6 +14,7 @@
 #include <string>
 
 #include "common/half.hpp"
+#include "dc/gemm.hpp"
 #include "ka/backend.hpp"
 #include "ka/simd/dispatch.hpp"
 #include "qr/band_reduction.hpp"
@@ -153,6 +155,37 @@ void BM_sketch_gemm(benchmark::State& state) {
   label_isa(state);
 }
 
+/// D&C's composition GEMM at the top merge's U-side product of an n = 1024
+/// solve: C (1024 x 512) = A (1024 x 512) * B (512 x 512), FP64, one
+/// product per launch; range(0) is the pool width.
+void BM_dc_gemm(benchmark::State& state) {
+  ka::CpuBackend be(static_cast<unsigned>(state.range(0)));
+  const index_t m = 1024;
+  const index_t n = 512;
+  const index_t k = 512;
+  rnd::Xoshiro256 rng(3);
+  Matrix<double> a(m, k);
+  Matrix<double> b(k, n);
+  for (index_t j = 0; j < k; ++j) {
+    for (index_t i = 0; i < m; ++i) a(i, j) = rng.normal();
+  }
+  for (index_t j = 0; j < n; ++j) {
+    for (index_t i = 0; i < k; ++i) b(i, j) = rng.normal();
+  }
+  Matrix<double> c(m, n);
+  const dc::GemmProduct prod[] = {{a.view(), b.view(), c.view()}};
+  for (auto _ : state) {
+    dc::gemm(be, prod);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["GFlop/s"] = benchmark::Counter(
+      2.0 * static_cast<double>(m) * static_cast<double>(n) *
+          static_cast<double>(k) * 1e-9,
+      benchmark::Counter::kIsIterationInvariantRate);
+  label_isa(state);
+}
+
 void BM_band_reduction_fp32(benchmark::State& state) {
   const index_t n = state.range(0);
   const bool fused = state.range(1) != 0;
@@ -190,6 +223,7 @@ BENCHMARK_TEMPLATE(BM_tsmqr_fused, double)->Args({32, 4})->Args({256, 4});
 BENCHMARK_TEMPLATE(BM_tsmqr_fused, unisvd::Half)->Args({32, 4});
 BENCHMARK_TEMPLATE(BM_sketch_gemm, float)->Arg(32)->Arg(256);
 BENCHMARK_TEMPLATE(BM_sketch_gemm, double)->Arg(32)->Arg(256);
+BENCHMARK(BM_dc_gemm)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond)->UseRealTime();
 BENCHMARK(BM_band_reduction_fp32)->Args({256, 1})->Args({256, 0})->Args({512, 1})->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

@@ -280,7 +280,7 @@ SvdReport svd_values_report(ConstMatrixView<T> a, const SvdConfig& config,
   dc::DcResult<CT> bfac;
   if (want_vectors) {
     dc::DcOptions dco;
-    dco.pool = backend.batch_pool();
+    dco.backend = &backend;
     bfac = dc::bidiag_svd_dc<CT>(std::move(d), std::move(e), dco, &rep.dc_stats);
     sv = std::move(bfac.values);
   } else {

@@ -1,13 +1,15 @@
 /// \file dc_svd.cpp
 /// Divide-and-conquer bidiagonal SVD — recursion, deflation, secular
-/// merges and blocked composition. See dc_svd.hpp for the contract and
-/// secular.hpp for the root-finder analysis.
+/// merges and their composition. See dc_svd.hpp for the contract,
+/// secular.hpp for the root-finder analysis and gemm.hpp for the
+/// composition kernel.
 
 #include "dc/dc_svd.hpp"
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <numeric>
 #include <vector>
@@ -15,7 +17,9 @@
 #include "bidiag/bidiag_qr.hpp"
 #include "common/error.hpp"
 #include "common/givens_rows.hpp"
+#include "dc/gemm.hpp"
 #include "dc/secular.hpp"
+#include "ka/thread_pool.hpp"
 
 namespace unisvd::dc {
 namespace {
@@ -94,13 +98,15 @@ struct DeflRot {
 /// Replay recorded deflation rotations onto the COLUMNS of a coefficient
 /// matrix (in reverse order): result rows satisfy
 /// coef * (R_m ... R_1 * basis) == (coef * R_m ... R_1) * basis, so the
-/// block-sparse basis never needs densifying.
+/// block-sparse basis never needs densifying. `col` maps an arrow
+/// coordinate to its coefficient column.
 void apply_rots_to_coefficients(const std::vector<DeflRot>& rots,
+                                const std::vector<index_t>& col,
                                 Matrix<double>& coef) {
   const index_t rows = coef.rows();
   for (auto it = rots.rbegin(); it != rots.rend(); ++it) {
-    double* ci = &coef(0, it->i);
-    double* cj = &coef(0, it->j);
+    double* ci = &coef(0, col[static_cast<std::size_t>(it->i)]);
+    double* cj = &coef(0, col[static_cast<std::size_t>(it->j)]);
     for (index_t r = 0; r < rows; ++r) {
       const double a = ci[r];
       const double b = cj[r];
@@ -110,39 +116,15 @@ void apply_rots_to_coefficients(const std::vector<DeflRot>& rots,
   }
 }
 
-/// C(:, c0+c) = sum_j A(:, j) * B(j, c) for c in [0, B.cols()), blocked
-/// over output columns through the pool. Plain jki order keeps every
-/// inner access contiguous in the column-major layout.
-void gemm_into(ka::ThreadPool* pool, const Matrix<double>& a,
-               const Matrix<double>& b, Matrix<double>& c, index_t c0) {
-  const index_t rows = a.rows();
-  const index_t inner = a.cols();
-  const index_t cols = b.cols();
-  constexpr index_t kColBlock = 32;
-  const index_t nblocks = (cols + kColBlock - 1) / kColBlock;
-  pfor(pool, nblocks, [&](index_t blk) {
-    const index_t cbeg = blk * kColBlock;
-    const index_t cend = std::min(cols, cbeg + kColBlock);
-    for (index_t col = cbeg; col < cend; ++col) {
-      double* out = &c(0, c0 + col);
-      std::fill(out, out + rows, 0.0);
-      for (index_t j = 0; j < inner; ++j) {
-        const double w = b(j, col);
-        if (w == 0.0) continue;
-        const double* aj = &a(0, j);
-        for (index_t r = 0; r < rows; ++r) out[r] += aj[r] * w;
-      }
-    }
-  });
-}
-
 /// Merge two children across removed row k of the size-n problem
 /// (alpha = d_k, beta = e_k): build the broken-arrow coordinates, deflate,
 /// solve the secular roots, assemble arrow-frame vectors from the Loewner
-/// weights, and compose back to the original row/column bases with two
-/// block GEMMs per side.
-Factor merge(const Factor& f1, const Factor& f2, double alpha, double beta,
-             index_t k, index_t n, ka::ThreadPool* pool, DcStats* stats) {
+/// weights, and compose back to the original row/column bases with one
+/// GEMM launch per side. The children are consumed: each factor is freed
+/// once its product is done.
+Factor merge(Factor f1, Factor f2, double alpha, double beta, index_t k,
+             index_t n, ka::Backend& be, DcStats* stats) {
+  ka::ThreadPool* const pool = be.batch_pool();
   const index_t n2 = n - 1 - k;  // child-2 extent
 
   // --- Arrow coordinates -------------------------------------------------
@@ -278,78 +260,79 @@ Factor merge(const Factor& f1, const Factor& f2, double alpha, double beta,
                    });
 
   // --- Arrow-frame singular vectors -------------------------------------
-  // Row r of um / vm holds output triple r in arrow coordinates. Secular
-  // rows come from the Loewner weights (v_j ~ zhat_j / (d_j^2 - s^2),
+  // Row r of um / vm holds output triple r in arrow coordinates. Their
+  // columns are grouped by child in ascending child row (dlasd2's column
+  // types), so each GEMM below reads one column range in place:
+  //   um: [0, k) child 1, k coordinate 0 (the removed row e_k), [k+1, n)
+  //       child 2;
+  //   vm: [0, k) child 1, k coordinate 0 times cnull (child 1's null row),
+  //       [k+1, n) child 2, n coordinate 0 times snull (child 2's null row).
+  // Secular rows come from the Loewner weights (v_j ~ zhat_j / (d_j^2 - s^2),
   // u_0 ~ -1, u_j ~ d_j zhat_j / (d_j^2 - s^2)); deflated rows are unit
-  // coordinates. Deflation rotations then replay onto the columns.
+  // coordinates. Deflation rotations then replay onto the columns; they
+  // never involve coordinate 0.
+  std::vector<index_t> col(static_cast<std::size_t>(n));
+  col[0] = k;
+  for (index_t p = 1; p < n; ++p) {
+    const Coord& cp = coords[static_cast<std::size_t>(p)];
+    col[static_cast<std::size_t>(p)] = cp.child == 1 ? cp.row : k + 1 + cp.row;
+  }
   Matrix<double> um(n, n, 0.0);
-  Matrix<double> vm(n, n, 0.0);
+  Matrix<double> vm(n, n + 1, 0.0);
+  const auto set_v0 = [&](index_t r, double v0) {
+    vm(r, k) = cnull * v0;
+    vm(r, n) = snull * v0;
+  };
   pfor(pool, n, [&](index_t r) {
     const Triple& t = triples[static_cast<std::size_t>(r)];
     if (t.nd_slot < 0) {
-      um(r, t.coord) = 1.0;
-      vm(r, t.coord) = 1.0;
+      um(r, col[static_cast<std::size_t>(t.coord)]) = 1.0;
+      if (t.coord == 0) {
+        set_v0(r, 1.0);
+      } else {
+        vm(r, col[static_cast<std::size_t>(t.coord)]) = 1.0;
+      }
       return;
     }
     const SecularRoot& root = roots[static_cast<std::size_t>(t.nd_slot)];
     double unorm = 1.0;  // the -1 component at the z-row slot
     double vnorm = 0.0;
-    um(r, 0) = -1.0;
+    um(r, k) = -1.0;
     for (index_t j = 0; j < ndk; ++j) {
+      const index_t q = col[static_cast<std::size_t>(nd[static_cast<std::size_t>(j)])];
       const double diff = secular_diff(nd_d, root, j);  // sigma^2 - d_j^2
       const double vj = -zhat[static_cast<std::size_t>(j)] / diff;
-      vm(r, nd[static_cast<std::size_t>(j)]) = vj;
+      vm(r, q) = vj;
       vnorm += vj * vj;
       if (j > 0) {
         const double uj = nd_d[static_cast<std::size_t>(j)] * vj;
-        um(r, nd[static_cast<std::size_t>(j)]) = uj;
+        um(r, q) = uj;
         unorm += uj * uj;
       }
     }
     unorm = 1.0 / std::sqrt(unorm);
     vnorm = 1.0 / std::sqrt(vnorm);
     for (index_t j = 0; j < ndk; ++j) {
-      const index_t q = nd[static_cast<std::size_t>(j)];
-      vm(r, q) *= vnorm;
-      if (q != 0) um(r, q) *= unorm;
-    }
-    um(r, 0) *= unorm;
-  });
-  apply_rots_to_coefficients(rots, um);
-  apply_rots_to_coefficients(rots, vm);
-
-  // --- Compose back to the original bases -------------------------------
-  // Left basis: slot 0 = e_k (the removed row), child-1 rows in columns
-  // [0, k), child-2 rows in [k+1, n). Right basis: child-1 rows in
-  // columns [0, k], child-2 rows in [k+1, n], with the null-combination
-  // folded into the coefficient of each child's own null row. um / vm are
-  // released before the outputs are allocated, so the merge never holds
-  // both: its peak is the children plus a1/a2/b1/b2 plus the output.
-  Matrix<double> a1(n, k);
-  Matrix<double> a2(n, n2);
-  Matrix<double> b1(n, k + 1);
-  Matrix<double> b2(n, n2 + 1);
-  for (index_t p = 1; p < n; ++p) {
-    const Coord& cp = coords[static_cast<std::size_t>(p)];
-    for (index_t r = 0; r < n; ++r) {
-      if (cp.child == 1) {
-        a1(r, cp.row) = um(r, p);
-        b1(r, cp.row) = vm(r, p);
+      const index_t p = nd[static_cast<std::size_t>(j)];
+      const index_t q = col[static_cast<std::size_t>(p)];
+      if (p == 0) {
+        set_v0(r, vm(r, q) * vnorm);
       } else {
-        a2(r, cp.row) = um(r, p);
-        b2(r, cp.row) = vm(r, p);
+        vm(r, q) *= vnorm;
+        um(r, q) *= unorm;
       }
     }
-  }
-  std::vector<double> um0(static_cast<std::size_t>(n));
-  for (index_t r = 0; r < n; ++r) {
-    b1(r, k) = cnull * vm(r, 0);
-    b2(r, n2) = snull * vm(r, 0);
-    um0[static_cast<std::size_t>(r)] = um(r, 0);
-  }
-  um = Matrix<double>();
-  vm = Matrix<double>();
+    um(r, k) *= unorm;
+  });
+  apply_rots_to_coefficients(rots, col, um);
+  apply_rots_to_coefficients(rots, col, vm);
 
+  // --- Compose back to the original bases -------------------------------
+  // out.ut = [um(:, 0:k) f1.ut | um(:, k) | um(:, k+1:n) f2.ut], and rows
+  // [0, n) of out.vt = [vm(:, 0:k+1) f1.vt | vm(:, k+1:n+1) f2.vt]. Each
+  // side is one launch over both children's products. um and the
+  // children's ut are released before out.vt is allocated, so the merge
+  // holds at most the children, um, vm and out.ut: about 4 n^2 doubles.
   Factor out;
   out.s.resize(static_cast<std::size_t>(n));
   for (index_t r = 0; r < n; ++r) {
@@ -357,15 +340,23 @@ Factor merge(const Factor& f1, const Factor& f2, double alpha, double beta,
         triples[static_cast<std::size_t>(r)].sigma;
   }
   out.ut = Matrix<double>(n, n);
-  out.vt = Matrix<double>(n + 1, n + 1);
-  std::copy(um0.begin(), um0.end(), &out.ut(0, k));
+  std::copy(&um(0, k), &um(0, k) + n, &out.ut(0, k));
+  const GemmProduct uprods[] = {
+      {um.view().block(0, 0, n, k), f1.ut.view(), out.ut.view().block(0, 0, n, k)},
+      {um.view().block(0, k + 1, n, n2), f2.ut.view(),
+       out.ut.view().block(0, k + 1, n, n2)}};
+  gemm(be, uprods);
+  um = Matrix<double>();
+  f1.ut = Matrix<double>();
+  f2.ut = Matrix<double>();
 
-  gemm_into(pool, a1, f1.ut, out.ut, 0);
-  gemm_into(pool, a2, f2.ut, out.ut, k + 1);
-  // The k-th output column was written above; gemm_into only touches its
-  // own column ranges [0, k) and [k+1, n).
-  gemm_into(pool, b1, f1.vt, out.vt, 0);
-  gemm_into(pool, b2, f2.vt, out.vt, k + 1);
+  out.vt = Matrix<double>(n + 1, n + 1);
+  const GemmProduct vprods[] = {
+      {vm.view().block(0, 0, n, k + 1), f1.vt.view(),
+       out.vt.view().block(0, 0, n, k + 1)},
+      {vm.view().block(0, k + 1, n, n2 + 1), f2.vt.view(),
+       out.vt.view().block(0, k + 1, n, n2 + 1)}};
+  gemm(be, vprods);
 
   // Global null row: the orthogonal complement of the null combination.
   for (index_t j = 0; j <= k; ++j) out.vt(n, j) = -snull * f1.vt(k, j);
@@ -373,26 +364,36 @@ Factor merge(const Factor& f1, const Factor& f2, double alpha, double beta,
   return out;
 }
 
-/// gemm_into writes full column ranges of out.vt, but b1/b2 only span n
-/// coefficient rows while out.vt has n+1 — the null row is overwritten
-/// afterwards, so the GEMM target is the n-row block.
 Factor solve_recursive(const double* d, const double* e, index_t n,
-                       const DcOptions& opts, DcStats* stats) {
-  if (n <= opts.qr_tail || n < 3) return solve_tail(d, e, n, stats);
+                       index_t qr_tail, ka::Backend& be, DcStats* stats) {
+  if (n <= qr_tail || n < 3) return solve_tail(d, e, n, stats);
   const index_t k = n / 2;
   Factor f1, f2;
-  // Children are independent: let the pool run them as two tasks at the
-  // top of the tree (nested calls degrade gracefully to inline).
   DcStats child_stats[2];
-  pfor(opts.pool, 2, [&](index_t half) {
+  const std::function<void(index_t)> child = [&](index_t half) {
     if (half == 0) {
-      f1 = solve_recursive(d, e, k, opts,
+      f1 = solve_recursive(d, e, k, qr_tail, be,
                            stats != nullptr ? &child_stats[0] : nullptr);
     } else {
-      f2 = solve_recursive(d + k + 1, e + k + 1, n - 1 - k, opts,
+      f2 = solve_recursive(d + k + 1, e + k + 1, n - 1 - k, qr_tail, be,
                            stats != nullptr ? &child_stats[1] : nullptr);
     }
-  });
+  };
+  // Children are independent. The top of the tree submits them to the
+  // pool with work stealing: two workers take one child each, and the
+  // others help with the children's launches, secular roots and vector
+  // rows instead of sleeping. Below the top (and inside an enclosing job)
+  // the flag is moot: nested calls publish or run inline as the enclosing
+  // job decides.
+  ka::ThreadPool* const pool = be.batch_pool();
+  if (pool != nullptr) {
+    ka::ParallelForOptions steal;
+    steal.work_stealing = true;
+    pool->parallel_for(2, child, steal);
+  } else {
+    child(0);
+    child(1);
+  }
   if (stats != nullptr) {
     for (const auto& cs : child_stats) {
       stats->merges += cs.merges;
@@ -401,7 +402,7 @@ Factor solve_recursive(const double* d, const double* e, index_t n,
       stats->secular_roots += cs.secular_roots;
     }
   }
-  return merge(f1, f2, d[k], e[k], k, n, opts.pool, stats);
+  return merge(std::move(f1), std::move(f2), d[k], e[k], k, n, be, stats);
 }
 
 /// The leading n x n block of `f`, narrowed once to CT.
@@ -424,6 +425,9 @@ DcResult<CT> bidiag_svd_dc(std::vector<CT> d, std::vector<CT> e,
   UNISVD_REQUIRE(e.size() + 1 == d.size(),
                  "bidiag_svd_dc: e must have length n-1");
   UNISVD_REQUIRE(opts.qr_tail >= 1, "bidiag_svd_dc: qr_tail must be >= 1");
+  ka::SerialBackend serial;
+  ka::Backend& be = opts.backend != nullptr ? *opts.backend : serial;
+  UNISVD_REQUIRE(be.executes(), "bidiag_svd_dc: backend does not execute kernels");
 
   // Embed the square problem as [B 0]: the appended zero coupling adds an
   // exact right null direction that the recursion preserves bit-for-bit
@@ -437,7 +441,7 @@ DcResult<CT> bidiag_svd_dc(std::vector<CT> d, std::vector<CT> e,
     ee[static_cast<std::size_t>(i)] = static_cast<double>(e[static_cast<std::size_t>(i)]);
   }
 
-  Factor f = solve_recursive(dd.data(), ee.data(), n, opts, stats);
+  Factor f = solve_recursive(dd.data(), ee.data(), n, opts.qr_tail, be, stats);
 
   DcResult<CT> out;
   out.values.resize(static_cast<std::size_t>(n));

@@ -7,15 +7,17 @@
 /// rows — O(n^3) strided scalar work — the D&C solver
 ///
 ///   * recursively splits the bidiagonal at its middle row into two
-///     independent sub-problems (solved in parallel via ka::ThreadPool),
+///     independent sub-problems (solved in parallel on the backend's pool,
+///     whose idle workers steal the children's launches and rows),
 ///   * reduces each merge to ONE broken-arrow matrix whose squared
 ///     singular values are secular-equation roots (src/dc/secular.hpp),
 ///     solved independently per root — the parallel axis of the paper,
 ///   * deflates negligible weights and near-equal poles (dlasd2-style
 ///     two-sided Givens), re-derives the weight vector by the Loewner
 ///     formula so assembled vectors stay numerically orthogonal, and
-///   * composes sub-problem factors with cache-friendly column-blocked
-///     GEMMs instead of rotation-at-a-time updates.
+///   * composes sub-problem factors with one cache-blocked GEMM launch
+///     per side of each merge (src/dc/gemm.hpp), reading the arrow-frame
+///     vectors in place, instead of rotation-at-a-time updates.
 ///
 /// Sub-problems at or below `DcOptions::qr_tail` fall back to the existing
 /// implicit-QR kernel, so the recursion bottoms out on the battle-tested
@@ -32,7 +34,7 @@
 #include <vector>
 
 #include "common/matrix.hpp"
-#include "ka/thread_pool.hpp"
+#include "ka/backend.hpp"
 
 namespace unisvd::dc {
 
@@ -40,10 +42,12 @@ struct DcOptions {
   /// Sub-problems with extent <= qr_tail are solved by the implicit-QR
   /// kernel instead of recursing further.
   index_t qr_tail = 48;
-  /// Optional pool for parallelism across sub-problems, secular roots and
-  /// GEMM column blocks. Nested use (from inside a batched solve) runs
-  /// inline — same contract as every other pipeline stage.
-  ka::ThreadPool* pool = nullptr;
+  /// The solve's backend: it runs the composition GEMM launches, and its
+  /// pool (batch_pool(), if any) runs sub-problems, secular roots and
+  /// vector rows in parallel. Nested use (from inside a batched solve)
+  /// follows the enclosing job, as every other pipeline stage does.
+  /// nullptr runs everything on the calling thread.
+  ka::Backend* backend = nullptr;
 };
 
 /// Numerical events of one solve (reported on SvdReport::dc_stats).

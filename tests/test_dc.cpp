@@ -10,7 +10,12 @@
 ///     square/tall/wide, full accuracy gates on composed factors including
 ///     repeated and clustered spectra on the default path, batched
 ///     dispatch, and the truncated projected solve honoring its SvdConfig;
-///   * the merge workspace: a solve peaks at no more than 5.5 n^2 doubles;
+///   * the merge workspace: a solve peaks at no more than 4.5 n^2 doubles;
+///   * the composition GEMM: bit-identical to a plain jki loop on ragged
+///     shapes, on the serial backend and on pools of width 1 to 4, and one
+///     launch per merge side covering both children's products;
+///   * pool parallelism (the work-stealing recursion) leaves every bit of
+///     a six-level solve unchanged at pool widths 2 to 4;
 ///   * the D&C event counters on SvdReport;
 ///   * the Stage-2 rotation log: its blocked reverse replay, whole or in
 ///     chunks, is bit-identical to an eager reversed loop, on one and on
@@ -23,6 +28,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -35,6 +41,7 @@
 #include "core/batch.hpp"
 #include "core/svd.hpp"
 #include "dc/dc_svd.hpp"
+#include "dc/gemm.hpp"
 #include "ka/backend.hpp"
 #include "ka/thread_pool.hpp"
 #include "qr/band_reduction.hpp"
@@ -218,30 +225,48 @@ TEST(DcKernel, QrTailInsensitivity) {
 
 TEST(DcKernel, PoolParallelismMatchesSerial) {
   // The pool only changes scheduling, never arithmetic: results must be
-  // bit-identical with and without worker threads.
-  const auto d = random_vec(80, 41);
-  const auto e = random_vec(79, 42);
+  // bit-identical with and without worker threads. n = 400 with qr_tail 8
+  // recurses six merge levels, so the work-stealing top level hands whole
+  // sub-trees, nested GEMM launches, secular roots and vector rows to
+  // helper threads.
+  const index_t n = 400;
+  const auto d = random_vec(n, 41);
+  const auto e = random_vec(n - 1, 42);
   dc::DcOptions serial;
   serial.qr_tail = 8;
-  const auto r1 = dc::bidiag_svd_dc<double>(d, e, serial);
+  dc::DcStats serial_stats;
+  const auto r1 = dc::bidiag_svd_dc<double>(d, e, serial, &serial_stats);
+  EXPECT_EQ(serial_stats.merges, 63);
 
-  ka::ThreadPool pool(4);
-  dc::DcOptions par = serial;
-  par.pool = &pool;
-  const auto r2 = dc::bidiag_svd_dc<double>(d, e, par);
-
-  ASSERT_EQ(r1.values.size(), r2.values.size());
-  for (std::size_t i = 0; i < r1.values.size(); ++i) {
-    EXPECT_EQ(r1.values[i], r2.values[i]) << i;
+  for (const unsigned width : {2u, 3u, 4u}) {
+    ka::CpuBackend be(width);
+    dc::DcOptions par = serial;
+    par.backend = &be;
+    dc::DcStats stats;
+    const auto r2 = dc::bidiag_svd_dc<double>(d, e, par, &stats);
+    EXPECT_EQ(stats.merges, serial_stats.merges) << width;
+    EXPECT_EQ(stats.deflated, serial_stats.deflated) << width;
+    EXPECT_EQ(stats.secular_roots, serial_stats.secular_roots) << width;
+    ASSERT_EQ(r1.values.size(), r2.values.size());
+    for (std::size_t i = 0; i < r1.values.size(); ++i) {
+      EXPECT_EQ(r1.values[i], r2.values[i]) << width << " value " << i;
+    }
+    EXPECT_EQ(std::memcmp(r1.ut.data(), r2.ut.data(),
+                          static_cast<std::size_t>(n * n) * sizeof(double)),
+              0)
+        << width;
+    EXPECT_EQ(std::memcmp(r1.vt.data(), r2.vt.data(),
+                          static_cast<std::size_t>(n * n) * sizeof(double)),
+              0)
+        << width;
   }
-  EXPECT_EQ(ref::fro_diff(r1.ut.view(), r2.ut.view()), 0.0);
-  EXPECT_EQ(ref::fro_diff(r1.vt.view(), r2.vt.view()), 0.0);
 }
 
-TEST(DcKernel, MergeWorkspacePeaksAtFiveSquares) {
-  // The top merge holds the children's factors, the a1/a2/b1/b2 coefficient
-  // copies and its output, but never um/vm beside the output: at most 5
-  // n x n double arrays live at once (7 if um/vm outlived the allocation).
+TEST(DcKernel, MergeWorkspacePeaksAtFourSquares) {
+  // The top merge reads its arrow-frame vectors um / vm in place and frees
+  // um and the children's left factors before it allocates its right
+  // output: it holds the children, um, vm and its left output, about 4
+  // n x n double arrays.
   const index_t n = 512;
   const auto d = random_vec(n, 51);
   const auto e = random_vec(n - 1, 52);
@@ -250,8 +275,127 @@ TEST(DcKernel, MergeWorkspacePeaksAtFiveSquares) {
   const auto res = dc::bidiag_svd_dc<double>(d, e);
   const double peak = static_cast<double>(matrix_peak_bytes() - live0);
   const double square = static_cast<double>(n * n) * sizeof(double);
-  EXPECT_LE(peak, 5.5 * square) << "peak " << peak / square << " n^2 doubles";
+  EXPECT_LE(peak, 4.5 * square) << "peak " << peak / square << " n^2 doubles";
   EXPECT_EQ(res.ut.rows(), n);
+}
+
+// ---------------------------------------------------------------------------
+// The composition GEMM (src/dc/gemm.hpp)
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// The plain jki loop the kernel must reproduce bit for bit: each output
+/// element summed from +0 in ascending inner index, zero weights skipped.
+Matrix<double> naive_gemm(const Matrix<double>& a, const Matrix<double>& b) {
+  Matrix<double> c(a.rows(), b.cols());
+  for (index_t col = 0; col < b.cols(); ++col) {
+    double* out = &c(0, col);
+    std::fill(out, out + a.rows(), 0.0);
+    for (index_t j = 0; j < a.cols(); ++j) {
+      const double w = b(j, col);
+      if (w == 0.0) continue;
+      for (index_t r = 0; r < a.rows(); ++r) out[r] += a(r, j) * w;
+    }
+  }
+  return c;
+}
+
+/// A random rows x cols matrix; every `zero_every`-th entry is exactly 0.
+Matrix<double> random_mat(index_t rows, index_t cols, std::uint64_t seed,
+                          index_t zero_every = 0) {
+  rnd::Xoshiro256 rng(seed);
+  Matrix<double> m(rows, cols);
+  for (index_t j = 0; j < cols; ++j) {
+    for (index_t i = 0; i < rows; ++i) {
+      const index_t flat = i + j * rows;
+      m(i, j) = zero_every > 0 && flat % zero_every == 0 ? 0.0 : rng.normal();
+    }
+  }
+  return m;
+}
+
+bool same_bits(ConstMatrixView<double> x, ConstMatrixView<double> y) {
+  if (x.rows() != y.rows() || x.cols() != y.cols()) return false;
+  for (index_t j = 0; j < x.cols(); ++j) {
+    for (index_t i = 0; i < x.rows(); ++i) {
+      if (std::memcmp(&x.at(i, j), &y.at(i, j), sizeof(double)) != 0) return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
+TEST(DcGemm, BitIdenticalToNaiveLoopOnEveryBackend) {
+  // Ragged extents around the 128 x 64 cache block and the 4 x 4 tile,
+  // inner extents spanning several 256-deep chunks, k = 0, and zero
+  // entries in B (the loop skips them, the kernel adds them).
+  struct Shape { index_t m, n, k; };
+  const Shape shapes[] = {{1, 1, 1},     {3, 5, 1},     {5, 3, 130},
+                          {130, 5, 3},   {300, 130, 5}, {5, 300, 300},
+                          {130, 300, 130}, {300, 3, 600}, {131, 67, 777},
+                          {3, 1, 0},     {130, 130, 0}};
+  std::vector<std::unique_ptr<ka::Backend>> backends;
+  backends.push_back(std::make_unique<ka::SerialBackend>());
+  for (unsigned w = 1; w <= 4; ++w) backends.push_back(std::make_unique<ka::CpuBackend>(w));
+  std::uint64_t seed = 900;
+  for (const Shape& sh : shapes) {
+    const Matrix<double> a = random_mat(sh.m, sh.k, ++seed);
+    const Matrix<double> b = random_mat(sh.k, sh.n, ++seed, 3);
+    const Matrix<double> want = naive_gemm(a, b);
+    for (const auto& be : backends) {
+      Matrix<double> c(sh.m, sh.n, std::numeric_limits<double>::quiet_NaN());
+      const dc::GemmProduct prod[] = {{a.view(), b.view(), c.view()}};
+      dc::gemm(*be, prod);
+      EXPECT_TRUE(same_bits(c.view(), want.view()))
+          << be->name() << " m=" << sh.m << " n=" << sh.n << " k=" << sh.k;
+    }
+  }
+}
+
+TEST(DcGemm, OneLaunchComposesBothChildrenIntoColumnRanges) {
+  // The merge's pattern: two products with different inner extents write
+  // disjoint column ranges of one output whose leading dimension exceeds
+  // the rows written; the row below them and the column between them stay
+  // untouched.
+  const index_t m = 150;
+  const index_t k1 = 70;
+  const index_t k2 = 79;
+  const Matrix<double> a = random_mat(m, k1 + 1 + k2, 11);
+  const Matrix<double> b1 = random_mat(k1, k1, 12, 5);
+  const Matrix<double> b2 = random_mat(k2, k2, 13);
+  Matrix<double> c(m + 1, k1 + 1 + k2, -7.0);
+  Matrix<double> a1(m, k1);
+  Matrix<double> a2(m, k2);
+  for (index_t i = 0; i < m; ++i) {
+    for (index_t j = 0; j < k1; ++j) a1(i, j) = a(i, j);
+    for (index_t j = 0; j < k2; ++j) a2(i, j) = a(i, k1 + 1 + j);
+  }
+  const Matrix<double> want1 = naive_gemm(a1, b1);
+  const Matrix<double> want2 = naive_gemm(a2, b2);
+
+  ka::CpuBackend be(3);
+  ka::TraceRecorder trace;
+  be.set_trace(&trace);
+  Matrix<double> am = a;  // views of a mutable matrix, as the merge takes
+  const dc::GemmProduct prods[] = {
+      {am.view().block(0, 0, m, k1), b1.view(), c.view().block(0, 0, m, k1)},
+      {am.view().block(0, k1 + 1, m, k2), b2.view(), c.view().block(0, k1 + 1, m, k2)}};
+  dc::gemm(be, prods);
+
+  EXPECT_TRUE(same_bits(c.view().block(0, 0, m, k1), want1.view()));
+  EXPECT_TRUE(same_bits(c.view().block(0, k1 + 1, m, k2), want2.view()));
+  for (index_t i = 0; i <= m; ++i) EXPECT_EQ(c(i, k1), -7.0) << i;
+  for (index_t j = 0; j < c.cols(); ++j) EXPECT_EQ(c(m, j), -7.0) << j;
+
+  const auto records = trace.records();
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].name, "dc_gemm");
+  EXPECT_EQ(records[0].stage, ka::Stage::BidiagonalToDiagonal);
+  EXPECT_EQ(records[0].num_groups, 2 * (2 * 2));  // 2 x 2 cache blocks each
+  EXPECT_DOUBLE_EQ(records[0].cost.flops,
+                   2.0 * m * (static_cast<double>(k1) * k1 + static_cast<double>(k2) * k2));
 }
 
 // ---------------------------------------------------------------------------

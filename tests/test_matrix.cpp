@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+#include <utility>
+
 #include "common/error.hpp"
 #include "common/half.hpp"
 #include "common/linalg_ref.hpp"
@@ -137,4 +141,47 @@ TEST(LinalgRef, HalfViewsWiden) {
   auto d = ref::to_double(h.view());
   EXPECT_DOUBLE_EQ(d(0, 0), 1.5);
   EXPECT_DOUBLE_EQ(d(1, 1), -2.0);
+}
+
+namespace {
+
+/// The plain triple loop orthogonality_defect must reproduce bit for bit.
+template <class T>
+double naive_orthogonality_defect(ConstMatrixView<T> q) {
+  double s = 0.0;
+  for (index_t j = 0; j < q.cols(); ++j) {
+    for (index_t i = 0; i <= j; ++i) {
+      double dot = 0.0;
+      for (index_t k = 0; k < q.rows(); ++k) {
+        dot += static_cast<double>(q.at(k, i)) * static_cast<double>(q.at(k, j));
+      }
+      s += (i == j) ? (dot - 1.0) * (dot - 1.0) : 2.0 * dot * dot;
+    }
+  }
+  return std::sqrt(s);
+}
+
+template <class T>
+void expect_same_defect(ConstMatrixView<T> q, const char* tag) {
+  const double want = naive_orthogonality_defect(q);
+  const double got = ref::orthogonality_defect(q);
+  EXPECT_EQ(std::memcmp(&want, &got, sizeof(double)), 0)
+      << tag << ": " << got << " vs " << want;
+}
+
+}  // namespace
+
+TEST(LinalgRef, BlockedOrthogonalityDefectMatchesPlainLoopBitwise) {
+  // Widths around the 4-column tile and the 64-column block, row counts
+  // spanning several 256-row chunks, FP64 and FP32, plain and transposed.
+  for (const auto& [m, n] : {std::pair<index_t, index_t>{1, 1}, {7, 3}, {300, 70},
+                             {520, 131}, {64, 200}, {0, 5}}) {
+    const Matrix<double> q = testutil::random_matrix(m, n, 40 + static_cast<std::uint64_t>(n));
+    const Matrix<float> qf = testutil::convert<float>(q);
+    const std::string tag = std::to_string(m) + "x" + std::to_string(n);
+    expect_same_defect<double>(q.view(), (tag + " fp64").c_str());
+    expect_same_defect<float>(qf.view(), (tag + " fp32").c_str());
+    expect_same_defect<double>(q.view().transposed(), (tag + " fp64^T").c_str());
+    expect_same_defect<float>(qf.view().transposed(), (tag + " fp32^T").c_str());
+  }
 }
