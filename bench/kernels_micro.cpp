@@ -1,8 +1,8 @@
 /// Kernel microbenchmarks (google-benchmark): REAL CPU-backend throughput
 /// of every Phase-1 kernel across TILESIZE / COLPERBLOCK / SPLITK and
 /// storage precision — the raw material behind the paper's §4.2 analysis
-/// and the hyperparameter discussion of §3.3 — plus the D&C composition
-/// GEMM at its largest n = 1024 shape.
+/// and the hyperparameter discussion of §3.3 — plus the library's one GEMM
+/// at the range finder's sketch shape and at D&C's largest n = 1024 merge.
 ///
 /// Every kernel has one body, vectorized by the compiler for the ISA the
 /// build targets; the label column names that ISA (ka::simd::isa_name()).
@@ -14,12 +14,11 @@
 #include <string>
 
 #include "common/half.hpp"
-#include "dc/gemm.hpp"
 #include "ka/backend.hpp"
 #include "ka/simd/dispatch.hpp"
 #include "qr/band_reduction.hpp"
+#include "qr/gemm.hpp"
 #include "rand/matrix_gen.hpp"
-#include "rsvd/gemm.hpp"
 
 using namespace unisvd;
 
@@ -119,17 +118,17 @@ void BM_tsmqr_fused(benchmark::State& state) {
   label_isa(state);
 }
 
-/// The randomized range finder's dense product: Y = A * Omega with A
-/// (4*ts x ts) and a 64-column Gaussian sketch — the rsvd Stage-1 shape.
+/// The randomized range finder's sketch product on the shared GEMM:
+/// Y = A * Omega with A (4*ts x ts) in storage precision, a 64-column
+/// Gaussian sketch in compute precision, summed in compute precision and
+/// rounded once into Y — the rsvd Stage-1 shape — launched as the range
+/// finder launches it, Y^T = Omega^T * A^T.
 template <class T>
-void BM_sketch_gemm(benchmark::State& state) {
-  const int ts = static_cast<int>(state.range(0));
+void BM_gemm_sketch(benchmark::State& state) {
+  using CT = compute_t<T>;
+  const index_t ts = state.range(0);
   ka::CpuBackend be;
-  qr::KernelConfig cfg;
-  cfg.tilesize = ts;
-  cfg.colperblock = std::min(32, ts);
-  cfg.splitk = 1;
-  const index_t m = 4 * static_cast<index_t>(ts);
+  const index_t m = 4 * ts;
   const index_t n = ts;
   const index_t l = 64;
   rnd::Xoshiro256 rng(7);
@@ -137,16 +136,17 @@ void BM_sketch_gemm(benchmark::State& state) {
   for (index_t j = 0; j < n; ++j) {
     for (index_t i = 0; i < m; ++i) a(i, j) = static_cast<T>(rng.normal());
   }
-  Matrix<compute_t<T>> omega(n, l);
+  Matrix<CT> omega(n, l);
   for (index_t j = 0; j < l; ++j) {
-    for (index_t i = 0; i < n; ++i) {
-      omega(i, j) = static_cast<compute_t<T>>(rng.normal());
-    }
+    for (index_t i = 0; i < n; ++i) omega(i, j) = static_cast<CT>(rng.normal());
   }
   Matrix<T> y(m, l, T(0));
+  const qr::GemmProduct<CT, T, T> prod{omega.view().transposed(), a.view().transposed(),
+                                       y.view().transposed()};
   for (auto _ : state) {
-    rsvd::sketch_gemm<T>(be, a.view(), omega.view(), y.view(), 1.0, cfg);
+    qr::gemm<CT>(be, prod, {"sketch_gemm", ka::Stage::RandomizedSketch});
     benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
   }
   state.counters["GFlop/s"] = benchmark::Counter(
       2.0 * static_cast<double>(m) * static_cast<double>(n) *
@@ -155,10 +155,10 @@ void BM_sketch_gemm(benchmark::State& state) {
   label_isa(state);
 }
 
-/// D&C's composition GEMM at the top merge's U-side product of an n = 1024
-/// solve: C (1024 x 512) = A (1024 x 512) * B (512 x 512), FP64, one
-/// product per launch; range(0) is the pool width.
-void BM_dc_gemm(benchmark::State& state) {
+/// The shared GEMM at D&C's top-merge U-side product of an n = 1024 solve:
+/// C (1024 x 512) = A (1024 x 512) * B (512 x 512), FP64, one product per
+/// launch; range(0) is the pool width.
+void BM_gemm_dc(benchmark::State& state) {
   ka::CpuBackend be(static_cast<unsigned>(state.range(0)));
   const index_t m = 1024;
   const index_t n = 512;
@@ -173,9 +173,9 @@ void BM_dc_gemm(benchmark::State& state) {
     for (index_t i = 0; i < k; ++i) b(i, j) = rng.normal();
   }
   Matrix<double> c(m, n);
-  const dc::GemmProduct prod[] = {{a.view(), b.view(), c.view()}};
+  const qr::GemmProduct<double, double, double> prod{a.view(), b.view(), c.view()};
   for (auto _ : state) {
-    dc::gemm(be, prod);
+    qr::gemm<double>(be, prod, {"dc_gemm", ka::Stage::BidiagonalToDiagonal});
     benchmark::DoNotOptimize(c.data());
     benchmark::ClobberMemory();
   }
@@ -221,9 +221,10 @@ BENCHMARK_TEMPLATE(BM_unmqr, double)->Args({32, 32})->Args({256, 32});
 BENCHMARK_TEMPLATE(BM_tsmqr_fused, float)->Args({32, 4})->Args({32, 8})->Args({64, 4})->Args({256, 4});
 BENCHMARK_TEMPLATE(BM_tsmqr_fused, double)->Args({32, 4})->Args({256, 4});
 BENCHMARK_TEMPLATE(BM_tsmqr_fused, unisvd::Half)->Args({32, 4});
-BENCHMARK_TEMPLATE(BM_sketch_gemm, float)->Arg(32)->Arg(256);
-BENCHMARK_TEMPLATE(BM_sketch_gemm, double)->Arg(32)->Arg(256);
-BENCHMARK(BM_dc_gemm)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond)->UseRealTime();
+BENCHMARK_TEMPLATE(BM_gemm_sketch, float)->Arg(32)->Arg(256);
+BENCHMARK_TEMPLATE(BM_gemm_sketch, double)->Arg(32)->Arg(256);
+BENCHMARK_TEMPLATE(BM_gemm_sketch, unisvd::Half)->Arg(32)->Arg(256);
+BENCHMARK(BM_gemm_dc)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond)->UseRealTime();
 BENCHMARK(BM_band_reduction_fp32)->Args({256, 1})->Args({256, 0})->Args({512, 1})->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

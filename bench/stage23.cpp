@@ -18,12 +18,16 @@
 /// vector-job cost claim by exit code. kRatioGate sits between the ratios
 /// measured with the back-transformation (4.72-5.60 over 10 runs) and with
 /// the forward accumulation it replaced (7.24-8.15), built by gcc 12 and
-/// run on a 4-core x86 VM; no other compiler is calibrated. The ratio
-/// grows on fewer cores, because the vector work runs on the pool while
-/// the values-only Stage 3 is serial: with a width-2 pool on two cores it
-/// read 5.76-5.99 (forward accumulation 7.66-9.44) over 5 runs. It is
-/// calibrated at n = 2048; `--n <extent>` overrides the size for local
-/// exploration (the gate still applies).
+/// run on a 4-core x86 VM; no other compiler is calibrated. The gate only
+/// catches a return of the forward accumulation: since D&C composes on the
+/// launched GEMM the ratio reads 2.20-4.16 (median 3.95 over 10 runs), and
+/// with D&C's earlier loops 4.13-5.09 (median 4.87, 10 runs interleaved
+/// with those), so the two overlap and no gate between them can fail on a
+/// D&C slowdown alone. The ratio grows on fewer cores, because the vector
+/// work runs on the pool while the values-only Stage 3 is serial: with a
+/// width-2 pool on two cores it read 5.76-5.99 (forward accumulation
+/// 7.66-9.44) over 5 runs. It is calibrated at n = 2048; `--n <extent>`
+/// overrides the size for local exploration (the gate still applies).
 
 #include <algorithm>
 #include <chrono>

@@ -23,7 +23,7 @@ int main() {
                 d->fp64_scale > 0 ? (d->fp64_scale >= 1.0 ? "1:1" : "1:2+") : "no",
                 fp16, d->mem_gb);
   }
-  std::printf("\nModel calibration constants (see DESIGN.md):\n");
+  std::printf("\nModel calibration constants (src/sim/profiles.cpp):\n");
   std::printf("%-9s %12s %12s %10s %10s\n", "GPU", "launch us", "barrier ns",
               "host GB/s", "cpu GF/s");
   for (const auto* d : all_devices()) {

@@ -12,8 +12,7 @@ Rules (see docs/STATIC_ANALYSIS.md for the full catalog and rationale):
   kernel-alloc     No heap allocation (new/malloc/std::vector growth/Matrix
                    construction) in kernel bodies: the regions marked
                    "// unisvd-lint: begin-kernel(...)" ... "end-kernel"
-                   under src/small/, src/band/, src/qr/, src/rsvd/ and
-                   src/dc/.
+                   under src/small/, src/band/ and src/qr/.
   test-registration  Every tests/test_*.cpp must be registered in
                    CMakeLists.txt (the test glob or an explicit mention)
                    AND exercised by at least one sanitizer CI job in
@@ -222,7 +221,7 @@ def kernel_alloc_in_file(root: Path, path: Path) -> list[Finding]:
 
 
 # Directories whose kernel bodies are marked begin-kernel/end-kernel regions.
-MARKED_KERNEL_DIRS = ("src/small", "src/band", "src/qr", "src/rsvd", "src/dc")
+MARKED_KERNEL_DIRS = ("src/small", "src/band", "src/qr")
 
 
 def check_kernel_alloc(root: Path) -> list[Finding]:
@@ -560,29 +559,29 @@ def self_test() -> int:
         )
         _write(
             root,
-            "src/dc/gemm.cpp",
-            "#include <vector>\n"
+            "src/qr/gemm.hpp",
+            "#pragma once\n#include <vector>\n"
             "std::vector<long> first(3);  // host-side grid bookkeeping: fine\n"
             "// unisvd-lint: begin-kernel(gemm)\n"
-            "void gemm(double* c, const double* a, int n) { for (int i = 0; i < n; ++i) c[i] += a[i]; }\n"
+            "inline void gemm(double* c, const double* a, int n) { for (int i = 0; i < n; ++i) c[i] += a[i]; }\n"
             "// unisvd-lint: end-kernel\n",
         )
         _write(
             root,
-            "src/dc/gemm_bad.cpp",
-            "#include <vector>\n"
+            "src/qr/gemm_bad.hpp",
+            "#pragma once\n#include <vector>\n"
             "// unisvd-lint: begin-kernel(gemm2)\n"
-            "void gemm2(int n) { std::vector<double> pack(n); }\n"
+            "inline void gemm2(int n) { std::vector<double> pack(n); }\n"
             "// unisvd-lint: end-kernel\n",
         )
         f = check_kernel_alloc(root)
         expect(
-            any("gemm_bad.cpp" in str(x.path) and x.line == 3 for x in f),
-            "kernel-alloc: in-region alloc under src/dc/ must trip",
+            any("gemm_bad.hpp" in str(x.path) and x.line == 4 for x in f),
+            "kernel-alloc: in-region alloc in the GEMM under src/qr/ must trip",
         )
         expect(
-            not any(str(x.path).endswith("gemm.cpp") for x in f),
-            "kernel-alloc: src/dc/ clean twin must pass",
+            not any(str(x.path).endswith("gemm.hpp") for x in f),
+            "kernel-alloc: the GEMM's clean twin under src/qr/ must pass",
         )
         expect(
             any("tile_kernel_bad.hpp" in str(x.path) and x.line == 4 for x in f),

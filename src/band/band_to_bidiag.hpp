@@ -2,8 +2,10 @@
 /// \file band_to_bidiag.hpp
 /// SVD Stage 2: reduction of an upper band matrix to upper bidiagonal form
 /// by Givens bulge chasing (the cache-friendly tile-kernel stage of Haidar
-/// et al. that the paper adopts; communication-avoiding variants pipeline
-/// the chases of successive columns — see band_to_bidiag_waves below).
+/// et al. that the paper adopts). Communication-avoiding variants pipeline
+/// the chases of successive columns; the performance model prices Stage 2
+/// that way (sim::phase2_schedule), while band_to_bidiag below chases one
+/// column at a time.
 ///
 /// For every column j and every in-band superdiagonal element beyond the
 /// first, a right (column) rotation annihilates it; the resulting

@@ -144,18 +144,6 @@ class Matrix {
     return data_[static_cast<std::size_t>(i + j * rows_)];
   }
 
-  /// Reinterpret the buffer under a new (rows, cols) shape with the SAME
-  /// element count: no allocation, no data movement — the column-major
-  /// element order is simply re-addressed. This is how a resident buffer is
-  /// reused across the two orientations of a power-iteration half-step
-  /// (src/rsvd) without doubling the peak footprint.
-  void reshape(index_t rows, index_t cols) {
-    UNISVD_REQUIRE(checked_size(rows, cols) == data_.size(),
-                   "Matrix::reshape: element count must be preserved");
-    rows_ = rows;
-    cols_ = cols;
-  }
-
   [[nodiscard]] MatrixView<T> view() noexcept;
   [[nodiscard]] ConstMatrixView<T> view() const noexcept;
   [[nodiscard]] MatrixView<T> transposed() noexcept;

@@ -86,13 +86,15 @@ struct SvdConfig {
   /// for vector jobs and implicit QR for values-only ones.
   SvdJob job = SvdJob::ValuesOnly;
   /// Fused tiny-problem threshold: problems with min(m, n) <= this take the
-  /// stack-resident one-sided Jacobi path (src/small) — one fused kernel,
-  /// no tile padding, no per-stage launches — for every job, before the
-  /// tall-panel QR. Values match the pipeline within the storage
-  /// precision's accuracy gates and stay bit-identical across jobs on the
-  /// fused path itself; SvdReport::small_path records the dispatch. Set 0
-  /// to force the pipeline everywhere; core::learn_small_svd_threshold
-  /// measures and persists the crossover per backend/precision.
+  /// stack-resident fused path (src/small) — one fused call, no tile
+  /// padding, no per-stage launches — for every job, before the tall-panel
+  /// QR. Inside it Thin and Full run one-sided Jacobi, with bit-identical
+  /// values, and ValuesOnly runs Golub–Kahan bidiagonalization plus
+  /// implicit QR, whose values agree with theirs within the accuracy gates.
+  /// Values match the pipeline within the storage precision's accuracy
+  /// gates; SvdReport::small_path records the dispatch. Set 0 to force the
+  /// pipeline everywhere; core::learn_small_svd_threshold measures and
+  /// persists the crossover per backend/precision.
   index_t small_svd_threshold = 32;
 
   void validate() const {
@@ -156,9 +158,10 @@ struct SvdReport {
   bidiag::QrStats qr_stats;
   index_t padded_n = 0;         ///< square working extent after padding
   /// True when this solve took the fused tiny-problem path (min(m, n) <=
-  /// SvdConfig::small_svd_threshold): one stack-resident one-sided Jacobi
-  /// kernel, no tile padding — padded_n reports min(m, n) — and all wall
-  /// clock under ka::Stage::FusedSmall.
+  /// SvdConfig::small_svd_threshold): one stack-resident fused call
+  /// (one-sided Jacobi for Thin/Full, bidiagonalization plus implicit QR
+  /// for ValuesOnly), no tile padding — padded_n reports min(m, n) — and
+  /// all wall clock under ka::Stage::FusedSmall.
   bool small_path = false;
   /// True when Stage 3 ran the divide-and-conquer engine (src/dc): exactly
   /// the Thin and Full jobs that took the pipeline (not the fused path).

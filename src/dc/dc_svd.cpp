@@ -1,7 +1,7 @@
 /// \file dc_svd.cpp
 /// Divide-and-conquer bidiagonal SVD — recursion, deflation, secular
 /// merges and their composition. See dc_svd.hpp for the contract,
-/// secular.hpp for the root-finder analysis and gemm.hpp for the
+/// secular.hpp for the root-finder analysis and qr/gemm.hpp for the
 /// composition kernel.
 
 #include "dc/dc_svd.hpp"
@@ -12,14 +12,15 @@
 #include <functional>
 #include <limits>
 #include <numeric>
+#include <span>
 #include <vector>
 
 #include "bidiag/bidiag_qr.hpp"
 #include "common/error.hpp"
 #include "common/givens_rows.hpp"
-#include "dc/gemm.hpp"
 #include "dc/secular.hpp"
 #include "ka/thread_pool.hpp"
+#include "qr/gemm.hpp"
 
 namespace unisvd::dc {
 namespace {
@@ -44,6 +45,11 @@ struct Factor {
   Matrix<double> ut;      ///< n x n, rows = left singular vectors
   Matrix<double> vt;      ///< (n+1) x (n+1), rows = right vectors + null
 };
+
+/// The merges' composition products, launched as "dc_gemm" in Stage 3 with
+/// no StageTimes: dc.stage3_s stays D&C's only stopwatch.
+using Product = qr::GemmProduct<double, double, double>;
+constexpr qr::GemmLaunch kCompose{"dc_gemm", ka::Stage::BidiagonalToDiagonal};
 
 Matrix<double> identity(index_t n) {
   Matrix<double> m(n, n, 0.0);
@@ -341,22 +347,22 @@ Factor merge(Factor f1, Factor f2, double alpha, double beta, index_t k,
   }
   out.ut = Matrix<double>(n, n);
   std::copy(&um(0, k), &um(0, k) + n, &out.ut(0, k));
-  const GemmProduct uprods[] = {
+  const Product uprods[] = {
       {um.view().block(0, 0, n, k), f1.ut.view(), out.ut.view().block(0, 0, n, k)},
       {um.view().block(0, k + 1, n, n2), f2.ut.view(),
        out.ut.view().block(0, k + 1, n, n2)}};
-  gemm(be, uprods);
+  qr::gemm<double>(be, std::span<const Product>(uprods), kCompose);
   um = Matrix<double>();
   f1.ut = Matrix<double>();
   f2.ut = Matrix<double>();
 
   out.vt = Matrix<double>(n + 1, n + 1);
-  const GemmProduct vprods[] = {
+  const Product vprods[] = {
       {vm.view().block(0, 0, n, k + 1), f1.vt.view(),
        out.vt.view().block(0, 0, n, k + 1)},
       {vm.view().block(0, k + 1, n, n2 + 1), f2.vt.view(),
        out.vt.view().block(0, k + 1, n, n2 + 1)}};
-  gemm(be, vprods);
+  qr::gemm<double>(be, std::span<const Product>(vprods), kCompose);
 
   // Global null row: the orthogonal complement of the null combination.
   for (index_t j = 0; j <= k; ++j) out.vt(n, j) = -snull * f1.vt(k, j);
@@ -365,17 +371,17 @@ Factor merge(Factor f1, Factor f2, double alpha, double beta, index_t k,
 }
 
 Factor solve_recursive(const double* d, const double* e, index_t n,
-                       index_t qr_tail, ka::Backend& be, DcStats* stats) {
-  if (n <= qr_tail || n < 3) return solve_tail(d, e, n, stats);
+                       index_t qr_leaf, ka::Backend& be, DcStats* stats) {
+  if (n <= qr_leaf || n < 3) return solve_tail(d, e, n, stats);
   const index_t k = n / 2;
   Factor f1, f2;
   DcStats child_stats[2];
   const std::function<void(index_t)> child = [&](index_t half) {
     if (half == 0) {
-      f1 = solve_recursive(d, e, k, qr_tail, be,
+      f1 = solve_recursive(d, e, k, qr_leaf, be,
                            stats != nullptr ? &child_stats[0] : nullptr);
     } else {
-      f2 = solve_recursive(d + k + 1, e + k + 1, n - 1 - k, qr_tail, be,
+      f2 = solve_recursive(d + k + 1, e + k + 1, n - 1 - k, qr_leaf, be,
                            stats != nullptr ? &child_stats[1] : nullptr);
     }
   };
@@ -417,14 +423,16 @@ Matrix<CT> narrow_leading(const Matrix<double>& f, index_t n) {
 
 }  // namespace
 
+namespace detail {
+
 template <class CT>
-DcResult<CT> bidiag_svd_dc(std::vector<CT> d, std::vector<CT> e,
+DcResult<CT> bidiag_svd_dc(std::vector<CT> d, std::vector<CT> e, index_t qr_leaf,
                            const DcOptions& opts, DcStats* stats) {
   const auto n = static_cast<index_t>(d.size());
   UNISVD_REQUIRE(n >= 1, "bidiag_svd_dc: empty input");
   UNISVD_REQUIRE(e.size() + 1 == d.size(),
                  "bidiag_svd_dc: e must have length n-1");
-  UNISVD_REQUIRE(opts.qr_tail >= 1, "bidiag_svd_dc: qr_tail must be >= 1");
+  UNISVD_REQUIRE(qr_leaf >= 1, "bidiag_svd_dc: qr_leaf must be >= 1");
   ka::SerialBackend serial;
   ka::Backend& be = opts.backend != nullptr ? *opts.backend : serial;
   UNISVD_REQUIRE(be.executes(), "bidiag_svd_dc: backend does not execute kernels");
@@ -441,7 +449,7 @@ DcResult<CT> bidiag_svd_dc(std::vector<CT> d, std::vector<CT> e,
     ee[static_cast<std::size_t>(i)] = static_cast<double>(e[static_cast<std::size_t>(i)]);
   }
 
-  Factor f = solve_recursive(dd.data(), ee.data(), n, opts.qr_tail, be, stats);
+  Factor f = solve_recursive(dd.data(), ee.data(), n, qr_leaf, be, stats);
 
   DcResult<CT> out;
   out.values.resize(static_cast<std::size_t>(n));
@@ -456,9 +464,11 @@ DcResult<CT> bidiag_svd_dc(std::vector<CT> d, std::vector<CT> e,
 }
 
 template DcResult<float> bidiag_svd_dc<float>(std::vector<float>, std::vector<float>,
-                                              const DcOptions&, DcStats*);
+                                              index_t, const DcOptions&, DcStats*);
 template DcResult<double> bidiag_svd_dc<double>(std::vector<double>,
-                                                std::vector<double>,
+                                                std::vector<double>, index_t,
                                                 const DcOptions&, DcStats*);
+
+}  // namespace detail
 
 }  // namespace unisvd::dc

@@ -15,11 +15,12 @@
 ///   * deflates negligible weights and near-equal poles (dlasd2-style
 ///     two-sided Givens), re-derives the weight vector by the Loewner
 ///     formula so assembled vectors stay numerically orthogonal, and
-///   * composes sub-problem factors with one cache-blocked GEMM launch
-///     per side of each merge (src/dc/gemm.hpp), reading the arrow-frame
-///     vectors in place, instead of rotation-at-a-time updates.
+///   * composes sub-problem factors with one launch of the library's
+///     cache-blocked GEMM (src/qr/gemm.hpp, in double) per side of each
+///     merge, reading the arrow-frame vectors in place, instead of
+///     rotation-at-a-time updates.
 ///
-/// Sub-problems at or below `DcOptions::qr_tail` fall back to the existing
+/// Sub-problems of extent at most `kQrLeaf` fall back to the existing
 /// implicit-QR kernel, so the recursion bottoms out on the battle-tested
 /// path. All internal arithmetic runs in double regardless of the
 /// pipeline's compute precision; results are narrowed once on output.
@@ -31,6 +32,7 @@
 /// gains one exact null direction that is dropped again on output.
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/matrix.hpp"
@@ -38,10 +40,11 @@
 
 namespace unisvd::dc {
 
+/// Sub-problems with extent <= kQrLeaf are solved by the implicit-QR
+/// kernel instead of recursing further.
+inline constexpr index_t kQrLeaf = 48;
+
 struct DcOptions {
-  /// Sub-problems with extent <= qr_tail are solved by the implicit-QR
-  /// kernel instead of recursing further.
-  index_t qr_tail = 48;
   /// The solve's backend: it runs the composition GEMM launches, and its
   /// pool (batch_pool(), if any) runs sub-problems, secular roots and
   /// vector rows in parallel. Nested use (from inside a batched solve)
@@ -67,11 +70,23 @@ struct DcResult {
   Matrix<CT> vt;           ///< n x n, rows = right singular vectors (V_B^T)
 };
 
+namespace detail {
+
+/// bidiag_svd_dc with the leaf extent as a parameter. The entry point
+/// passes kQrLeaf; tests pass less to recurse deeper.
+template <class CT>
+DcResult<CT> bidiag_svd_dc(std::vector<CT> d, std::vector<CT> e, index_t qr_leaf,
+                           const DcOptions& opts, DcStats* stats);
+
+}  // namespace detail
+
 /// Divide-and-conquer bidiagonal SVD: d is the n-point diagonal, e the
 /// (n-1)-point superdiagonal. Values and factors are computed in double and
 /// narrowed once to CT.
 template <class CT>
 DcResult<CT> bidiag_svd_dc(std::vector<CT> d, std::vector<CT> e,
-                           const DcOptions& opts = {}, DcStats* stats = nullptr);
+                           const DcOptions& opts = {}, DcStats* stats = nullptr) {
+  return detail::bidiag_svd_dc(std::move(d), std::move(e), kQrLeaf, opts, stats);
+}
 
 }  // namespace unisvd::dc

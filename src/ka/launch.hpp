@@ -28,11 +28,13 @@ enum class Stage {
                         ///< back-transformation after Stage 3 — the Stage-2
                         ///< rotation replay, the Stage-1 and tall-panel
                         ///< reflector replays, seeding and unpadding
-  RandomizedSketch,     ///< randomized truncated SVD (src/rsvd): Gaussian
-                        ///< sketch GEMM launches (Y = A * Omega)
+  RandomizedSketch,     ///< randomized truncated SVD (src/rsvd): the range
+                        ///< finder's GEMM launches (sketch Y = A * Omega,
+                        ///< power iteration, projection B = Q^T A)
   FusedSmall,           ///< fused tiny-problem path (src/small): the whole
-                        ///< one-sided Jacobi SVD — values and vectors — in
-                        ///< one stack-resident kernel, no per-stage launches
+                        ///< SVD in one stack-resident call, no per-stage
+                        ///< launches (one-sided Jacobi for Thin/Full,
+                        ///< bidiagonalization + implicit QR for ValuesOnly)
   kCount                ///< number of stages (StageTimes storage extent)
 };
 

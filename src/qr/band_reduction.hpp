@@ -12,7 +12,6 @@
 /// lower-triangular superdiagonal tiles.
 
 #include "common/matrix.hpp"
-#include "common/precision.hpp"
 #include "ka/backend.hpp"
 #include "ka/stage_times.hpp"
 #include "qr/geqrt.hpp"
@@ -27,26 +26,13 @@ namespace unisvd::qr {
 /// panel is tile column k starting at tile row row0, annihilated down to
 /// tile row ntrows-1; the trailing update covers tile columns
 /// [k+1, ntcols). The grid may be rectangular (tall QR preprocessing).
-///
-/// When `acc` is non-null the sweep additionally applies its orthogonal
-/// transform to the compute-precision target: every reflector set is
-/// applied (as Q^T from the left, via unmqr_apply/tsmqr_apply) to ALL tile
-/// columns of *acc immediately after its factorization, in the same order
-/// the trailing update sees it — the randomized range finder's hook
-/// (panel_qr_factor). With acc == nullptr the sweep launches exactly the
-/// same kernels on W.
 template <class T>
 void qr_sweep(ka::Backend& be, MatrixView<T> W, MatrixView<T> Tau, index_t k,
               index_t row0, index_t ntrows, index_t ntcols, const KernelConfig& cfg,
-              ka::StageTimes* times = nullptr,
-              MatrixView<compute_t<T>>* acc = nullptr) {
-  const index_t acc_nt = acc != nullptr ? acc->cols() / cfg.tilesize : 0;
+              ka::StageTimes* times = nullptr) {
   geqrt(be, W, row0, k, Tau, cfg, times);
   if (k + 1 < ntcols) {
     unmqr(be, W, row0, k, k + 1, ntcols, Tau, cfg, times);
-  }
-  if (acc != nullptr) {
-    unmqr_apply(be, W, Tau, *acc, row0, k, 0, acc_nt, cfg, times);
   }
   if (row0 + 1 >= ntrows) return;
 
@@ -55,18 +41,11 @@ void qr_sweep(ka::Backend& be, MatrixView<T> W, MatrixView<T> Tau, index_t k,
     if (k + 1 < ntcols) {
       tsmqr(be, W, row0, k, row0 + 1, ntrows, k + 1, ntcols, Tau, cfg, times);
     }
-    if (acc != nullptr) {
-      tsmqr_apply(be, W, Tau, *acc, row0, k, row0 + 1, ntrows, 0, acc_nt, cfg,
-                  times);
-    }
   } else {
     for (index_t l = row0 + 1; l < ntrows; ++l) {
       tsqrt(be, W, row0, k, l, l + 1, Tau, cfg, times);
       if (k + 1 < ntcols) {
         tsmqr(be, W, row0, k, l, l + 1, k + 1, ntcols, Tau, cfg, times);
-      }
-      if (acc != nullptr) {
-        tsmqr_apply(be, W, Tau, *acc, row0, k, l, l + 1, 0, acc_nt, cfg, times);
       }
     }
   }

@@ -7,8 +7,7 @@
 /// time: the chunk is staged transposed into a ts x kLaneChunk local tile
 /// (row r at `tile + r * kLaneChunk`), so every reflector step walks the
 /// lanes contiguously and the compiler vectorizes it for the build's ISA.
-/// stage_column, which reads one source column in place or stages it, also
-/// serves rsvd's sketch_gemm.
+/// stage_column reads one reflector column in place or stages it.
 
 #include <type_traits>
 
@@ -74,10 +73,10 @@ void store_chunk(MatrixView<TA> C, const CT* tile, index_t r0, index_t c0,
 /// compute type CT: a pointer into V itself when that column is contiguous
 /// and already of type CT, else `buf` (indexed from row r0) after staging
 /// those rows into it.
-template <class CT, template <class> class View, class TS>
-const CT* stage_column(View<TS> V, index_t r0, index_t c, int from, int len,
+template <class CT, class TS>
+const CT* stage_column(MatrixView<TS> V, index_t r0, index_t c, int from, int len,
                        CT* buf) {
-  if constexpr (std::is_same_v<std::remove_const_t<TS>, CT>) {
+  if constexpr (std::is_same_v<TS, CT>) {
     if (!V.is_transposed()) return &V.at(r0, c);
   }
   for (int idx = from; idx < len; ++idx) {

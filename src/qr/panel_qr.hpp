@@ -4,30 +4,22 @@
 /// kernels as the square band reduction:
 ///
 ///   1. Every sweep keeps its OWN tau block. Retaining them makes the
-///      factorization replayable: the implicit Q can be applied later, in
-///      either direction.
+///      factorization replayable: the implicit Q can be applied later.
 ///   2. panel_apply_q replays the sweeps BACKWARD through the
 ///      ApplyDir::Backward kernel variants, composing C <- Q * C — the
-///      ORGQR/ORMQR(trans='N') role. This is how both consumers expand a
-///      small projected factor U~ to U = Q * U~ without ever materializing
-///      Q (m_pad x m_pad) explicitly.
+///      ORGQR/ORMQR(trans='N') role, without ever materializing Q
+///      (m_pad x m_pad).
 ///
-/// Two pipelines ride this file (which is why it lives in qr/, not rsvd/):
-/// the randomized truncated SVD factors its sketch panels here, and the
-/// dense driver (core/svd.cpp) factors every tall input A = Q R here and
-/// solves the small R. A vector job's back-transformation then replays,
+/// The dense driver (core/svd.cpp) factors every tall input A = Q R here
+/// and solves the small R. A vector job's back-transformation then replays,
 /// through panel_apply_q, Stage 1's kept sweeps and then this Q onto the
-/// vectors in m_pad x n_pad slabs, never an m_pad^2 working set.
-///
-/// An optional compute-precision side target `acc` receives Q^T * acc
-/// interleaved with the factorization (qr_sweep's accumulator hook). The
-/// range finder passes a padded copy of A here, so ONE pass yields both
-/// the factored panel and the projection B = Q_full^T A.
+/// vectors in m_pad x n_pad slabs, never an m_pad^2 working set. Applied
+/// onto [I; 0], panel_apply_q also yields an orthonormal basis of a panel's
+/// range.
 
 #include <algorithm>
 
 #include "common/matrix.hpp"
-#include "common/precision.hpp"
 #include "ka/backend.hpp"
 #include "ka/stage_times.hpp"
 #include "qr/band_reduction.hpp"
@@ -38,14 +30,11 @@ namespace unisvd::qr {
 /// column sweeps, retaining every sweep's reflectors: on exit A holds R in
 /// its top triangle and the Householder tails below, and TauAll (at least
 /// panel_tau_rows(ntrows, ntcols) x TILESIZE) holds one tau block per
-/// sweep, stacked by sweep index. When `acc` is non-null (compute
-/// precision, >= A.rows() rows, TILESIZE-multiple columns) it becomes
-/// Q_full^T * acc.
+/// sweep, stacked by sweep index.
 template <class T>
 void panel_qr_factor(ka::Backend& be, MatrixView<T> A, MatrixView<T> TauAll,
                      const qr::KernelConfig& cfg,
-                     ka::StageTimes* times = nullptr,
-                     MatrixView<compute_t<T>>* acc = nullptr) {
+                     ka::StageTimes* times = nullptr) {
   cfg.validate();
   UNISVD_REQUIRE(A.rows() >= A.cols(),
                  "panel_qr_factor: panel must be tall (rows >= cols)");
@@ -58,7 +47,7 @@ void panel_qr_factor(ka::Backend& be, MatrixView<T> A, MatrixView<T> TauAll,
                  "panel_qr_factor: TauAll workspace too small");
   for (index_t k = 0; k < ntcols; ++k) {
     MatrixView<T> tau = TauAll.block(k * ntrows, 0, ntrows, cfg.tilesize);
-    qr::qr_sweep(be, A, tau, k, k, ntrows, ntcols, cfg, times, acc);
+    qr::qr_sweep(be, A, tau, k, k, ntrows, ntcols, cfg, times);
   }
 }
 
@@ -69,8 +58,8 @@ void panel_qr_factor(ka::Backend& be, MatrixView<T> A, MatrixView<T> TauAll,
 /// of TauAll. C is compute-precision (or any storage type), >= A.rows()
 /// rows and a TILESIZE multiple of columns. The replay runs the sweeps in
 /// reverse — last sweep first, TSQRT chain before GEQRT, rows descending —
-/// with each kernel in ApplyDir::Backward, exactly inverting the forward
-/// (Q^T) application order.
+/// with each kernel in ApplyDir::Backward, exactly inverting the
+/// factorization's order.
 template <class TS, class TA>
 void panel_apply_q(ka::Backend& be, MatrixView<TS> A, MatrixView<TS> TauAll,
                    MatrixView<TA> C, const qr::KernelConfig& cfg,

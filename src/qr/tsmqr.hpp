@@ -14,10 +14,10 @@
 ///
 /// ONE kernel body serves two call shapes: the classic trailing update
 /// (`tsmqr` — reflector source and update target are the same working
-/// matrix, Stage::TrailingUpdate) and the singular-vector accumulation
-/// (`tsmqr_apply` — separate source and target with independent storage
-/// types, Stage::VectorAccumulation). Keeping a single body guarantees the
-/// two paths can never drift numerically.
+/// matrix, Q^T, Stage::TrailingUpdate) and the back-transformation
+/// (`tsmqr_apply_q` — Q onto a separate target with its own storage type,
+/// Stage::VectorAccumulation). Keeping a single body guarantees the two
+/// paths can never drift numerically.
 
 #include <algorithm>
 
@@ -35,7 +35,7 @@ namespace detail {
 /// Apply the TSQRT reflector sets of tiles (l, k) of V, l in [lbegin,
 /// lend) (tau rows l of Tau), to tile rows row0 (top) and l (bottom) of C,
 /// tile columns [jbegin, jend). V and C may be the same matrix (trailing
-/// update) or different ones (factor accumulation); the compute type
+/// update) or different ones (back-transformation); the compute type
 /// follows the target. ApplyDir::Forward composes Q^T (factorization
 /// order); Backward walks both the row chain and each tile's reflectors in
 /// reverse, composing Q.
@@ -180,27 +180,15 @@ void tsmqr(ka::Backend& be, MatrixView<T> W, index_t row0, index_t k,
                      ka::Stage::TrailingUpdate, times);
 }
 
-/// Separate-target variant of TSMQR: apply the TSQRT reflector sets stored
-/// in tiles (l, k) of `V`, l in [lbegin, lend) (tau rows l of `Tau`), to
-/// tile rows row0 (top) and l (bottom) of a *different* matrix `C`, tile
-/// columns [jbegin, jend). Reflector source and update target have
-/// independent storage types — targets stay in compute precision.
-/// Launches are attributed to Stage::VectorAccumulation.
-template <class TS, class TA>
-void tsmqr_apply(ka::Backend& be, MatrixView<TS> V, MatrixView<TS> Tau,
-                 MatrixView<TA> C, index_t row0, index_t k, index_t lbegin,
-                 index_t lend, index_t jbegin, index_t jend,
-                 const KernelConfig& cfg, ka::StageTimes* times = nullptr) {
-  detail::tsmqr_impl(be, V, Tau, C, row0, k, lbegin, lend, jbegin, jend, cfg,
-                     ka::Stage::VectorAccumulation, times);
-}
-
 /// Backward (un-transposed) application: C <- Q * C for the TSQRT reflector
-/// sets of tiles (l, k), l in [lbegin, lend) — the same kernel body as
-/// tsmqr_apply with BOTH the row chain and each tile's reflector loop
-/// reversed (each Householder factor is symmetric, so reverse order
-/// composes Q instead of Q^T). Used through panel_apply_q by the
-/// back-transformation and the randomized truncated SVD.
+/// sets of tiles (l, k) of `V`, l in [lbegin, lend), applied to tile rows
+/// row0 (top) and l (bottom) of a separate target `C`, tile columns
+/// [jbegin, jend) — the same kernel body as tsmqr with BOTH the row chain
+/// and each tile's reflector loop reversed (each Householder factor is
+/// symmetric, so reverse order composes Q instead of Q^T). C may be in
+/// compute precision while the reflectors stay in storage precision. Used
+/// through panel_apply_q; launches are attributed to
+/// Stage::VectorAccumulation.
 template <class TS, class TA>
 void tsmqr_apply_q(ka::Backend& be, MatrixView<TS> V, MatrixView<TS> Tau,
                    MatrixView<TA> C, index_t row0, index_t k, index_t lbegin,

@@ -11,10 +11,10 @@
 ///
 /// ONE kernel body serves two call shapes: the classic trailing update
 /// (`unmqr` — reflector source and update target are the same working
-/// matrix, Stage::TrailingUpdate) and the singular-vector accumulation
-/// (`unmqr_apply` — separate source and target with independent storage
-/// types, Stage::VectorAccumulation). Keeping a single body guarantees the
-/// two paths can never drift numerically.
+/// matrix, Q^T, Stage::TrailingUpdate) and the back-transformation
+/// (`unmqr_apply_q` — Q onto a separate target with its own storage type,
+/// Stage::VectorAccumulation). Keeping a single body guarantees the two
+/// paths can never drift numerically.
 ///
 /// NOTE (paper erratum): Algorithm 4 line 11 prints `X_i[k:] -= rho`,
 /// which combined with line 12 would update X_i[k+1:] twice. The correct
@@ -38,7 +38,7 @@ namespace detail {
 /// Apply Q^T (ApplyDir::Forward) or Q (Backward) of GEQRT(tile (row0, k) of
 /// V, tau row row0 of Tau) to tile row row0 of C, tile columns
 /// [jbegin, jend). V and C may be the same matrix (trailing update) or
-/// different ones (factor accumulation); the compute type follows the
+/// different ones (back-transformation); the compute type follows the
 /// target.
 template <class TS, class TA>
 void unmqr_impl(ka::Backend& be, MatrixView<TS> V, MatrixView<TS> Tau,
@@ -179,28 +179,14 @@ void unmqr(ka::Backend& be, MatrixView<T> W, index_t row0, index_t k,
                      ka::Stage::TrailingUpdate, times);
 }
 
-/// Separate-target variant of UNMQR: apply Q^T of the GEQRT factorization
-/// stored in tile (row0, k) of `V` (tau row `row0` of `Tau`) to tile row
-/// `row0` of a *different* matrix `C`, tile columns [jbegin, jend). The
-/// reflector source and the update target have independent storage types:
-/// targets stay in compute precision (FP32 for FP16 inputs) while the
-/// reflectors stay in storage precision. Launches are attributed to
-/// Stage::VectorAccumulation.
-template <class TS, class TA>
-void unmqr_apply(ka::Backend& be, MatrixView<TS> V, MatrixView<TS> Tau,
-                 MatrixView<TA> C, index_t row0, index_t k, index_t jbegin,
-                 index_t jend, const KernelConfig& cfg,
-                 ka::StageTimes* times = nullptr) {
-  detail::unmqr_impl(be, V, Tau, C, row0, k, jbegin, jend, cfg,
-                     ka::Stage::VectorAccumulation, times);
-}
-
 /// Backward (un-transposed) application: C <- Q * C for the GEQRT reflector
-/// set of tile (row0, k) of `V` — the same kernel body as unmqr_apply with
-/// the reflector loop reversed (each Householder factor is symmetric, so
-/// reversing the order composes Q instead of Q^T). Used through
-/// panel_apply_q by the back-transformation and the randomized truncated
-/// SVD, the role LAPACK's ORMQR with trans='N' plays.
+/// set of tile (row0, k) of `V`, applied to tile row `row0` of a separate
+/// target `C`, tile columns [jbegin, jend) — the same kernel body as unmqr
+/// with the reflector loop reversed (each Householder factor is symmetric,
+/// so reversing the order composes Q instead of Q^T). The reflectors stay
+/// in storage precision while C may be in compute precision (FP32 for FP16
+/// inputs). Used through panel_apply_q, the role LAPACK's ORMQR with
+/// trans='N' plays. Launches are attributed to Stage::VectorAccumulation.
 template <class TS, class TA>
 void unmqr_apply_q(ka::Backend& be, MatrixView<TS> V, MatrixView<TS> Tau,
                    MatrixView<TA> C, index_t row0, index_t k, index_t jbegin,

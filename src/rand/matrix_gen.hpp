@@ -9,7 +9,9 @@
 ///     statistically exact, O(n^3), used at unit-test sizes;
 ///   * a product of `k` random Householder reflectors — O(k n^2), spectrum
 ///     still *exactly* sigma (orthogonal invariance), used at benchmark
-///     sizes. Documented as a substitution in DESIGN.md/EXPERIMENTS.md.
+///     sizes. It substitutes for the paper's Haar factors there: the
+///     spectrum, which every accuracy and timing measurement reads, is the
+///     same; only the distribution of the singular vectors differs.
 /// All generation runs in double; the final store rounds into the target
 /// storage type, which is precisely the perturbation Table 1 measures for
 /// reduced precisions.

@@ -3,28 +3,26 @@
 /// kernels — implementation of core/svd.hpp's svd_truncated_report.
 ///
 /// Pipeline (tall orientation m >= n; wide inputs run on the lazy
-/// transpose and swap factors at extraction):
+/// transpose and swap factors at extraction). Every product runs on the
+/// library's one GEMM (qr/gemm.hpp): it sums in compute precision, divides
+/// by the auto_scale divisor s and rounds once into its target.
 ///
-///   1. SKETCH      Y = A * Omega, Omega an n x l Gaussian test matrix
-///                  (l = rank + oversample), via the sketch_gemm kernel.
-///   2. POWER       q times: factor Y = Q R (panel_qr_factor, which also
-///      ITERATE     yields B = Q_full^T A through its accumulator hook),
-///                  Z = B^T = A^T Q, factor Z = W R' (same trick on A^T),
-///                  Y = (W^T A^T)^T = A W. Every half-step is a full
-///                  re-orthonormalization, so the iteration is stable at
-///                  large q.
-///   3. PROJECT     B = Q^T A (l_pad x n) from the LAST factorization's
-///                  accumulator — solved by the dense pipeline in COMPUTE
-///                  precision (FP32 for FP16 storage): B = U~ S V~t.
-///   4. COMPOSE     vt = first k rows of V~t; U = Q * U~[:, :k] via
-///                  panel_apply_q (backward reflector replay — Q is never
-///                  materialized).
+///   1. SKETCH      Y = A Omega / s, Omega an n x l_pad Gaussian test matrix
+///                  (l = rank + oversample, padded to the tile grid).
+///   2. POWER       q times: Q = orth(Y), Z = A^T Q / s, W = orth(Z),
+///      ITERATE     Y = A W / s. orth factors the zero-padded panel
+///                  (panel_qr_factor) and composes its first l_pad columns
+///                  of Q onto [I; 0] (panel_apply_q), so every half-step is
+///                  a full re-orthonormalization and the iteration stays
+///                  stable at large q.
+///   3. PROJECT     Q = orth(Y), B = Q^T A / s (l_pad x n), solved by the
+///                  dense pipeline in COMPUTE precision (FP32 for FP16
+///                  storage): B = U~ S V~t.
+///   4. COMPOSE     vt = first k rows of V~t; U = Q U~[:, :k].
 ///
-/// Padding: every panel is zero-padded to the TILESIZE grid. Padded sketch
-/// columns factor into deterministic orthonormal complements (the
-/// small-reflector guard), which only ENLARGE the candidate subspace; the
-/// projection and the composition both use the same l_pad columns, so the
-/// extra directions are consistent end to end and never hurt accuracy.
+/// Products read only the real rows of Q and W, the first m and n: a
+/// rank-deficient panel factors into deterministic orthonormal complements
+/// (the small-reflector guard), which may reach into the padding rows.
 ///
 /// Adaptive rank (tol > 0): after the projection, pick the smallest k with
 /// sigma~_{k+1} <= tol * sigma~_1. If no such k lies strictly inside the
@@ -38,11 +36,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <utility>
 
 #include "common/half.hpp"
 #include "common/linalg_ref.hpp"
-#include "rsvd/gemm.hpp"
+#include "qr/gemm.hpp"
 #include "qr/panel_qr.hpp"
 #include "rsvd/sketch.hpp"
 #include "small/small_svd.hpp"
@@ -52,93 +49,69 @@ namespace unisvd {
 
 namespace {
 
-/// Refill `dst` (already shaped to the padded extents) with a zero-padded
-/// compute-precision copy of `src`, divided by `scale`: the accumulator seed
-/// that turns panel_qr_factor into B = Q^T (A/scale). Writing into a
-/// caller-owned RESIDENT buffer — instead of returning a fresh Matrix per
-/// half-step — is what keeps the power iteration's peak accumulator
-/// footprint at ONE (m_pad x n_pad) block (see range_finder).
-template <class T>
-void fill_padded_scaled(ConstMatrixView<T> src, double scale,
-                        Matrix<compute_t<T>>& dst) {
-  using CT = compute_t<T>;
-  std::fill(dst.data(), dst.data() + dst.size(), CT(0));
-  const auto s = static_cast<CT>(scale);
-  for (index_t j = 0; j < src.cols(); ++j) {
-    for (index_t i = 0; i < src.rows(); ++i) {
-      const auto v = static_cast<CT>(src.at(i, j));
-      dst(i, j) = scale == 1.0 ? v : v / s;
-    }
-  }
+/// c = a * b / launch.scale on the GEMM for a tall output c at most l_pad
+/// wide, formed as c^T = b^T * a^T: the same sums in the same order (the
+/// products commute exactly), over twice as many of the GEMM's 128 x 64
+/// cache blocks, since the long side of c runs along the blocks' 64 columns.
+template <class CT, class TA, class TB, class TC>
+void skinny_gemm(ka::Backend& be, ConstMatrixView<TA> a, ConstMatrixView<TB> b,
+                 MatrixView<TC> c, const qr::GemmLaunch& launch) {
+  qr::gemm<CT>(be, qr::GemmProduct<TB, TA, TC>{b.transposed(), a.transposed(), c.transposed()},
+               launch);
 }
 
-/// One full sketch -> power-iterate pass at sketch width l_pad. On return
-/// `y` holds the factored final panel (reflectors), `tau` its stacked tau
-/// blocks, and `acc` the projection Q_full^T * (A/scale) (m_pad x n_pad).
+/// The first `rows` rows of `x`: the real rows of a padded basis.
+template <class CT>
+ConstMatrixView<CT> leading_rows(const Matrix<CT>& x, index_t rows) {
+  return ConstMatrixView<CT>(x.data(), rows, x.cols(), x.rows());
+}
+
+/// Q = orth(Y): factor the zero-padded panel `y` in place (one tau block
+/// per sweep into `tau`), then compose the first y.cols() columns of Q
+/// onto [I; 0] in compute precision.
 template <class T>
-void range_finder(ka::Backend& be, ConstMatrixView<T> at, double scale,
-                  index_t lpad, int power_iters, std::uint64_t seed,
-                  const qr::KernelConfig& cfg, ka::StageTimes* times,
-                  Matrix<T>& y, Matrix<T>& tau, Matrix<compute_t<T>>& acc) {
+Matrix<compute_t<T>> orth(ka::Backend& be, Matrix<T>& y, Matrix<T>& tau,
+                          const qr::KernelConfig& cfg, ka::StageTimes* times) {
+  using CT = compute_t<T>;
+  qr::panel_qr_factor<T>(be, y.view(), tau.view(), cfg, times);
+  Matrix<CT> q(y.rows(), y.cols(), CT(0));
+  for (index_t i = 0; i < y.cols(); ++i) q(i, i) = CT(1);
+  qr::panel_apply_q<T, CT>(be, y.view(), tau.view(), q.view(), cfg, times);
+  return q;
+}
+
+/// One sketch -> power-iterate pass at sketch width l_pad. Returns Q
+/// (m_pad x l_pad, compute precision), an orthonormal basis of the
+/// sketched range of A / scale.
+template <class T>
+Matrix<compute_t<T>> range_finder(ka::Backend& be, ConstMatrixView<T> at,
+                                  const qr::GemmLaunch& sketch, index_t lpad,
+                                  int power_iters, std::uint64_t seed,
+                                  const qr::KernelConfig& cfg) {
   using CT = compute_t<T>;
   const int ts = cfg.tilesize;
   const index_t m = at.rows();
   const index_t n = at.cols();
   const index_t mpad = tile::TileLayout::make(m, ts).n;
   const index_t npad = tile::TileLayout::make(n, ts).n;
-  const index_t mtiles = mpad / ts;
-  const index_t ntiles = npad / ts;
-  const index_t ltiles = lpad / ts;
 
-  // Sketch: Y = (A/scale) * Omega into the zero-padded panel.
-  const Matrix<CT> omega = rsvd::gaussian_sketch<CT>(n, lpad, seed);
-  y = Matrix<T>(mpad, lpad, T(0));
-  rsvd::sketch_gemm<T>(be, at, omega.view(), y.view(), scale, cfg, times);
-
-  tau = Matrix<T>(qr::panel_tau_rows(std::max(mtiles, ntiles), ltiles),
-                  ts, T(0));
-  Matrix<T> z;  // the A^T-side panel of each power iteration
-
-  // ONE resident accumulator serves both orientations of every half-step:
-  // the (mpad x npad) buffer is reshaped (same element count, no data
-  // movement) to (npad x mpad) for the A^T side and refilled in place.
-  // The old scheme built a fresh padded copy per half-step, holding TWO
-  // accumulator-sized blocks live across the Z factorization — double the
-  // peak footprint and allocator traffic, asserted away by the
-  // matrix_peak_bytes regression test.
-  acc = Matrix<CT>(mpad, npad);
-  for (int iter = 0;; ++iter) {
-    // Factor Y; the accumulator hook turns the padded copy of A into
-    // B_full = Q_full^T (A/scale) in the same pass.
-    if (acc.rows() != mpad) acc.reshape(mpad, npad);
-    fill_padded_scaled<T>(at, scale, acc);
-    MatrixView<CT> acc_view = acc.view();
-    qr::panel_qr_factor<T>(be, y.view(), tau.view(), cfg, times, &acc_view);
-    if (iter == power_iters) break;
-
-    // Z = (Q^T A)^T = A^T Q : the top l_pad rows of acc, transposed.
-    z = Matrix<T>(npad, lpad, T(0));
-    for (index_t j = 0; j < lpad; ++j) {
-      for (index_t i = 0; i < n; ++i) {
-        z(i, j) = narrow_from_double<T>(static_cast<double>(acc(j, i)));
-      }
-    }
-    // Factor Z against A^T: the SAME buffer, reshaped and refilled, becomes
-    // W_full^T (A^T/scale).
-    acc.reshape(npad, mpad);
-    fill_padded_scaled<T>(at.transposed(), scale, acc);
-    MatrixView<CT> acc_t_view = acc.view();
-    qr::panel_qr_factor<T>(be, z.view(), tau.view(), cfg, times, &acc_t_view);
-
-    // Y = (W^T A^T)^T = A W : the top l_pad rows of the reshaped acc,
-    // transposed.
-    y = Matrix<T>(mpad, lpad, T(0));
-    for (index_t j = 0; j < lpad; ++j) {
-      for (index_t i = 0; i < m; ++i) {
-        y(i, j) = narrow_from_double<T>(static_cast<double>(acc(j, i)));
-      }
-    }
+  Matrix<T> y(mpad, lpad, T(0));
+  {
+    const Matrix<CT> omega = rsvd::gaussian_sketch<CT>(n, lpad, seed);
+    skinny_gemm<CT>(be, at, omega.view(), y.view().block(0, 0, m, lpad), sketch);
   }
+  Matrix<T> tau(qr::panel_tau_rows(mpad / ts, lpad / ts), ts, T(0));
+  Matrix<CT> q = orth<T>(be, y, tau, cfg, sketch.times);
+  for (int iter = 0; iter < power_iters; ++iter) {
+    Matrix<T> z(npad, lpad, T(0));
+    skinny_gemm<CT>(be, at.transposed(), leading_rows(q, m), z.view().block(0, 0, n, lpad),
+                    sketch);
+    const Matrix<CT> w = orth<T>(be, z, tau, cfg, sketch.times);
+    std::fill(y.data(), y.data() + y.size(), T(0));
+    skinny_gemm<CT>(be, at, leading_rows(w, n), y.view().block(0, 0, m, lpad), sketch);
+    q = orth<T>(be, y, tau, cfg, sketch.times);
+  }
+  return q;
 }
 
 double seconds_since(std::chrono::steady_clock::time_point t0) {
@@ -239,6 +212,8 @@ TruncReport svd_truncated_report(ConstMatrixView<T> a, const TruncConfig& config
       config.svd.auto_scale ? ref::auto_scale_divisor(at) : 1.0;
 
   TruncReport rep;
+  const qr::GemmLaunch sketch{"sketch_gemm", ka::Stage::RandomizedSketch,
+                              &rep.stage_times, scale};
   for (int round = 0;; ++round) {
     const index_t l = std::min(rank + config.oversample, minmn);
     const index_t lpad = tile::TileLayout::make(l, ts).n;
@@ -254,19 +229,14 @@ TruncReport svd_truncated_report(ConstMatrixView<T> a, const TruncConfig& config
       return fb;
     }
 
-    Matrix<T> y;
-    Matrix<T> tau;
-    Matrix<CT> acc;
-    range_finder<T>(backend, at, scale, lpad, config.power_iters, config.seed,
-                    config.svd.kernels, &rep.stage_times, y, tau, acc);
+    const Matrix<CT> q = range_finder<T>(backend, at, sketch, lpad, config.power_iters,
+                                         config.seed, config.svd.kernels);
+    const ConstMatrixView<CT> qm = leading_rows(q, m);
 
-    // Projection B = Q^T (A/scale): top l_pad rows of the accumulator, real
-    // columns only (padded columns of A are exactly zero in B). Solved by
-    // the dense pipeline in compute precision.
+    // Projection B = Q^T A / s (l_pad x n), solved by the dense pipeline in
+    // compute precision.
     Matrix<CT> b(lpad, n);
-    for (index_t j = 0; j < n; ++j) {
-      for (index_t i = 0; i < lpad; ++i) b(i, j) = acc(i, j);
-    }
+    qr::gemm<CT>(backend, qr::GemmProduct<CT, T, CT>{qm.transposed(), at, b.view()}, sketch);
     SvdConfig small_cfg = config.svd;
     small_cfg.job = SvdJob::Thin;
     small_cfg.check_finite = false;
@@ -321,20 +291,17 @@ TruncReport svd_truncated_report(ConstMatrixView<T> a, const TruncConfig& config
       }
     }
 
-    // Compose: vt from the small problem directly; U = Q * U~[:, :k] by
-    // backward reflector replay into a padded compute-precision target.
-    // The replay's launches self-attribute to VectorAccumulation; the
-    // stopwatch below covers only the copy/extraction epilogue.
-    const index_t kpad = tile::TileLayout::make(k, ts).n;
-    Matrix<CT> comp(y.rows(), kpad, CT(0));
-    for (index_t j = 0; j < k; ++j) {
-      for (index_t i = 0; i < lpad; ++i) {
-        comp(i, j) = static_cast<CT>(small.u(i, j));
-      }
-    }
-    MatrixView<CT> comp_view = comp.view();
-    qr::panel_apply_q<T, CT>(backend, y.view(), tau.view(), comp_view,
-                               config.svd.kernels, &rep.stage_times);
+    // Compose: vt from the small problem directly; U = Q U~[:, :k] on the
+    // GEMM, in compute precision, straight into the factor it becomes (a
+    // wide input swaps U and V^T, A = (A^T)^T). The launch self-attributes
+    // to VectorAccumulation; the stopwatch below covers only the extraction
+    // epilogue.
+    Matrix<double>& udest = wide ? rep.vt : rep.u;
+    udest = wide ? Matrix<double>(k, m) : Matrix<double>(m, k);
+    skinny_gemm<CT>(backend, qm, ConstMatrixView<double>(small.u.data(), lpad, k, small.u.rows()),
+                    wide ? udest.transposed() : udest.view(),
+                    qr::GemmLaunch{"rsvd_compose_u", ka::Stage::VectorAccumulation,
+                                   &rep.stage_times});
     const auto t0 = std::chrono::steady_clock::now();
 
     rep.rank = k;
@@ -352,14 +319,7 @@ TruncReport svd_truncated_report(ConstMatrixView<T> a, const TruncConfig& config
     if (scale != 1.0) {
       for (auto& v : rep.values) v *= scale;
     }
-    // Factor extraction; a wide input swaps U and V^T (A = (A^T)^T).
     if (!wide) {
-      rep.u = Matrix<double>(m, k);
-      for (index_t j = 0; j < k; ++j) {
-        for (index_t i = 0; i < m; ++i) {
-          rep.u(i, j) = static_cast<double>(comp(i, j));
-        }
-      }
       rep.vt = Matrix<double>(k, n);
       for (index_t j = 0; j < n; ++j) {
         for (index_t i = 0; i < k; ++i) rep.vt(i, j) = small.vt(i, j);
@@ -368,12 +328,6 @@ TruncReport svd_truncated_report(ConstMatrixView<T> a, const TruncConfig& config
       rep.u = Matrix<double>(n, k);  // = a.rows()
       for (index_t j = 0; j < k; ++j) {
         for (index_t i = 0; i < n; ++i) rep.u(i, j) = small.vt(j, i);
-      }
-      rep.vt = Matrix<double>(k, m);  // = k x a.cols()
-      for (index_t j = 0; j < m; ++j) {
-        for (index_t i = 0; i < k; ++i) {
-          rep.vt(i, j) = static_cast<double>(comp(j, i));
-        }
       }
     }
     rep.stage_times.add(ka::Stage::VectorAccumulation, seconds_since(t0));

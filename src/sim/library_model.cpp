@@ -76,7 +76,7 @@ class UnifiedModel final : public LibraryModel {
 /// on consumer SKUs the HPC-oriented tuning backfires and cuSOLVER takes
 /// 1.0x (small) to ~4x (32k) of the unified time (paper Table 4:
 /// RTX4060 geometric mean 1.5, range 1.0-4.2). These anchors are the only
-/// non-mechanistic constants in the comparator suite; see EXPERIMENTS.md.
+/// non-mechanistic constants in the comparator suite.
 class CusolverModel final : public LibraryModel {
  public:
   [[nodiscard]] std::string_view name() const noexcept override { return "cuSOLVER"; }

@@ -15,8 +15,9 @@
 ///  * cuSOLVER, which is proprietary: modeled as a vendor-tuned execution
 ///    of the same two-stage schedule (higher kernel efficiency, lower
 ///    launch cost, fixed HPC-oriented blocking that de-tunes on consumer
-///    SKUs). Its scale factors are calibration constants chosen once,
-///    documented in DESIGN.md/EXPERIMENTS.md.
+///    SKUs). Its scale factors are calibration constants chosen once from
+///    the paper's reported ratios (CusolverModel in library_model.cpp
+///    states them).
 
 #include <memory>
 #include <string_view>

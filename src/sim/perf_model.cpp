@@ -12,8 +12,8 @@ double kernel_efficiency(const ka::LaunchDesc& d) {
   if (is_panel_kernel(d)) return 0.08;
   if (d.name == "unmqr" || d.name == "tsmqr" || d.name == "ftsmqr") return 0.25;
   if (d.stage == ka::Stage::BandToBidiagonal) return 0.10;
-  // The sketch GEMM streams contiguous columns with register blocking —
-  // the closest the pipeline gets to a throughput kernel.
+  // The range finder's GEMM runs register-blocked tiles over packed
+  // operands — the closest the pipeline gets to a throughput kernel.
   if (d.stage == ka::Stage::RandomizedSketch) return 0.35;
   return 0.10;
 }
@@ -126,37 +126,6 @@ ka::LaunchDesc phase3_record(index_t n, Precision p) {
   d.cost.flops = 30.0 * static_cast<double>(n) * static_cast<double>(n);
   d.cost.bytes_read = 2.0 * static_cast<double>(n) * static_cast<double>(bytes_of(p));
   d.cost.bytes_written = static_cast<double>(n) * 8.0;
-  d.cost.serial_iterations = static_cast<double>(n);
-  return d;
-}
-
-ka::LaunchDesc sketch_record(index_t m, index_t n, index_t l, int tilesize,
-                             int colperblock, Precision p) {
-  // Field-for-field mirror of rsvd/gemm.hpp sketch_gemm's LaunchDesc: one
-  // workgroup per (row tile, column block) of Y, COLPERBLOCK work-items
-  // each owning one output column; every column block re-streams its A
-  // tile rows and every row tile re-reads Omega.
-  const index_t row_tiles = (m + tilesize - 1) / tilesize;
-  const index_t col_blocks = (l + colperblock - 1) / colperblock;
-  const double S = static_cast<double>(bytes_of(p));
-  const double Sc = static_cast<double>(p == Precision::FP64 ? 8 : 4);
-  ka::LaunchDesc d;
-  d.name = "sketch_gemm";
-  d.stage = ka::Stage::RandomizedSketch;
-  d.num_groups = row_tiles * col_blocks;
-  d.group_size = colperblock;
-  d.local_bytes = 0;
-  d.private_bytes_per_item = static_cast<std::size_t>(tilesize) *
-                             static_cast<std::size_t>(Sc);
-  d.precision = p;
-  d.cost.flops = 2.0 * static_cast<double>(m) * static_cast<double>(n) *
-                 static_cast<double>(l);
-  d.cost.bytes_read =
-      static_cast<double>(col_blocks) * static_cast<double>(m) *
-          static_cast<double>(n) * S +
-      static_cast<double>(row_tiles) * static_cast<double>(n) *
-          static_cast<double>(l) * Sc;
-  d.cost.bytes_written = static_cast<double>(m) * static_cast<double>(l) * S;
   d.cost.serial_iterations = static_cast<double>(n);
   return d;
 }

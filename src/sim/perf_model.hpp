@@ -11,7 +11,7 @@
 ///
 /// with wave quantization over CU count x occupancy, a utilization ramp for
 /// partially filled devices, per-kernel-class arithmetic efficiency
-/// (calibration constants, documented in DESIGN.md), spill traffic when a
+/// (calibration constants, listed in kernel_efficiency), spill traffic when a
 /// workgroup's footprint exceeds L1, and host-side handling of the Stage-3
 /// record. This is a shape model: it reproduces who wins, crossover sizes
 /// and stage ratios — not vendor-exact absolute times.
@@ -35,8 +35,8 @@ struct SimBreakdown {
   /// self-attribute here, and the Stage-2 rotation-batch replay
   /// ("stage2_rot_batch").
   double vector_acc = 0.0;
-  /// Randomized range-finder sketch products (src/rsvd sketch_gemm):
-  /// the truncated pipeline's Y = A * Omega and power-iteration GEMMs.
+  /// Randomized range-finder products (src/rsvd on qr/gemm.hpp): the
+  /// truncated pipeline's sketch, power-iteration and projection GEMMs.
   double sketch = 0.0;
 
   [[nodiscard]] double total() const noexcept {
@@ -96,14 +96,5 @@ class PerfModel {
 /// Synthetic Stage-3 record: bidiagonal QR iteration on the host (the
 /// paper delegates this stage to LAPACK), including the device->host copy.
 [[nodiscard]] ka::LaunchDesc phase3_record(index_t n, Precision p);
-
-/// Sketch record: the randomized range finder's Y = A * Omega product for
-/// an m x n input sketched to l columns — grid, cost, and footprint fields
-/// mirror the real kernel's LaunchDesc (rsvd/gemm.hpp sketch_gemm) so the
-/// trace-driven model prices the truncated pipeline's only dense GEMM.
-/// `tilesize`/`colperblock` are the kernel-config grid knobs.
-[[nodiscard]] ka::LaunchDesc sketch_record(index_t m, index_t n, index_t l,
-                                           int tilesize, int colperblock,
-                                           Precision p);
 
 }  // namespace unisvd::sim

@@ -6,8 +6,10 @@ namespace unisvd::sim {
 
 // Sources: paper Table 2 (CU counts, L1 sizes, bandwidths, peak FP32,
 // clocks, memory sizes) completed with public architecture specifications
-// (warp widths, occupancy limits, FP64 ratios, host links). Launch/barrier
-// overheads are calibration constants, documented in DESIGN.md.
+// (warp widths, occupancy limits, FP64 ratios, host links). Launch and
+// barrier overheads, host bandwidth and host flop rate are calibration
+// constants of the model, chosen once per device and not measured on it;
+// bench_table2_devices prints them beside the Table 2 figures.
 
 const DeviceSpec& h100() {
   static const DeviceSpec d = [] {

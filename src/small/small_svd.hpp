@@ -1,18 +1,27 @@
 #pragma once
 /// \file small_svd.hpp
-/// Fused tiny-problem SVD: a one-shot one-sided Jacobi factorization for
-/// problems with min(m, n) at or below SvdConfig::small_svd_threshold.
+/// Fused tiny-problem SVD for problems with min(m, n) at or below
+/// SvdConfig::small_svd_threshold: one fused call per problem, with a
+/// kernel chosen by the job.
 ///
 /// The 3-stage tiled pipeline pays per-stage launches, tile padding to the
 /// TILESIZE grid, and square accumulator traffic that are pure overhead on
 /// sub-tile problems — the regime batched-SVD libraries win by fusing the
 /// whole factorization into one register/stack-resident kernel. This path
-/// is that kernel: the input is loaded once into compute-precision
-/// stack-first buffers at its NATIVE extent (no padding round-trip), swept
-/// to column orthogonality by plane rotations (src/small/jacobi_kernel.hpp,
-/// shared with the baseline/jacobi oracle), and the values AND Thin/Full
-/// vectors read directly off the rotated columns — no per-stage launches at
-/// all. All time books under ka::Stage::FusedSmall.
+/// loads the input once into compute-precision stack-first buffers at its
+/// NATIVE extent (no padding round-trip) and then runs one of two kernels,
+/// with no per-stage launches:
+///
+///   * Thin and Full: one-sided Jacobi, sweeping the columns to
+///     orthogonality by plane rotations (src/small/jacobi_kernel.hpp,
+///     shared with the baseline/jacobi oracle); the values AND the vectors
+///     read directly off the rotated columns. Thin and Full values are
+///     bit-identical.
+///   * ValuesOnly: Golub–Kahan Householder bidiagonalization, then an
+///     implicit-QR chase on the bidiagonal. Its values agree with the
+///     Jacobi values to backward-stability tolerance, not bitwise.
+///
+/// All time books under ka::Stage::FusedSmall.
 ///
 /// Dispatch lives in svd_values_report (core/svd.cpp): shape-only, before
 /// the tall-panel QR, so every entry point — svd_values, svd,
@@ -28,9 +37,8 @@ namespace unisvd::smallsvd {
 
 /// Shape-only dispatch predicate: true when (m, n) should take the fused
 /// path under `threshold` (SvdConfig::small_svd_threshold; <= 0 disables).
-/// Deliberately independent of the job — values stay bit-identical across
-/// ValuesOnly/Thin/Full because the path itself never lets the vector
-/// accumulator feed back into the rotations.
+/// Deliberately independent of the job, so every job and every caller
+/// dispatches identically; the job picks the kernel inside the path.
 [[nodiscard]] constexpr bool small_svd_applicable(index_t m, index_t n,
                                                   index_t threshold) noexcept {
   return threshold > 0 && m >= 1 && n >= 1 && std::min(m, n) <= threshold;

@@ -26,10 +26,4 @@ struct TileLayout {
   }
 };
 
-/// View of tile (ti, tj) of a tiled working view (transpose-aware).
-template <class T>
-[[nodiscard]] MatrixView<T> tile_of(MatrixView<T> w, index_t ti, index_t tj, int ts) {
-  return w.block(ti * ts, tj * ts, ts, ts);
-}
-
 }  // namespace unisvd::tile

@@ -4,16 +4,18 @@
 ///     same bidiagonal within 50*eps*n, vector residual (B ~ U S V^T) and
 ///     orthogonality gates, deflation-heavy inputs (repeated / clustered /
 ///     zero values, exactly repeated values after real Stage-1/2
-///     reductions), tiny-to-qr_tail extents, qr_tail sensitivity;
+///     reductions), tiny-to-leaf extents, leaf-size sensitivity (through
+///     the dc::detail leaf seam);
 ///   * driver level: vector jobs run D&C and ValuesOnly runs QR, sigma
 ///     agreement vs the ValuesOnly oracle across FP16/FP32/FP64 x
 ///     square/tall/wide, full accuracy gates on composed factors including
 ///     repeated and clustered spectra on the default path, batched
 ///     dispatch, and the truncated projected solve honoring its SvdConfig;
 ///   * the merge workspace: a solve peaks at no more than 4.5 n^2 doubles;
-///   * the composition GEMM: bit-identical to a plain jki loop on ragged
-///     shapes, on the serial backend and on pools of width 1 to 4, and one
-///     launch per merge side covering both children's products;
+///   * the composition GEMM (qr/gemm.hpp in double): bit-identical to a
+///     plain jki loop on ragged shapes, on the serial backend and on pools
+///     of width 1 to 4, and one launch per merge side covering both
+///     children's products;
 ///   * pool parallelism (the work-stealing recursion) leaves every bit of
 ///     a six-level solve unchanged at pool widths 2 to 4;
 ///   * the D&C event counters on SvdReport;
@@ -29,6 +31,7 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -41,10 +44,10 @@
 #include "core/batch.hpp"
 #include "core/svd.hpp"
 #include "dc/dc_svd.hpp"
-#include "dc/gemm.hpp"
 #include "ka/backend.hpp"
 #include "ka/thread_pool.hpp"
 #include "qr/band_reduction.hpp"
+#include "qr/gemm.hpp"
 #include "rand/matrix_gen.hpp"
 #include "rand/rng.hpp"
 #include "test_util.hpp"
@@ -89,13 +92,11 @@ double dc_residual(const std::vector<double>& d, const std::vector<double>& e,
 /// Run the D&C kernel on (d, e) and check the full gate set against the
 /// values-only QR kernel as oracle.
 void check_dc_kernel(std::vector<double> d, std::vector<double> e,
-                     const char* tag, index_t qr_tail = 8,
+                     const char* tag, index_t qr_leaf = 8,
                      dc::DcStats* stats_out = nullptr) {
   const auto n = static_cast<index_t>(d.size());
-  dc::DcOptions opts;
-  opts.qr_tail = qr_tail;
   dc::DcStats stats;
-  const auto res = dc::bidiag_svd_dc<double>(d, e, opts, &stats);
+  const auto res = dc::detail::bidiag_svd_dc<double>(d, e, qr_leaf, {}, &stats);
   if (stats_out != nullptr) *stats_out = stats;
   const std::vector<double>& s = res.values;
   const Matrix<double>& ut = res.ut;
@@ -148,7 +149,7 @@ TEST(DcKernel, RandomBidiagonalsAcrossExtents) {
 }
 
 TEST(DcKernel, MergePathIsExercised) {
-  // qr_tail far below n forces several recursion levels with real merges.
+  // A leaf far below n forces several recursion levels with real merges.
   dc::DcStats stats;
   check_dc_kernel(random_vec(96, 7), random_vec(95, 8), "merge n=96", 8,
                   &stats);
@@ -214,36 +215,35 @@ TEST(DcKernel, DeflationHeavyInputs) {
 }
 
 TEST(DcKernel, QrTailInsensitivity) {
-  // The crossover between recursion and the QR tail must not move results
+  // The crossover between recursion and the QR leaf must not move results
   // beyond the accuracy gate (values are NOT expected bit-identical).
   const auto d = random_vec(70, 21);
   const auto e = random_vec(69, 22);
-  for (const index_t tail : {4, 16, 32, 128}) {
-    check_dc_kernel(d, e, ("qr_tail=" + std::to_string(tail)).c_str(), tail);
+  for (const index_t leaf : {4, 16, 32, 128}) {
+    check_dc_kernel(d, e, ("qr_leaf=" + std::to_string(leaf)).c_str(), leaf);
   }
 }
 
 TEST(DcKernel, PoolParallelismMatchesSerial) {
   // The pool only changes scheduling, never arithmetic: results must be
-  // bit-identical with and without worker threads. n = 400 with qr_tail 8
-  // recurses six merge levels, so the work-stealing top level hands whole
-  // sub-trees, nested GEMM launches, secular roots and vector rows to
-  // helper threads.
+  // bit-identical with and without worker threads. n = 400 with leaves of
+  // at most 8 recurses six merge levels, so the work-stealing top level
+  // hands whole sub-trees, nested GEMM launches, secular roots and vector
+  // rows to helper threads.
   const index_t n = 400;
+  const index_t leaf = 8;
   const auto d = random_vec(n, 41);
   const auto e = random_vec(n - 1, 42);
-  dc::DcOptions serial;
-  serial.qr_tail = 8;
   dc::DcStats serial_stats;
-  const auto r1 = dc::bidiag_svd_dc<double>(d, e, serial, &serial_stats);
+  const auto r1 = dc::detail::bidiag_svd_dc<double>(d, e, leaf, {}, &serial_stats);
   EXPECT_EQ(serial_stats.merges, 63);
 
   for (const unsigned width : {2u, 3u, 4u}) {
     ka::CpuBackend be(width);
-    dc::DcOptions par = serial;
+    dc::DcOptions par;
     par.backend = &be;
     dc::DcStats stats;
-    const auto r2 = dc::bidiag_svd_dc<double>(d, e, par, &stats);
+    const auto r2 = dc::detail::bidiag_svd_dc<double>(d, e, leaf, par, &stats);
     EXPECT_EQ(stats.merges, serial_stats.merges) << width;
     EXPECT_EQ(stats.deflated, serial_stats.deflated) << width;
     EXPECT_EQ(stats.secular_roots, serial_stats.secular_roots) << width;
@@ -280,7 +280,7 @@ TEST(DcKernel, MergeWorkspacePeaksAtFourSquares) {
 }
 
 // ---------------------------------------------------------------------------
-// The composition GEMM (src/dc/gemm.hpp)
+// The composition GEMM (src/qr/gemm.hpp in double, as the merges run it)
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -315,6 +315,9 @@ Matrix<double> random_mat(index_t rows, index_t cols, std::uint64_t seed,
   return m;
 }
 
+using Product = qr::GemmProduct<double, double, double>;
+constexpr qr::GemmLaunch kDcGemm{"dc_gemm", ka::Stage::BidiagonalToDiagonal};
+
 bool same_bits(ConstMatrixView<double> x, ConstMatrixView<double> y) {
   if (x.rows() != y.rows() || x.cols() != y.cols()) return false;
   for (index_t j = 0; j < x.cols(); ++j) {
@@ -346,8 +349,7 @@ TEST(DcGemm, BitIdenticalToNaiveLoopOnEveryBackend) {
     const Matrix<double> want = naive_gemm(a, b);
     for (const auto& be : backends) {
       Matrix<double> c(sh.m, sh.n, std::numeric_limits<double>::quiet_NaN());
-      const dc::GemmProduct prod[] = {{a.view(), b.view(), c.view()}};
-      dc::gemm(*be, prod);
+      qr::gemm<double>(*be, Product{a.view(), b.view(), c.view()}, kDcGemm);
       EXPECT_TRUE(same_bits(c.view(), want.view()))
           << be->name() << " m=" << sh.m << " n=" << sh.n << " k=" << sh.k;
     }
@@ -379,10 +381,10 @@ TEST(DcGemm, OneLaunchComposesBothChildrenIntoColumnRanges) {
   ka::TraceRecorder trace;
   be.set_trace(&trace);
   Matrix<double> am = a;  // views of a mutable matrix, as the merge takes
-  const dc::GemmProduct prods[] = {
+  const Product prods[] = {
       {am.view().block(0, 0, m, k1), b1.view(), c.view().block(0, 0, m, k1)},
       {am.view().block(0, k1 + 1, m, k2), b2.view(), c.view().block(0, k1 + 1, m, k2)}};
-  dc::gemm(be, prods);
+  qr::gemm<double>(be, std::span<const Product>(prods), kDcGemm);
 
   EXPECT_TRUE(same_bits(c.view().block(0, 0, m, k1), want1.view()));
   EXPECT_TRUE(same_bits(c.view().block(0, k1 + 1, m, k2), want2.view()));

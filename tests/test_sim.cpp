@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+
+#include "qr/gemm.hpp"
 #include "sim/device_spec.hpp"
 #include "sim/library_model.hpp"
 #include "sim/occupancy.hpp"
@@ -169,12 +172,25 @@ TEST(PerfModel, StageAttributionSumsToTotal) {
   EXPECT_NEAR(sum, br.total(), 1e-12 * sum);
 }
 
+namespace {
+
+/// The descriptor of the range finder's sketch launch, Y = A * Omega for an
+/// m x n FP32 input sketched to l columns, as the GEMM itself builds it.
+ka::LaunchDesc sketch_desc(index_t m, index_t n, index_t l) {
+  const qr::GemmProduct<float, float, float> y{
+      {nullptr, m, n, m}, {nullptr, n, l, n}, {nullptr, m, l, m}};
+  return qr::gemm_desc<float>(std::span(&y, 1),
+                              {"sketch_gemm", ka::Stage::RandomizedSketch});
+}
+
+}  // namespace
+
 TEST(PerfModel, SketchRecordIsModeledAndAttributed) {
-  // Stage::RandomizedSketch is priced, not dropped: the record mirrors the
-  // real sketch_gemm launch (2mnl flops, column-block re-streaming reads)
-  // and simulate() books it into its own breakdown bucket and the total.
+  // Stage::RandomizedSketch is priced, not dropped: the GEMM's own
+  // descriptor for the sketch (2mnl flops) is booked by simulate() into its
+  // own breakdown bucket and the total.
   const PerfModel m(h100());
-  const auto d = sketch_record(4096, 4096, 64, 32, 8, Precision::FP32);
+  const auto d = sketch_desc(4096, 4096, 64);
   EXPECT_EQ(d.stage, ka::Stage::RandomizedSketch);
   EXPECT_EQ(d.name, "sketch_gemm");
   EXPECT_DOUBLE_EQ(d.cost.flops, 2.0 * 4096.0 * 4096.0 * 64.0);
@@ -187,13 +203,15 @@ TEST(PerfModel, SketchRecordIsModeledAndAttributed) {
   EXPECT_EQ(br.panel, 0.0);
   EXPECT_EQ(br.vector_acc, 0.0);
 
-  // Monotonicities: more sketch columns and more input rows both cost more.
-  EXPECT_GT(m.launch_seconds(sketch_record(4096, 4096, 256, 32, 8,
-                                           Precision::FP32)),
-            t);
-  EXPECT_GT(m.launch_seconds(sketch_record(16384, 4096, 64, 32, 8,
-                                           Precision::FP32)),
-            t);
+  // Monotonicities: more sketch columns and more input rows both cost more
+  // once the grid fills the device. Each group owns a 128 x 64 block of Y,
+  // so the 4096-row sketch above is 32 groups, under one wave on the
+  // H100's 132 CUs, where the model prices extra groups as free (see
+  // WaveQuantization); a 32768-row sketch is 256 groups.
+  const double full = m.launch_seconds(sketch_desc(32768, 4096, 64));
+  EXPECT_GT(full, t);
+  EXPECT_GT(m.launch_seconds(sketch_desc(32768, 4096, 256)), full);
+  EXPECT_GT(m.launch_seconds(sketch_desc(65536, 4096, 64)), full);
 }
 
 TEST(PerfModel, Fp16MatchesFp32SpeedOnNvidia) {
