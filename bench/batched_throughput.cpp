@@ -140,8 +140,9 @@ void run_ragged(benchutil::JsonSink& sink, ka::Backend& backend, index_t max_n) 
 }
 
 /// Tiny-problem section: the fused small_svd path (one stack-resident
-/// Jacobi kernel per problem) against the tiled pipeline on the SAME
-/// batches — the dispatch SvdConfig::small_svd_threshold encodes and
+/// call per problem: bidiagonalization plus the lean values-only chase)
+/// against the tiled pipeline's ValuesOnly solve on the SAME batches — the
+/// dispatch SvdConfig::small_svd_threshold encodes and
 /// core::tune_small_svd_threshold learns. Each size times kPairs
 /// interleaved (fused, pipeline) batch pairs, alternating which side runs
 /// first, and gates the MEDIAN pipeline/fused time ratio: a best-of figure

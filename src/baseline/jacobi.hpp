@@ -2,12 +2,15 @@
 /// \file jacobi.hpp
 /// One-sided Jacobi SVD (singular values only) — the high-accuracy oracle.
 ///
-/// A genuinely different algorithm from the two-stage QR pipeline: columns
-/// are orthogonalized pairwise by plane rotations until convergence, after
-/// which the singular values are the column norms. Runs in double
-/// regardless of input storage type. Pairs within a sweep are scheduled by
-/// a round-robin tournament so each round consists of disjoint pairs that
-/// can rotate in parallel.
+/// A genuinely different algorithm from the library's solvers, which all
+/// bidiagonalize and then chase (the pipeline and the fused tiny path
+/// alike): columns are orthogonalized pairwise by plane rotations until
+/// convergence, after which the singular values are the column norms. The
+/// library runs no one-sided Jacobi outside this oracle; its rotation and
+/// tournament code lives in jacobi.cpp. Runs in double regardless of input
+/// storage type. Pairs within a sweep are scheduled by a round-robin
+/// tournament so each round consists of disjoint pairs that can rotate in
+/// parallel.
 ///
 /// Stands in for the reference solver (cuSOLVER in the paper's Table 1)
 /// when measuring the accuracy of the unified implementation.

@@ -168,14 +168,18 @@ double max_abs(ConstMatrixView<T> a) {
   return mx;
 }
 
-/// The auto_scale policy shared by the dense and randomized pipelines:
-/// divisor bringing the largest magnitude to ~1 when it sits outside
-/// [0.25, 4], else 1.0 (no scaling). ONE definition so the two paths can
-/// never disagree on scale_factor for the same input.
+/// The auto_scale policy shared by the dense, randomized and fused paths:
+/// divisor bringing the largest magnitude `amax` to ~1 when it sits outside
+/// [0.25, 4], else 1.0 (no scaling). ONE rule so no two paths can disagree
+/// on scale_factor for the same input.
+inline double auto_scale_divisor_for(double amax) {
+  return amax > 0.0 && (amax > 4.0 || amax < 0.25) ? amax : 1.0;
+}
+
+/// auto_scale_divisor_for over the largest magnitude of `a`.
 template <class T>
 double auto_scale_divisor(ConstMatrixView<T> a) {
-  const double amax = max_abs(a);
-  return amax > 0.0 && (amax > 4.0 || amax < 0.25) ? amax : 1.0;
+  return auto_scale_divisor_for(max_abs(a));
 }
 
 /// || A - U[:, :k] diag(values[:k]) Vt[:k, :] ||_F with double-held factors

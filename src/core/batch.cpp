@@ -205,9 +205,9 @@ namespace {
 /// Scheduling extents of a batch. A problem's cost class is its LARGEST
 /// dimension on the pipeline — but a problem the fused tiny path will take
 /// (min dim at or below `small_threshold`) costs like its SMALL dimension:
-/// a 200 x 16 solve is one fused Jacobi kernel, not a 200-extent pipeline
-/// run. Classifying it small keeps ragged batches straddling the threshold
-/// on the inter-problem side of the crossover where they belong.
+/// a 200 x 16 solve is one fused call, not a 200-extent pipeline run.
+/// Classifying it small keeps ragged batches straddling the threshold on
+/// the inter-problem side of the crossover where they belong.
 template <class T>
 std::vector<index_t> extents_of(std::span<const ConstMatrixView<T>> batch,
                                 index_t small_threshold) {

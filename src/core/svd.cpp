@@ -181,8 +181,8 @@ SvdReport svd_values_report(ConstMatrixView<T> a, const SvdConfig& config,
   const bool want_vectors = config.job != SvdJob::ValuesOnly;
 
   // Fused tiny-problem path: min(m, n) at or below the tunable threshold
-  // skips the whole tiled pipeline — one stack-resident Jacobi kernel
-  // produces values and vectors with no padding and no per-stage launches.
+  // skips the whole tiled pipeline — one stack-resident bidiagonalize-and-
+  // chase call produces values and vectors, no padding, no stage launches.
   // Shape-only and ahead of the tall-panel QR, so every job and every
   // caller (direct, truncated-projected, batched) dispatches identically.
   if (smallsvd::small_svd_applicable(a.rows(), a.cols(),

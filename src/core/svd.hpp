@@ -88,9 +88,11 @@ struct SvdConfig {
   /// Fused tiny-problem threshold: problems with min(m, n) <= this take the
   /// stack-resident fused path (src/small) — one fused call, no tile
   /// padding, no per-stage launches — for every job, before the tall-panel
-  /// QR. Inside it Thin and Full run one-sided Jacobi, with bit-identical
-  /// values, and ValuesOnly runs Golub–Kahan bidiagonalization plus
-  /// implicit QR, whose values agree with theirs within the accuracy gates.
+  /// QR. Inside it every job runs Golub–Kahan bidiagonalization plus
+  /// implicit QR: ValuesOnly a lean values-only chase, Thin and Full the
+  /// pipeline's vector iteration on the Q and P formed from the
+  /// reflectors. Thin and Full values are bit-identical and agree with the
+  /// ValuesOnly ones within the accuracy gates.
   /// Values match the pipeline within the storage precision's accuracy
   /// gates; SvdReport::small_path records the dispatch. Set 0 to force the
   /// pipeline everywhere; core::learn_small_svd_threshold measures and
@@ -159,9 +161,10 @@ struct SvdReport {
   index_t padded_n = 0;         ///< square working extent after padding
   /// True when this solve took the fused tiny-problem path (min(m, n) <=
   /// SvdConfig::small_svd_threshold): one stack-resident fused call
-  /// (one-sided Jacobi for Thin/Full, bidiagonalization plus implicit QR
-  /// for ValuesOnly), no tile padding — padded_n reports min(m, n) — and
-  /// all wall clock under ka::Stage::FusedSmall.
+  /// (bidiagonalization plus implicit QR for every job, with U and V
+  /// rotated out of the reflector products for Thin/Full), no tile
+  /// padding — padded_n reports min(m, n) — and all wall clock under
+  /// ka::Stage::FusedSmall.
   bool small_path = false;
   /// True when Stage 3 ran the divide-and-conquer engine (src/dc): exactly
   /// the Thin and Full jobs that took the pipeline (not the fused path).

@@ -33,8 +33,8 @@ enum class Stage {
                         ///< power iteration, projection B = Q^T A)
   FusedSmall,           ///< fused tiny-problem path (src/small): the whole
                         ///< SVD in one stack-resident call, no per-stage
-                        ///< launches (one-sided Jacobi for Thin/Full,
-                        ///< bidiagonalization + implicit QR for ValuesOnly)
+                        ///< launches (bidiagonalization + implicit QR for
+                        ///< every job; Thin/Full also form Q and P)
   kCount                ///< number of stages (StageTimes storage extent)
 };
 

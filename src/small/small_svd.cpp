@@ -6,15 +6,11 @@
 #include <cmath>
 #include <functional>
 #include <limits>
-#include <numeric>
-#include <utility>
 #include <vector>
 
 #include "bidiag/bidiag_qr.hpp"
-#include "common/error.hpp"
 #include "common/half.hpp"
 #include "common/linalg_ref.hpp"
-#include "small/jacobi_kernel.hpp"
 
 namespace unisvd::smallsvd {
 
@@ -26,9 +22,10 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 
 /// Stack-first working storage: problems up to 64 x 64 elements live in a
 /// fixed std::array on the stack (the "register/stack-resident" working set
-/// of the fused kernel); a tall input whose m * n overflows the capacity
-/// falls back to one heap block. Either way the buffer is acquired once —
-/// there is no per-stage allocation churn on this path.
+/// of the fused kernel); a buffer that overflows the capacity (a tall
+/// input's m x n, a Full U's m x m) falls back to one heap block. Either
+/// way each buffer is acquired once — there is no per-stage allocation
+/// churn on this path.
 template <class CT>
 class Buffer {
  public:
@@ -45,69 +42,54 @@ class Buffer {
   std::vector<CT> heap_;
 };
 
-/// Fill the columns listed in `pending` (in order) with a deterministic
-/// orthonormal completion of the columns in `filled`: each slot takes the
-/// first canonical basis vector whose component orthogonal to everything
-/// placed so far survives two modified-Gram-Schmidt passes with norm above
-/// 1/4. The zero-sigma columns of a rank-deficient input and the Full-job
-/// columns [n, m) land here; the result is orthonormal to working accuracy
-/// and identical on every run (no randomness).
-void complete_columns(Matrix<double>& u, std::vector<index_t> filled,
-                      const std::vector<index_t>& pending) {
-  const index_t m = u.rows();
-  std::vector<double> w(static_cast<std::size_t>(m));
-  for (const index_t col : pending) {
-    double accept = 0.25;
-    index_t cand = 0;
-    for (;;) {
-      if (cand >= m) {
-        // Exhausted the basis at the strict threshold: mathematically at
-        // most |filled| < m candidates can fail it, but guard the loop by
-        // relaxing once rather than spinning.
-        UNISVD_REQUIRE(accept > 1e-8,
-                       "small_svd: orthonormal completion exhausted the basis");
-        accept = 1e-8;
-        cand = 0;
-      }
-      std::fill(w.begin(), w.end(), 0.0);
-      w[static_cast<std::size_t>(cand)] = 1.0;
-      ++cand;
-      for (int pass = 0; pass < 2; ++pass) {
-        for (const index_t f : filled) {
-          double dot = 0.0;
-          for (index_t r = 0; r < m; ++r) dot += w[static_cast<std::size_t>(r)] * u(r, f);
-          for (index_t r = 0; r < m; ++r) w[static_cast<std::size_t>(r)] -= dot * u(r, f);
-        }
-      }
-      double nrm = 0.0;
-      for (index_t r = 0; r < m; ++r) {
-        nrm += w[static_cast<std::size_t>(r)] * w[static_cast<std::size_t>(r)];
-      }
-      nrm = std::sqrt(nrm);
-      if (nrm > accept) {
-        for (index_t r = 0; r < m; ++r) u(r, col) = w[static_cast<std::size_t>(r)] / nrm;
-        filled.push_back(col);
-        break;
-      }
+// unisvd-lint: begin-kernel(small-svd-fused)
+// The stack-resident compute core: bidiagonalization, the formation of Q
+// and P from its reflectors, and the values-only implicit-shift QR chase.
+// Everything until end-kernel works in caller scratch (Buffer above) and
+// must stay allocation-free — unisvd_lint.py rule kernel-alloc fails the
+// build on any heap use introduced here.
+
+/// Apply H = I - tau v v^T from the left to rows [k, rows) of columns
+/// [c0, c1) of the column-major buffer g (leading dimension ld). v is read
+/// from rows (k, rows) of the column `v` (indexed by row), with v[k] == 1
+/// implicit. The dots run in CT over four independent partial chains so
+/// the loops pipeline/vectorize instead of serializing on one accumulator.
+template <class CT>
+void reflect_columns(const CT* v, CT tau, CT* g, index_t ld, index_t rows, index_t k,
+                     index_t c0, index_t c1) noexcept {
+  // Distinct columns of g never alias; __restrict drops the runtime
+  // overlap checks GCC otherwise plants ahead of these short loops.
+  const CT* __restrict vk = v;
+  for (index_t j = c0; j < c1; ++j) {
+    CT* __restrict cj = g + j * ld;
+    CT s0 = cj[k];  // v[k] == 1
+    CT s1 = CT(0);
+    CT s2 = CT(0);
+    CT s3 = CT(0);
+    index_t i = k + 1;
+    for (; i + 4 <= rows; i += 4) {
+      s0 += vk[i] * cj[i];
+      s1 += vk[i + 1] * cj[i + 1];
+      s2 += vk[i + 2] * cj[i + 2];
+      s3 += vk[i + 3] * cj[i + 3];
     }
+    for (; i < rows; ++i) s0 += vk[i] * cj[i];
+    const CT f = tau * ((s0 + s1) + (s2 + s3));
+    cj[k] -= f;
+    for (i = k + 1; i < rows; ++i) cj[i] -= f * vk[i];
   }
 }
 
-// unisvd-lint: begin-kernel(small-svd-fused)
-// The stack-resident compute core: bidiagonalization, 2x2 closure and the
-// implicit-shift QR chase. Everything until end-kernel works in caller
-// scratch (Buffer above) and must stay allocation-free — unisvd_lint.py
-// rule kernel-alloc fails the build on any heap use introduced here.
-
 /// In-place Householder (Golub-Kahan) bidiagonalization of the column-major
 /// buffer g (m x n, ld = m, m >= n): d gets the diagonal, e the
-/// superdiagonal (length n-1). Reflector norms accumulate in double; the
-/// bulk dot/axpy updates run in CT over four independent partial chains so
-/// the trailing-update loops pipeline/vectorize instead of serializing on
-/// one accumulator. `vrow` and `dotbuf` are caller scratch (>= n and >= m).
+/// superdiagonal (length n-1). The reflectors stay behind, LAPACK-style:
+/// left reflector k is (1, g[k+1..m) of column k) with scale tauq[k], and
+/// right reflector k (k < n-1) acts on indices [k+1, n) as (1, row k of g
+/// from column k+2 on) with scale taup[k]. Reflector norms accumulate in
+/// double. `vrow` and `dotbuf` are caller scratch (>= n and >= m).
 template <class CT>
-void bidiagonalize_small(CT* g, index_t m, index_t n, CT* d, CT* e, CT* vrow,
-                         CT* dotbuf) noexcept {
+void bidiagonalize_small(CT* g, index_t m, index_t n, CT* d, CT* e, CT* tauq,
+                         CT* taup, CT* vrow, CT* dotbuf) noexcept {
   for (index_t k = 0; k < n; ++k) {
     CT* ck = g + k * m;
     {  // Left reflector: zero ck[k+1..m).
@@ -127,29 +109,8 @@ void bidiagonalize_small(CT* g, index_t m, index_t n, CT* d, CT* e, CT* vrow,
         ck[k] = static_cast<CT>(beta);
       }
       d[k] = ck[k];
-      if (tau != CT(0)) {
-        // Distinct columns of g never alias; __restrict drops the runtime
-        // overlap checks GCC otherwise plants ahead of these short loops.
-        const CT* __restrict ckv = ck;
-        for (index_t j = k + 1; j < n; ++j) {
-          CT* __restrict cj = g + j * m;
-          CT s0 = cj[k];  // v[0] == 1
-          CT s1 = CT(0);
-          CT s2 = CT(0);
-          CT s3 = CT(0);
-          index_t i = k + 1;
-          for (; i + 4 <= m; i += 4) {
-            s0 += ckv[i] * cj[i];
-            s1 += ckv[i + 1] * cj[i + 1];
-            s2 += ckv[i + 2] * cj[i + 2];
-            s3 += ckv[i + 3] * cj[i + 3];
-          }
-          for (; i < m; ++i) s0 += ckv[i] * cj[i];
-          const CT f = tau * ((s0 + s1) + (s2 + s3));
-          cj[k] -= f;
-          for (i = k + 1; i < m; ++i) cj[i] -= f * ckv[i];
-        }
-      }
+      tauq[k] = tau;
+      if (tau != CT(0)) reflect_columns(ck, tau, g, m, m, k, k + 1, n);
     }
     if (k + 1 >= n) continue;
     {  // Right reflector: zero row k beyond the superdiagonal. The row is
@@ -173,6 +134,7 @@ void bidiagonalize_small(CT* g, index_t m, index_t n, CT* d, CT* e, CT* vrow,
         }
       }
       e[k] = vrow[0];
+      taup[k] = tau;
       for (index_t j = 0; j < rlen; ++j) g[k + (k + 1 + j) * m] = vrow[j];
       if (tau != CT(0)) {
         // Apply (I - tau v v^T) from the right to rows k+1..m: accumulate
@@ -202,53 +164,44 @@ void bidiagonalize_small(CT* g, index_t m, index_t n, CT* d, CT* e, CT* vrow,
   }
 }
 
-/// Singular values of the 2x2 upper bidiagonal [[f, g], [0, h]] by the
-/// LAPACK las2 formulas: branch on the dominant magnitude so every
-/// intermediate stays O(1) — no overflow, full relative accuracy. Closing
-/// out 2x2 blocks in one shot removes the QR chase's convergence tail,
-/// which is pure serial sqrt/divide latency.
+/// Overwrite the column-major rows x cols buffer q (leading dimension ld)
+/// with the first `cols` columns of H_0 H_1 ... H_{nrefl-1}, where column
+/// i < nrefl holds reflector i below its diagonal as bidiagonalize_small
+/// leaves it (scale tau[i]). Backward accumulation (LAPACK's dorg2r): each
+/// reflector meets only the trailing block that is not yet the identity.
+/// Columns past nrefl start as unit vectors, so with cols > nrefl the
+/// product completes the orthonormal basis by itself.
 template <class CT>
-void svd_2x2_values(CT f, CT g, CT h, CT& ssmin, CT& ssmax) noexcept {
-  const CT fa = std::abs(f);
-  const CT ga = std::abs(g);
-  const CT ha = std::abs(h);
-  const CT fhmn = std::min(fa, ha);
-  const CT fhmx = std::max(fa, ha);
-  if (fhmn == CT(0)) {
-    ssmin = CT(0);
-    if (fhmx == CT(0)) {
-      ssmax = ga;
-    } else {
-      const CT mn = std::min(fhmx, ga);
-      const CT mx = std::max(fhmx, ga);
-      const CT r = mn / mx;
-      ssmax = mx * std::sqrt(CT(1) + r * r);
-    }
-    return;
+void form_q(CT* q, index_t ld, index_t rows, index_t cols, index_t nrefl,
+            const CT* tau) noexcept {
+  for (index_t j = nrefl; j < cols; ++j) {
+    CT* cj = q + j * ld;
+    std::fill(cj, cj + rows, CT(0));
+    cj[j] = CT(1);
   }
-  if (ga < fhmx) {
-    const CT as = CT(1) + fhmn / fhmx;
-    const CT at = (fhmx - fhmn) / fhmx;
-    const CT au = (ga / fhmx) * (ga / fhmx);
-    const CT c = CT(2) / (std::sqrt(as * as + au) + std::sqrt(at * at + au));
-    ssmin = fhmn * c;
-    ssmax = fhmx / c;
-  } else {
-    const CT au = fhmx / ga;
-    if (au == CT(0)) {
-      // ga overwhelms: the product would underflow its way through zero.
-      ssmin = (fhmn * fhmx) / ga;
-      ssmax = ga;
-    } else {
-      const CT as = CT(1) + fhmn / fhmx;
-      const CT at = (fhmx - fhmn) / fhmx;
-      const CT asu = as * au;
-      const CT atu = at * au;
-      const CT c = CT(1) / (std::sqrt(CT(1) + asu * asu) + std::sqrt(CT(1) + atu * atu));
-      ssmin = ((fhmn * c) * au) * CT(2);
-      ssmax = ga / (c + c);
-    }
+  for (index_t i = nrefl - 1; i >= 0; --i) {
+    CT* ci = q + i * ld;
+    const CT t = tau[i];
+    if (t != CT(0)) reflect_columns(ci, t, q, ld, rows, i, i + 1, cols);
+    std::fill(ci, ci + i, CT(0));
+    ci[i] = CT(1) - t;
+    for (index_t r = i + 1; r < rows; ++r) ci[r] *= -t;
   }
+}
+
+/// The n x n right factor P = G_0 G_1 ... G_{n-2} into p (leading dimension
+/// n) from the right reflectors bidiagonalize_small left in the rows of g
+/// (m x n). G_k acts on indices [k+1, n), so P is 1 (+) a product of n-1
+/// reflectors of order n-1: stage each vector into column k+1 of p one
+/// row down (LAPACK's dorgbr) and run form_q on the trailing block.
+template <class CT>
+void form_p(const CT* g, index_t m, index_t n, const CT* taup, CT* p) noexcept {
+  std::fill(p, p + n * n, CT(0));
+  p[0] = CT(1);
+  for (index_t k = 0; k + 2 < n; ++k) {
+    for (index_t i = k + 2; i < n; ++i) p[i + (k + 1) * n] = g[k + i * m];
+  }
+  if (n > 1) form_q(p + 1 + n, n, n - 1, n - 1, n - 1, taup);
 }
 
 /// Golub-Reinsch implicit-shift QR on the bidiagonal (w = diagonal, rv1[i]
@@ -260,8 +213,6 @@ void svd_2x2_values(CT f, CT g, CT h, CT& ssmin, CT& ssmax) noexcept {
 ///   * the whole bidiagonal is prescaled by 1/anorm, so plain
 ///     sqrt(f^2 + h^2) replaces std::hypot (no overflow left to guard) and
 ///     each Givens pair costs ONE reciprocal instead of two divides;
-///   * a block that shrinks to 2x2 closes in one svd_2x2_values call
-///     instead of iterating its tail away;
 ///   * it shares the pipeline's total budget of bidiag::step_budget(n)
 ///     inner steps and its one fallback: an exhausted budget leaves the
 ///     unconverged leading part to Sturm bisection (bidiag::detail::
@@ -317,11 +268,6 @@ void gr_values_small(CT* w, CT* rv1, index_t n, bidiag::QrStats& stats) {
       const CT z = w[k];
       if (l == k) {  // 1x1 block: converged
         if (z < CT(0)) w[k] = -z;
-        break;
-      }
-      if (l == k - 1) {  // 2x2 block: closed form, done
-        svd_2x2_values(w[l], rv1[k], w[k], w[k], w[l]);
-        rv1[k] = CT(0);
         break;
       }
       if (steps + (k - l) > budget) {
@@ -420,15 +366,11 @@ SvdReport small_svd_solve(ConstMatrixView<T> a, const SvdConfig& config) {
   const index_t n = at.cols();
   rep.padded_n = n;  // no tile padding on this path: working extent IS min(m, n)
 
-  const bool want_vectors = config.job != SvdJob::ValuesOnly;
-  const bool full = config.job == SvdJob::Full;
-
   // Load G <- A_tall once, in compute precision, column-major at native
   // extent (ld = m, no padding). The auto_scale magnitude scan then runs
   // over this CONTIGUOUS buffer instead of a second strided pass through
   // the view — casting T to compute precision is exact for every supported
-  // pairing, so the maximum matches ref::max_abs(a) and the divisor rule
-  // below is ref::auto_scale_divisor verbatim.
+  // pairing, so the maximum matches ref::max_abs(a).
   Buffer<CT> gbuf;
   const std::size_t elems =
       static_cast<std::size_t>(m) * static_cast<std::size_t>(n);
@@ -440,8 +382,7 @@ SvdReport small_svd_solve(ConstMatrixView<T> a, const SvdConfig& config) {
   if (config.auto_scale) {
     CT mx = CT(0);
     for (std::size_t i = 0; i < elems; ++i) mx = std::max(mx, std::abs(g[i]));
-    const auto amax = static_cast<double>(mx);
-    rep.scale_factor = amax > 0.0 && (amax > 4.0 || amax < 0.25) ? amax : 1.0;
+    rep.scale_factor = ref::auto_scale_divisor_for(static_cast<double>(mx));
     if (rep.scale_factor != 1.0) {
       // Scale by the reciprocal when normal (one multiply per element
       // instead of a divide); an extreme divisor whose reciprocal would
@@ -456,160 +397,64 @@ SvdReport small_svd_solve(ConstMatrixView<T> a, const SvdConfig& config) {
     }
   }
 
-  if (!want_vectors) {
-    // Values-only jobs take the fused Golub-Kahan route: bidiagonalize the
-    // stack buffer in place, then run the lean implicit-QR chase on the
-    // n-length diagonal pair. At ~8n^3/3 flops this is several times
-    // cheaper than sweeping Jacobi rotations to convergence, which is what
-    // the tiny-batch throughput gate is won on; the one-sided Jacobi kernel
-    // below stays the vector path, where its one-pass U/Sigma/V is the
-    // point. Values agree across the two within the accuracy gates (both
-    // are backward-stable to a few ulps of sigma_1).
-    Buffer<CT> wbuf;
-    CT* ws = wbuf.acquire(static_cast<std::size_t>(3 * n + m));
-    CT* d = ws;          // diagonal, then the unsorted values
-    CT* e = ws + n;      // superdiagonal (length n-1)
-    CT* rv1 = ws + 2 * n;  // doubles as the right-reflector staging row
-    CT* dotbuf = ws + 3 * n;
-    bidiagonalize_small(g, m, n, d, e, rv1, dotbuf);
+  // Every job bidiagonalizes the stack buffer in place, G = Q B P^T, and
+  // leaves its values in d, descending.
+  Buffer<CT> wbuf;
+  CT* ws = wbuf.acquire(static_cast<std::size_t>(5 * n + m));
+  CT* d = ws;            // diagonal, then the values
+  CT* e = ws + n;        // superdiagonal (length n-1)
+  CT* tauq = ws + 2 * n;
+  CT* taup = ws + 3 * n;
+  CT* rv1 = ws + 4 * n;  // doubles as the right-reflector staging row
+  CT* dotbuf = ws + 5 * n;
+  bidiagonalize_small(g, m, n, d, e, tauq, taup, rv1, dotbuf);
+
+  if (config.job == SvdJob::ValuesOnly) {
+    // The lean chase on the n-length diagonal pair: the tiny-batch
+    // throughput gate is won here.
     rv1[0] = CT(0);
     for (index_t i = 1; i < n; ++i) rv1[i] = e[i - 1];
     gr_values_small(d, rv1, n, rep.qr_stats);
     std::sort(d, d + n, std::greater<CT>());
-    rep.values.resize(static_cast<std::size_t>(n));
-    for (index_t i = 0; i < n; ++i) {
-      rep.values[static_cast<std::size_t>(i)] =
-          static_cast<double>(d[i]) * rep.scale_factor;
+  } else {
+    // Vector jobs: form P (n x n) and Q (m x n, or m x m for Full) from the
+    // kept reflectors — P first, since it reads the rows of G that forming
+    // a Thin Q in place overwrites — then run the pipeline's vector
+    // iteration with Q^T and P^T as its transposed accumulators: every
+    // rotation lands on two contiguous columns of Q or P, and the
+    // descending sort permutes those columns with the values. Q's columns
+    // past n never rotate; they are the basis completion of a Full U. The
+    // d/e arithmetic does not depend on the job, so Thin and Full values
+    // are bit-identical.
+    const index_t qc = config.job == SvdJob::Full ? m : n;
+    Buffer<CT> pbuf;
+    CT* p = pbuf.acquire(static_cast<std::size_t>(n) * static_cast<std::size_t>(n));
+    form_p(g, m, n, taup, p);
+    Buffer<CT> qbuf;
+    CT* q = g;
+    if (qc > n) {
+      q = qbuf.acquire(static_cast<std::size_t>(m) * static_cast<std::size_t>(qc));
+      std::copy(g, g + elems, q);
     }
-    rep.stage_times.add(ka::Stage::FusedSmall, seconds_since(t0));
-    return rep;
+    form_q(q, m, m, qc, n, tauq);
+    const MatrixView<CT> qv(q, m, qc, m);
+    const MatrixView<CT> pv(p, n, n, n);
+    const std::vector<CT> sigma = bidiag::bidiag_svd_qr_vectors<CT>(
+        std::vector<CT>(d, d + n), std::vector<CT>(e, e + n - 1), qv.transposed(),
+        pv.transposed());
+    std::copy(sigma.begin(), sigma.end(), d);
+    // Tall orientation: U = Q and V^T = P^T. A wide input solved at = A^T,
+    // so its factors swap: U = P (Thin and Full coincide, min(m, n) is A's
+    // row count) and V^T = Q^T.
+    rep.u = ref::to_double<CT>(wide ? pv : qv);
+    rep.vt = ref::to_double<CT>(wide ? qv.transposed() : pv.transposed());
   }
 
-  // Right-rotation accumulator V (identity-seeded) only when the job wants
-  // vectors. V never feeds back into the rotation decisions, so the G sweep
-  // — and with it the values — is bit-identical across jobs.
-  Buffer<CT> vbuf;
-  CT* v = nullptr;
-  if (want_vectors) {
-    v = vbuf.acquire(static_cast<std::size_t>(n) * static_cast<std::size_t>(n));
-    std::fill(v, v + n * n, CT(0));
-    for (index_t i = 0; i < n; ++i) v[i + i * n] = CT(1);
-  }
-
-  // Sweep the round-robin tournament until no pair rotates. The threshold
-  // scales with the COMPUTE epsilon: the float path stops where float
-  // arithmetic stops improving instead of spinning on the double oracle's
-  // 1e-14.
-  const double tol = 16.0 * static_cast<double>(std::numeric_limits<CT>::epsilon());
-  constexpr int kMaxJacobiSweeps = 60;
-  Tournament tour(n);
-  // Cached squared column norms: each pair probe then costs one cross dot
-  // (rotate_pair_cached) instead of the three-measure Gram pass. Refreshed
-  // from G at every sweep start so closed-form update drift never
-  // accumulates past a sweep.
-  std::vector<double> norm_sq(static_cast<std::size_t>(n));
-  bool converged = false;
-  for (int sweep = 0; sweep < kMaxJacobiSweeps && !converged; ++sweep) {
-    for (index_t j = 0; j < n; ++j) {
-      norm_sq[static_cast<std::size_t>(j)] = norm_sq_column<CT>(g + j * m, m);
-    }
-    bool any = false;
-    tour.reset();
-    for (index_t round = 0; round < tour.rounds(); ++round) {
-      for (index_t r = 0; r < tour.pairs_per_round(); ++r) {
-        const auto [p, q] = tour.pair(r);
-        if (p < 0) continue;  // bye slot of an odd column count
-        const bool rotated = rotate_pair_cached<CT>(
-            g + p * m, g + q * m, m, norm_sq[static_cast<std::size_t>(p)],
-            norm_sq[static_cast<std::size_t>(q)],
-            v != nullptr ? v + p * n : nullptr,
-            v != nullptr ? v + q * n : nullptr, n, tol);
-        any = any || rotated;
-      }
-      tour.advance();
-    }
-    converged = !any;
-  }
-
-  // Values: column norms of the rotated G, accumulated in double, sorted
-  // descending with a stable order index so equal values (and their
-  // vectors) come out deterministically.
-  std::vector<double> sigma(static_cast<std::size_t>(n));
-  for (index_t j = 0; j < n; ++j) {
-    const CT* col = g + j * m;
-    double ss = 0.0;
-    for (index_t i = 0; i < m; ++i) {
-      const double x = static_cast<double>(col[i]);
-      ss += x * x;
-    }
-    sigma[static_cast<std::size_t>(j)] = std::sqrt(ss);
-  }
-  std::vector<index_t> order(static_cast<std::size_t>(n));
-  std::iota(order.begin(), order.end(), index_t{0});
-  std::stable_sort(order.begin(), order.end(), [&](index_t x, index_t y) {
-    return sigma[static_cast<std::size_t>(x)] > sigma[static_cast<std::size_t>(y)];
-  });
   rep.values.resize(static_cast<std::size_t>(n));
   for (index_t i = 0; i < n; ++i) {
     rep.values[static_cast<std::size_t>(i)] =
-        sigma[static_cast<std::size_t>(order[static_cast<std::size_t>(i)])] *
-        rep.scale_factor;
+        static_cast<double>(d[i]) * rep.scale_factor;
   }
-
-  if (want_vectors) {
-    // Tall-orientation factors: V^T rows are the sigma-sorted V columns;
-    // U's nonzero-sigma columns are the normalized rotated G columns, and
-    // zero-sigma slots plus the Full columns [n, m) take the deterministic
-    // orthonormal completion.
-    Matrix<double> vt_t(n, n);
-    for (index_t i = 0; i < n; ++i) {
-      const CT* vc = v + order[static_cast<std::size_t>(i)] * n;
-      for (index_t j = 0; j < n; ++j) {
-        vt_t(i, j) = static_cast<double>(vc[j]);
-      }
-    }
-
-    const index_t ucols = full ? m : n;
-    Matrix<double> u_t(m, ucols, 0.0);
-    std::vector<index_t> filled;
-    std::vector<index_t> pending;
-    for (index_t i = 0; i < n; ++i) {
-      const index_t src = order[static_cast<std::size_t>(i)];
-      const double sig = sigma[static_cast<std::size_t>(src)];
-      if (sig > 0.0) {
-        const CT* col = g + src * m;
-        for (index_t r = 0; r < m; ++r) {
-          u_t(r, i) = static_cast<double>(col[r]) / sig;
-        }
-        filled.push_back(i);
-      } else {
-        pending.push_back(i);
-      }
-    }
-    for (index_t i = n; i < ucols; ++i) pending.push_back(i);
-    complete_columns(u_t, std::move(filled), pending);
-
-    if (!wide) {
-      rep.u = std::move(u_t);
-      rep.vt = std::move(vt_t);
-    } else {
-      // A = at^T: A's U is V_t (n x n — Thin and Full coincide, min(m, n)
-      // equals A's row count) and A's V^T is U_t^T (ucols x m).
-      rep.u = Matrix<double>(n, n);
-      for (index_t j = 0; j < n; ++j) {
-        for (index_t i = 0; i < n; ++i) {
-          rep.u(i, j) = vt_t(j, i);
-        }
-      }
-      rep.vt = Matrix<double>(ucols, m);
-      for (index_t j = 0; j < m; ++j) {
-        for (index_t i = 0; i < ucols; ++i) {
-          rep.vt(i, j) = u_t(j, i);
-        }
-      }
-    }
-  }
-
   rep.stage_times.add(ka::Stage::FusedSmall, seconds_since(t0));
   return rep;
 }

@@ -1,25 +1,26 @@
 #pragma once
 /// \file small_svd.hpp
 /// Fused tiny-problem SVD for problems with min(m, n) at or below
-/// SvdConfig::small_svd_threshold: one fused call per problem, with a
-/// kernel chosen by the job.
+/// SvdConfig::small_svd_threshold: one fused call per problem.
 ///
 /// The 3-stage tiled pipeline pays per-stage launches, tile padding to the
 /// TILESIZE grid, and square accumulator traffic that are pure overhead on
 /// sub-tile problems — the regime batched-SVD libraries win by fusing the
 /// whole factorization into one register/stack-resident kernel. This path
 /// loads the input once into compute-precision stack-first buffers at its
-/// NATIVE extent (no padding round-trip) and then runs one of two kernels,
-/// with no per-stage launches:
+/// NATIVE extent (no padding round-trip) and runs the pipeline's own two
+/// steps with no per-stage launches: Golub–Kahan Householder
+/// bidiagonalization G = Q B P^T, then implicit-shift QR on B. The job
+/// picks only the chase:
 ///
-///   * Thin and Full: one-sided Jacobi, sweeping the columns to
-///     orthogonality by plane rotations (src/small/jacobi_kernel.hpp,
-///     shared with the baseline/jacobi oracle); the values AND the vectors
-///     read directly off the rotated columns. Thin and Full values are
-///     bit-identical.
-///   * ValuesOnly: Golub–Kahan Householder bidiagonalization, then an
-///     implicit-QR chase on the bidiagonal. Its values agree with the
-///     Jacobi values to backward-stability tolerance, not bitwise.
+///   * ValuesOnly: a lean values-only chase on the diagonal pair.
+///   * Thin and Full: Q and P are formed from the kept reflectors (Q has
+///     m columns for Full, so the Householder product completes U's basis
+///     by itself), and bidiag::bidiag_svd_qr_vectors — the pipeline's
+///     vector iteration, which D&C's leaves run — rotates them into U and
+///     V. Thin and Full values are bit-identical; they agree with the
+///     ValuesOnly values within the accuracy gates, not bitwise. An
+///     exhausted step budget throws unisvd::Error, as on D&C's leaves.
 ///
 /// All time books under ka::Stage::FusedSmall.
 ///
@@ -38,14 +39,14 @@ namespace unisvd::smallsvd {
 /// Shape-only dispatch predicate: true when (m, n) should take the fused
 /// path under `threshold` (SvdConfig::small_svd_threshold; <= 0 disables).
 /// Deliberately independent of the job, so every job and every caller
-/// dispatches identically; the job picks the kernel inside the path.
+/// dispatches identically; the job picks the chase inside the path.
 [[nodiscard]] constexpr bool small_svd_applicable(index_t m, index_t n,
                                                   index_t threshold) noexcept {
   return threshold > 0 && m >= 1 && n >= 1 && std::min(m, n) <= threshold;
 }
 
 /// Solve a (already validated: non-empty, finite if requested) in one fused
-/// sweep sequence. Returns a fully-populated SvdReport with
+/// call. Returns a fully-populated SvdReport with
 /// small_path = true, padded_n = min(m, n) (this path never pads), and all
 /// wall clock under Stage::FusedSmall.
 template <class T>

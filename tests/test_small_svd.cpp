@@ -3,7 +3,8 @@
 /// Full, truncated, batched), value agreement with the tiled pipeline
 /// within the suite's accuracy gates, value consistency across jobs,
 /// degenerate shapes (1x1, 1xn, mx1, all-zero, threshold boundary) on BOTH
-/// sides of the dispatch, stage attribution under ka::Stage::FusedSmall,
+/// sides of the dispatch, nonzero rank-deficient inputs on the fused side,
+/// stage attribution under ka::Stage::FusedSmall,
 /// and ragged batches straddling the threshold under all four schedules
 /// with ErrorPolicy::Isolate intact.
 
@@ -18,6 +19,7 @@
 #include "common/linalg_ref.hpp"
 #include "core/batch.hpp"
 #include "core/svd.hpp"
+#include "rand/matrix_gen.hpp"
 #include "small/small_svd.hpp"
 #include "test_util.hpp"
 
@@ -176,8 +178,8 @@ TEST(SmallSvdDispatch, TruncatedConsultsThreshold) {
   // A tiny truncated solve goes straight to the exact dense path (which IS
   // the fused kernel at this size): dense_fallback true, no sketch rounds,
   // values matching the fused values solve's top-k within the gate (the
-  // truncated path needs vectors, so it runs the Jacobi side of the
-  // family while svd_values runs the values kernel).
+  // truncated path needs vectors, so Stage 3 runs the vector iteration
+  // while svd_values runs the lean values-only chase).
   const auto a = testutil::convert<float>(testutil::random_matrix(16, 16, 9006));
   TruncConfig trunc;
   trunc.rank = 4;
@@ -239,7 +241,8 @@ TYPED_TEST(SmallSvdTyped, VectorsPassTheAcceptanceGate) {
     index_t m, n;
     const char* tag;
   } shapes[] = {{24, 24, "square 24"}, {32, 12, "tall 32x12"},
-                {12, 32, "wide 12x32"}, {48, 8, "tall 48x8"}};
+                {12, 32, "wide 12x32"}, {48, 8, "tall 48x8"},
+                {100, 6, "tall 100x6 (Full U past the stack buffer)"}};
   std::uint64_t seed = 9200;
   for (const auto& s : shapes) {
     const auto a =
@@ -253,11 +256,12 @@ TYPED_TEST(SmallSvdTyped, VectorsPassTheAcceptanceGate) {
 }
 
 TYPED_TEST(SmallSvdTyped, ValuesConsistentAcrossJobs) {
-  // The fused family splits by job: values-only runs the Golub-Kahan
-  // values kernel, vector jobs run one-sided Jacobi. Thin and Full share
-  // the Jacobi sweep (V never feeds back into the rotation decisions), so
-  // THEIR values are bit-identical; the values-only kernel agrees with
-  // them within the suite's accuracy gate.
+  // Every job bidiagonalizes the same way; only the chase differs.
+  // Values-only runs the lean values chase, vector jobs run the pipeline's
+  // vector iteration. Thin and Full share that iteration's d/e arithmetic
+  // (the accumulators never feed back into it), so THEIR values are
+  // bit-identical; the values-only chase agrees with them within the
+  // suite's accuracy gate.
   const auto a =
       testutil::convert<TypeParam>(testutil::random_matrix(20, 14, 9300));
   const auto values = svd_values_report<TypeParam>(a.view(), fused_config());
@@ -316,6 +320,44 @@ TYPED_TEST(SmallSvdTyped, AllZeroMatrixYieldsZeroValuesAndOrthogonalFactors) {
       ASSERT_TRUE(rep.small_path) << s.tag;
       expect_valid_svd<TypeParam>(a.view(), rep, job, s.tag);
       for (const double v : rep.values) EXPECT_EQ(v, 0.0) << s.tag;
+    }
+  }
+}
+
+TYPED_TEST(SmallSvdTyped, RankDeficientInputsKeepOrthonormalFactors) {
+  // Nonzero inputs of rank r < min(m, n): the zero values' vectors come out
+  // of the same reflectors and rotations as the others, with no separate
+  // completion step. Factors must pass the validity gates, the
+  // min(m, n) - r trailing values must sit within the gate of 0, and Thin
+  // and Full must agree bitwise.
+  const struct {
+    index_t m, n;
+    const char* tag;
+  } shapes[] = {{24, 24, "square 24"}, {40, 12, "tall 40x12"}, {12, 40, "wide 12x40"}};
+  std::uint64_t seed = 9550;
+  for (const auto& s : shapes) {
+    const index_t k = std::min(s.m, s.n);
+    for (const index_t rank : {index_t{3}, index_t{5}}) {
+      std::vector<double> sigma(static_cast<std::size_t>(k), 0.0);
+      for (index_t i = 0; i < rank; ++i) {
+        sigma[static_cast<std::size_t>(i)] = static_cast<double>(rank - i);
+      }
+      rnd::Xoshiro256 rng(seed++);
+      const auto a =
+          rnd::round_to<TypeParam>(rnd::rect_matrix_with_spectrum(s.m, s.n, sigma, rng));
+      const std::string tag = std::string(s.tag) + " rank " + std::to_string(rank);
+      const auto thin = svd_report<TypeParam>(a.view(), fused_config(SvdJob::Thin));
+      const auto full = svd_report<TypeParam>(a.view(), fused_config(SvdJob::Full));
+      ASSERT_TRUE(thin.small_path) << tag;
+      ASSERT_TRUE(full.small_path) << tag;
+      expect_valid_svd<TypeParam>(a.view(), thin, SvdJob::Thin, tag.c_str());
+      expect_valid_svd<TypeParam>(a.view(), full, SvdJob::Full, tag.c_str());
+      ASSERT_EQ(thin.values.size(), static_cast<std::size_t>(k)) << tag;
+      const double tol = accept_tol<TypeParam>(s.m, s.n) * thin.values[0];
+      for (index_t i = rank; i < k; ++i) {
+        EXPECT_LE(thin.values[static_cast<std::size_t>(i)], tol) << tag << " value " << i;
+      }
+      EXPECT_EQ(thin.values, full.values) << tag;
     }
   }
 }
