@@ -146,20 +146,23 @@ void run_ragged(benchutil::JsonSink& sink, ka::Backend& backend, index_t max_n) 
 /// core::tune_small_svd_threshold learns. Each size times kPairs
 /// interleaved (fused, pipeline) batch pairs, alternating which side runs
 /// first, and gates the MEDIAN pipeline/fused time ratio: a best-of figure
-/// sits on the tail of the noise and flips between runs. Returns false
-/// when the median misses its gate at any size.
+/// sits on the tail of the noise and flips between runs. The pairs' run
+/// hygiene (CPU/wall, host steal) prints beside the median, with a warning
+/// when a pooled run was starved; no gate reads it. Returns false when the
+/// median misses its gate at any size.
 bool run_tiny(benchutil::JsonSink& sink, ka::Backend& backend) {
   benchutil::print_header("tiny problems: fused small_svd vs pipeline — FP32 "
                           "(backend: " + std::string(backend.name()) + ")");
   constexpr std::size_t batch_size = 256;
   constexpr int kPairs = 15;
-  std::printf("%6s %6s | %12s %12s | %8s %8s %8s | %6s\n", "n", "batch", "fused p/s",
-              "pipeline p/s", "q1", "median", "q3", "gate");
+  std::printf("%6s %6s | %12s %12s | %8s %8s %8s | %6s | %s\n", "n", "batch",
+              "fused p/s", "pipeline p/s", "q1", "median", "q3", "gate", "run hygiene");
 
   bool gate_ok = true;
   rnd::Xoshiro256 rng(1234);
   // Gates sit below the measured median speedup's interquartile range on a
-  // 4-core x86 box (16x16: 6.5-6.9x, 32x32: 2.9-3.1x).
+  // 4-core x86 box (16x16: median 6.36x, quartiles 6.26 / 6.43; 32x32:
+  // 2.83x, quartiles 2.79 / 2.87).
   const std::pair<index_t, double> sizes[] = {{16, 5.0}, {32, 2.5}};
   for (const auto& [n, gate] : sizes) {
     std::vector<Matrix<float>> problems;
@@ -182,6 +185,7 @@ bool run_tiny(benchutil::JsonSink& sink, ka::Backend& backend) {
     (void)batch_seconds(n);  // warm the pool and first-touch both paths
     (void)batch_seconds(0);
     std::vector<double> fused_s, pipeline_s, ratios;
+    const benchutil::RunHygiene hygiene;
     for (int r = 0; r < kPairs; ++r) {
       double fused = 0.0;
       double pipeline = 0.0;
@@ -196,14 +200,17 @@ bool run_tiny(benchutil::JsonSink& sink, ka::Backend& backend) {
       pipeline_s.push_back(pipeline);
       ratios.push_back(pipeline / fused);
     }
+    const benchutil::RunHygiene::Reading hy = hygiene.read();
     const benchutil::Quartiles q = benchutil::quartiles(ratios);
     const double fused_rate =
         static_cast<double>(batch_size) / benchutil::quartiles(fused_s).median;
     const double pipeline_rate =
         static_cast<double>(batch_size) / benchutil::quartiles(pipeline_s).median;
-    std::printf("%6lld %6zu | %12.1f %12.1f | %7.2fx %7.2fx %7.2fx | %5.1fx\n",
+    std::printf("%6lld %6zu | %12.1f %12.1f | %7.2fx %7.2fx %7.2fx | %5.1fx | %s\n",
                 static_cast<long long>(n), batch_size, fused_rate, pipeline_rate, q.q1,
-                q.median, q.q3, gate);
+                q.median, q.q3, gate, hy.text().c_str());
+    hy.warn_if_starved(backend.batch_pool() != nullptr ? backend.batch_pool()->size() : 1,
+                       "n=" + std::to_string(static_cast<long long>(n)) + " pairs");
     const std::string base =
         "tiny/fp32/n=" + std::to_string(static_cast<long long>(n));
     sink.record(base + "/fused", fused_rate, "problems/s");
@@ -212,6 +219,8 @@ bool run_tiny(benchutil::JsonSink& sink, ka::Backend& backend) {
     sink.record(base + "/speedup_q1", q.q1, "x");
     sink.record(base + "/speedup_q3", q.q3, "x");
     sink.record(base + "/gate", gate, "x");
+    sink.record(base + "/cpu_per_wall", hy.cpu_per_wall, "ratio");
+    if (hy.steal_seconds >= 0.0) sink.record(base + "/steal", hy.steal_seconds, "s");
     if (q.median < gate) {
       std::printf("  FAILED: median fused speedup at n=%lld below the %.1fx gate\n",
                   static_cast<long long>(n), gate);

@@ -1,7 +1,11 @@
 #pragma once
 /// Shared helpers for the benchmark harness binaries: aligned table
-/// printing, geometric means, time formatting, and the machine-readable
-/// JSON sink behind the CI `bench-results` artifact (--json <path>).
+/// printing, geometric means, time formatting, run hygiene (CPU/wall and
+/// host steal), and the machine-readable JSON sink behind the CI
+/// `bench-results` artifact (--json <path>).
+
+#include <sys/resource.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
@@ -76,6 +80,80 @@ class GeoMean {
   double lo_ = 0.0;
   double hi_ = 0.0;
   int count_ = 0;
+};
+
+/// Run hygiene of one timed section: construct it before the section and
+/// read() after. It samples the process's CPU time (getrusage: user +
+/// system, all threads), the wall clock, and the host's steal time summed
+/// over its CPUs (the "cpu" line of /proc/stat, where readable). A pooled
+/// section whose CPU/wall stays near 1 got about one CPU from the host for
+/// the whole pool, so its times say more about the host than the code;
+/// warn_if_starved() says so. No gate reads these numbers.
+class RunHygiene {
+ public:
+  struct Reading {
+    double cpu_per_wall = 0.0;
+    double steal_seconds = -1.0;  ///< negative when /proc/stat is unreadable
+
+    /// "CPU/wall 3.41, steal 0.02 s" (steal "n/a" where unreadable).
+    [[nodiscard]] std::string text() const {
+      char buf[64];
+      if (steal_seconds < 0.0) {
+        std::snprintf(buf, sizeof(buf), "CPU/wall %.2f, steal n/a", cpu_per_wall);
+      } else {
+        std::snprintf(buf, sizeof(buf), "CPU/wall %.2f, steal %.2f s", cpu_per_wall,
+                      steal_seconds);
+      }
+      return buf;
+    }
+
+    /// Prints a warning when a section pooled over `pool_width` >= 2
+    /// threads read CPU/wall below 1.5.
+    void warn_if_starved(unsigned pool_width, const std::string& section) const {
+      if (pool_width < 2 || cpu_per_wall >= 1.5) return;
+      std::printf("  WARNING: %s read CPU/wall %.2f on a %u-wide pool: the host starved "
+                  "the run, so its times are not comparable\n",
+                  section.c_str(), cpu_per_wall, pool_width);
+    }
+  };
+
+  RunHygiene() : cpu0_(cpu_seconds()), steal0_(steal_seconds()) {}
+
+  [[nodiscard]] Reading read() const {
+    const double wall =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0_).count();
+    const double steal1 = steal_seconds();
+    Reading r;
+    r.cpu_per_wall = wall > 0.0 ? (cpu_seconds() - cpu0_) / wall : 0.0;
+    if (steal0_ >= 0.0 && steal1 >= 0.0) r.steal_seconds = steal1 - steal0_;
+    return r;
+  }
+
+ private:
+  static double cpu_seconds() {
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    const auto sec = [](const timeval& tv) {
+      return static_cast<double>(tv.tv_sec) + 1e-6 * static_cast<double>(tv.tv_usec);
+    };
+    return sec(ru.ru_utime) + sec(ru.ru_stime);
+  }
+
+  static double steal_seconds() {
+    std::FILE* f = std::fopen("/proc/stat", "r");
+    if (f == nullptr) return -1.0;
+    unsigned long long t[8] = {};
+    const int got = std::fscanf(f, "cpu %llu %llu %llu %llu %llu %llu %llu %llu", &t[0],
+                                &t[1], &t[2], &t[3], &t[4], &t[5], &t[6], &t[7]);
+    std::fclose(f);
+    const long hz = sysconf(_SC_CLK_TCK);
+    return got == 8 && hz > 0 ? static_cast<double>(t[7]) / static_cast<double>(hz)
+                              : -1.0;
+  }
+
+  std::chrono::steady_clock::time_point wall0_ = std::chrono::steady_clock::now();
+  double cpu0_;
+  double steal0_;
 };
 
 inline std::string fmt_seconds(double s) {

@@ -28,6 +28,11 @@
 /// width-2 pool on two cores it read 5.76-5.99 (forward accumulation
 /// 7.66-9.44) over 5 runs. It is calibrated at n = 2048; `--n <extent>`
 /// overrides the size for local exploration (the gate still applies).
+///
+/// The pairs' run hygiene — process CPU time / wall and host steal — prints
+/// beside the median and lands in the JSON sink, with a warning when the
+/// pooled run was starved (CPU/wall below 1.5 on a pool of 2 or more). No
+/// gate reads it.
 
 #include <algorithm>
 #include <chrono>
@@ -92,6 +97,7 @@ int main(int argc, char** argv) {
   timed_solve(a, SvdJob::ValuesOnly, vals);
   timed_solve(a, SvdJob::Thin, thin);
   std::printf("%-6s %12s %12s %8s\n", "pair", "values-only", "thin", "ratio");
+  const benchutil::RunHygiene hygiene;
   for (int p = 0; p < kPairs; ++p) {
     double tv = 0.0;
     double tt = 0.0;
@@ -108,6 +114,7 @@ int main(int argc, char** argv) {
     std::printf("%-6d %12s %12s %8.2f\n", p, benchutil::fmt_seconds(tv).c_str(),
                 benchutil::fmt_seconds(tt).c_str(), tt / tv);
   }
+  const benchutil::RunHygiene::Reading hy = hygiene.read();
   const auto rq = benchutil::quartiles(ratios);
   const double values_med = benchutil::quartiles(values_s).median;
   const double thin_med = benchutil::quartiles(thin_s).median;
@@ -124,8 +131,10 @@ int main(int argc, char** argv) {
   const double ortho_u = ref::orthogonality_defect(thin.u.view());
   const double ortho_v = ref::orthogonality_defect(thin.vt.view());
 
-  std::printf("\nratio median %.2f (quartiles %.2f / %.2f)   (gate <= %.2f)\n",
-              rq.median, rq.q1, rq.q3, kRatioGate);
+  std::printf("\nratio median %.2f (quartiles %.2f / %.2f)   (gate <= %.2f)   %s\n",
+              rq.median, rq.q1, rq.q3, kRatioGate, hy.text().c_str());
+  ka::ThreadPool* pool = ka::default_backend().batch_pool();
+  hy.warn_if_starved(pool != nullptr ? pool->size() : 1, "the timed pairs");
   std::printf("max rel sigma error    %8.2e   (gate <= %.2e)\n", sigma_err, tol);
   std::printf("orthogonality defect   %8.2e / %8.2e (gate <= %.2e)\n", ortho_u,
               ortho_v, tol);
@@ -137,6 +146,8 @@ int main(int argc, char** argv) {
   json.record("thin_values_ratio", rq.median, "x");
   json.record("thin_values_ratio_q1", rq.q1, "x");
   json.record("thin_values_ratio_q3", rq.q3, "x");
+  json.record("cpu_per_wall", hy.cpu_per_wall, "ratio");
+  if (hy.steal_seconds >= 0.0) json.record("steal", hy.steal_seconds, "s");
   json.record("max_rel_sigma_error", sigma_err, "rel");
   json.record("ortho_defect_u", ortho_u, "fro");
   json.record("ortho_defect_v", ortho_v, "fro");

@@ -31,9 +31,10 @@ namespace detail {
 
 /// Givens pair (c, s) for the pair rotation (u, v) -> (c*u + s*v,
 /// -s*u + c*v) used throughout Stage 2: applied to (f, g) it yields
-/// (r, 0) with r = hypot(f, g).
+/// (r, 0) with r = hypot(f, g). Each subnormal rescale adds one to
+/// `rescales`.
 template <class CT>
-std::pair<CT, CT> givens(CT f, CT g) {
+std::pair<CT, CT> givens(CT f, CT g, double& rescales) {
   if (g == CT(0)) return {CT(1), CT(0)};
   if (f == CT(0)) return {CT(0), CT(1)};
   // Subnormal inputs carry only a few mantissa bits, so f/r and g/r can
@@ -47,6 +48,7 @@ std::pair<CT, CT> givens(CT f, CT g) {
     const CT scale = CT(1) / tiny;
     f *= scale;
     g *= scale;
+    rescales += 1.0;
   }
   const CT r = std::hypot(f, g);
   return {f / r, g / r};
@@ -70,8 +72,9 @@ inline index_t chase_rotation_bound(index_t n, index_t bw) {
 
 /// Statistics of one Stage-2 run (reported on SvdReport::chase_stats).
 struct ChaseStats {
-  double rotations = 0.0;      ///< Givens rotations applied
-  double batch_flushes = 0.0;  ///< replay passes of the logged rotations
+  double rotations = 0.0;           ///< Givens rotations applied
+  double batch_flushes = 0.0;       ///< replay passes of the logged rotations
+  double subnormal_rescales = 0.0;  ///< (f, g) pairs detail::givens rescaled
 };
 
 /// Reduce `b` (upper band, bandwidth bw) to upper bidiagonal; returns the
@@ -81,7 +84,9 @@ struct ChaseStats {
 /// appended to log->left and every right (column) rotation to log->right,
 /// in generation order, for the back-transformation's reverse replay
 /// (band/rot_batch.hpp). Identity rotations (c == 1, s == 0), which the
-/// padding region produces in bulk, are not logged: they are exact no-ops.
+/// padding region produces in bulk, are not logged: they are exact no-ops,
+/// and skipping them keeps a padded problem's log on its real coordinates,
+/// which the back-transformation's n x n factors rely on (core/svd.cpp).
 /// The band arithmetic is the same with or without a log, so d/e — and the
 /// singular values — stay bit-identical.
 template <class CT>
@@ -136,7 +141,8 @@ ChaseStats band_to_bidiag(BandMatrix<CT>& b, std::vector<CT>& d, std::vector<CT>
         // Right rotation of columns (c2-1, c2) annihilates (j, c2).
         index_t c2 = j + dd;
         {
-          const auto [c, s] = detail::givens(b.at(j, c2 - 1), b.at(j, c2));
+          const auto [c, s] =
+              detail::givens(b.at(j, c2 - 1), b.at(j, c2), stats.subnormal_rescales);
           const index_t ilo = std::max<index_t>(j, c2 - 1 - bw);
           const index_t ihi = std::min(n - 1, c2);
           rotate_cols(c2 - 1, c2, ilo, ihi, c, s);
@@ -146,7 +152,8 @@ ChaseStats band_to_bidiag(BandMatrix<CT>& b, std::vector<CT>& d, std::vector<CT>
         while (r <= n - 1 && b.at(r, r - 1) != CT(0)) {
           {
             // Left rotation of rows (r-1, r) annihilates the bulge ...
-            const auto [c, s] = detail::givens(b.at(r - 1, r - 1), b.at(r, r - 1));
+            const auto [c, s] = detail::givens(b.at(r - 1, r - 1), b.at(r, r - 1),
+                                               stats.subnormal_rescales);
             const index_t jhi = std::min(n - 1, r + bw);
             rotate_rows(r - 1, r, r - 1, jhi, c, s);
             b.at(r, r - 1) = CT(0);
@@ -155,7 +162,8 @@ ChaseStats band_to_bidiag(BandMatrix<CT>& b, std::vector<CT>& d, std::vector<CT>
           if (q > n - 1) break;
           {
             // Right rotation of columns (q-1, q) annihilates the fill ...
-            const auto [c, s] = detail::givens(b.at(r - 1, q - 1), b.at(r - 1, q));
+            const auto [c, s] = detail::givens(b.at(r - 1, q - 1), b.at(r - 1, q),
+                                               stats.subnormal_rescales);
             const index_t ihi = std::min(n - 1, q);
             rotate_cols(q - 1, q, r - 1, ihi, c, s);
             b.at(r - 1, q) = CT(0);

@@ -111,12 +111,18 @@ class RowPanels {
 /// comment) in one launch, each panel running the whole log: it stays
 /// cache-resident for all of it (measured 10-20% faster at n = 1024 and
 /// 2048 than 4096-rotation passes). Every logged r must satisfy
-/// r + 1 < f.cols(). Returns the number of launches: 1, or 0 for an empty
-/// log.
+/// r + 1 < f.cols(), and a log that breaks it throws before the launch: a
+/// pipeline factor spans only the real coordinates, and a non-finite input
+/// solved with check_finite off can spread NaN rotations into the tile
+/// padding. Returns the number of launches: 1, or 0 for an empty log.
 template <class CT>
 index_t replay_reverse(ka::Backend& be, const RotationLog<CT>& log, RowPanels<CT>& f,
                        ka::StageTimes* times = nullptr) {
   if (log.empty()) return 0;
+  std::int32_t max_r = 0;
+  for (const auto& rot : log) max_r = std::max(max_r, rot.r);
+  UNISVD_REQUIRE(max_r + index_t{1} < f.cols(),
+                 "replay_reverse: a rotation lies outside the factor's coordinates");
   const auto nrots = static_cast<index_t>(log.size());
   const double drots = static_cast<double>(nrots);
   const double drows = static_cast<double>(f.rows());

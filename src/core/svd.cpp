@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <numeric>
 #include <vector>
 
 #include "band/band_matrix.hpp"
@@ -39,74 +38,38 @@ void copy_scaled(ConstMatrixView<T> src, Matrix<T>& dst, double scale) {
   }
 }
 
-/// Pick `count` rows of `f` (in order) whose mass lies in the real
-/// coordinate range [0, real) — i.e. rows that are singular vectors of the
-/// embedded problem rather than of the zero padding. Padding never mixes
-/// with data through the pipeline (zero columns yield zero reflector tails
-/// and identity Givens rotations), so every row's real-coordinate mass is
-/// ~1 or ~0 and a 1/2 threshold separates them cleanly. Rows are taken in
-/// order: the sigma-sorted rows first, then (Full job on padded/tall
-/// inputs) the orthonormal-completion leftovers.
-template <class CT>
-std::vector<index_t> select_real_rows(const band::RowPanels<CT>& f, index_t real,
-                                      index_t count) {
-  std::vector<index_t> rows;
-  rows.reserve(static_cast<std::size_t>(count));
-  for (index_t r = 0; r < f.rows() && static_cast<index_t>(rows.size()) < count;
-       ++r) {
-    double mass = 0.0;
-    double total = 0.0;
-    for (index_t c = 0; c < f.cols(); ++c) {
-      const double v = static_cast<double>(f(r, c));
-      total += v * v;
-      if (c < real) mass += v * v;
-    }
-    if (total == 0.0 || mass >= 0.5 * total) rows.push_back(r);
-  }
-  // Defensive completion: never return fewer than `count` rows (cannot
-  // happen when the block structure holds, but a short list would crash
-  // the extraction below).
-  for (index_t r = 0; static_cast<index_t>(rows.size()) < count && r < f.rows();
-       ++r) {
-    if (std::find(rows.begin(), rows.end(), r) == rows.end()) rows.push_back(r);
-  }
-  return rows;
-}
-
 /// The back-transformation of one side — U = Q_panel * Q1 * Q2 * U_B, or
 /// V = P1 * P2 * V_B — and the one composer of square, tall and wide
 /// inputs.
 ///
-/// `fac` is D&C's factor transposed (n_pad x n_pad, rows = vectors).
-/// (1) Q2: the side's chase rotations replay onto it, in reverse, in the
-/// replay's row-panel layout (band/rot_batch.hpp). (2) The vectors are
-/// selected: the first n, or for the Full job the rows whose mass lies in
-/// the n real coordinates. (3) n_pad-column slabs of the result stream
-/// through `stage1` and then `panel` (a tall input's U): each slab is
-/// seeded with the selected rows — and with e_j for the Full job's
-/// completion columns j in [n, cols) — replayed through panel_apply_q, and
-/// extracted before the next slab is seeded, so no job ever holds an
-/// m_pad x m_pad working set.
+/// `fac` is D&C's n x n factor transposed (rows = vectors). (1) Q2: the
+/// side's chase rotations replay onto it, in reverse, in the replay's
+/// row-panel layout (band/rot_batch.hpp). (2) Column slabs of the result,
+/// n_pad wide, stream through `stage1` and then `panel` (a tall input's
+/// U): each slab is seeded with the factor's rows in its first n
+/// coordinates — and with e_j for the Full job's completion columns j in
+/// [n, cols) — replayed through panel_apply_q, and extracted before the
+/// next slab is seeded, so no job ever holds an m_pad x m_pad working set.
 ///
 /// Q1, Q2 and the panel Q never mix padding coordinates with data: zero
 /// columns give zero reflector tails (a zero tile column's reflector is at
-/// most a sign flip of its own coordinate) and identity rotations. So the
-/// selection made after Q2 holds for the whole chain, and the completion
-/// seeds replay through the panel Q into its orthonormal completion
-/// directions. Slabs after the first hold only completion seeds at
-/// coordinates >= n_pad, which Q1 does not touch, so only slab 0 replays
-/// Q1.
+/// most a sign flip of its own coordinate) and identity rotations, which
+/// the chase never logs. So every logged rotation acts on real coordinates,
+/// and the completion seeds replay through the panel Q into its orthonormal
+/// completion directions. Slabs after the first hold only completion seeds
+/// at coordinates >= n_pad, which Q1 does not touch, so only slab 0
+/// replays Q1.
 ///
 /// `dest` receives vector j in its column j (`dest_transposed` false) or
 /// its row j (true); the other extent is the number of real coordinates.
 template <class T, class CT>
 void back_transform(ka::Backend& be, Matrix<CT> fac, const band::RotationLog<CT>& rots,
                     const qr::SweepReflectors<T>& stage1,
-                    const qr::SweepReflectors<T>* panel,
-                    index_t n, bool full, const qr::KernelConfig& cfg,
+                    const qr::SweepReflectors<T>* panel, const qr::KernelConfig& cfg,
                     SvdReport& rep, Matrix<double>& dest, bool dest_transposed) {
   auto t0 = std::chrono::steady_clock::now();
-  const index_t npad = fac.rows();
+  const index_t n = fac.rows();
+  const index_t npad = stage1.a.rows();
   band::RowPanels<CT> fbt(fac.view());
   fac = Matrix<CT>();
   rep.stage_times.add(ka::Stage::VectorAccumulation, seconds_since(t0));
@@ -116,13 +79,6 @@ void back_transform(ka::Backend& be, Matrix<CT> fac, const band::RotationLog<CT>
   t0 = std::chrono::steady_clock::now();
   const index_t rows = dest_transposed ? dest.cols() : dest.rows();
   const index_t cols = dest_transposed ? dest.rows() : dest.cols();
-  std::vector<index_t> sel;
-  if (full) {
-    sel = select_real_rows(fbt, n, n);
-  } else {
-    sel.resize(static_cast<std::size_t>(n));
-    std::iota(sel.begin(), sel.end(), index_t{0});
-  }
   const index_t slab_rows = panel != nullptr ? panel->a.rows() : npad;
   const index_t slab_cols = tile::TileLayout::make(cols, cfg.tilesize).n;
   Matrix<CT> comp(slab_rows, std::min(npad, slab_cols));
@@ -135,8 +91,7 @@ void back_transform(ka::Backend& be, Matrix<CT> fac, const band::RotationLog<CT>
       for (index_t i = 0; i < slab_rows; ++i) comp(i, j) = CT(0);
     }
     for (index_t j = c0; j < std::min(c0 + w, n); ++j) {
-      const index_t src = sel[static_cast<std::size_t>(j)];
-      for (index_t i = 0; i < npad; ++i) comp(i, j - c0) = fbt(src, i);
+      for (index_t i = 0; i < n; ++i) comp(i, j - c0) = fbt(j, i);
     }
     for (index_t j = std::max(c0, n); j < std::min(c0 + w, cols); ++j) {
       comp(j, j - c0) = CT(1);
@@ -208,9 +163,9 @@ SvdReport svd_values_report(ConstMatrixView<T> a, const SvdConfig& config,
   const index_t npad = col_layout.n;
   rep.padded_n = npad;
 
-  // Square working matrix for the two-stage reduction. Zero padding to the
-  // tile grid adds exactly (padded - n) zero singular values, dropped after
-  // the descending sort.
+  // Square working matrix for Stages 1 and 2, whose kernels need the tile
+  // grid. The zero padding stays exactly zero through both of them and is
+  // dropped once, after Stage 2.
   Matrix<T> square(npad, npad, T(0));
 
   // Retained tall-panel factorization (vector jobs on tall inputs): kept
@@ -255,7 +210,10 @@ SvdReport svd_values_report(ConstMatrixView<T> a, const SvdConfig& config,
 
   // Stage 2: band -> bidiagonal (Givens bulge chasing, compute precision).
   // A vector job logs the chase rotations (Q2, P2) instead of applying
-  // them to anything.
+  // them to anything. Padding coordinates get zero reflector components
+  // and identity rotations, which the log skips, so d[n..] and e[n-1..] are
+  // exactly zero and every logged rotation acts on the real n: Stage 3 and
+  // the back-transformation solve the n x n bidiagonal.
   auto t0 = std::chrono::steady_clock::now();
   std::vector<CT> d;
   std::vector<CT> e;
@@ -264,32 +222,30 @@ SvdReport svd_values_report(ConstMatrixView<T> a, const SvdConfig& config,
     auto bandm = band::extract_band<T>(square.view(), ts);
     rep.chase_stats = band::band_to_bidiag(bandm, d, e, want_vectors ? &log : nullptr);
   }
+  d.resize(static_cast<std::size_t>(n));
+  e.resize(static_cast<std::size_t>(n - 1));
   rep.stage_times.add(ka::Stage::BandToBidiagonal, seconds_since(t0));
 
   // Stage 3: bidiagonal -> singular values. The job selects the engine:
-  // values-only solves run the implicit-shift QR iteration (bit-identical
-  // to prior releases wherever their per-value sweep cap never fired, its
-  // events in rep.qr_stats); vector jobs run the
-  // divide-and-conquer solver (src/dc), whose own implicit-QR leaf handles
-  // the small sub-problems, so Thin and Full values are bit-identical and
-  // agree with values-only ones within the accuracy gates. D&C also
-  // returns the bidiagonal's factors U_B^T and V_B^T.
+  // values-only solves run the implicit-shift QR iteration (its events in
+  // rep.qr_stats); vector jobs run the divide-and-conquer solver (src/dc),
+  // whose own implicit-QR leaf handles the small sub-problems, so Thin and
+  // Full values are bit-identical and agree with values-only ones within
+  // the accuracy gates. D&C also returns the bidiagonal's n x n factors
+  // U_B^T and V_B^T.
   t0 = std::chrono::steady_clock::now();
   rep.stage3_dc = want_vectors;
   std::vector<CT> sv;
   dc::DcResult<CT> bfac;
   if (want_vectors) {
-    dc::DcOptions dco;
-    dco.backend = &backend;
-    bfac = dc::bidiag_svd_dc<CT>(std::move(d), std::move(e), dco, &rep.dc_stats);
+    bfac = dc::bidiag_svd_dc<CT>(std::move(d), std::move(e), &backend, &rep.dc_stats);
     sv = std::move(bfac.values);
   } else {
     sv = bidiag::bidiag_svd_qr(std::move(d), std::move(e), &rep.qr_stats);
   }
   rep.stage_times.add(ka::Stage::BidiagonalToDiagonal, seconds_since(t0));
 
-  rep.values.assign(sv.begin(), sv.end());           // already descending
-  rep.values.resize(static_cast<std::size_t>(n));    // drop padding zeros
+  rep.values.assign(sv.begin(), sv.end());  // already descending
   if (rep.scale_factor != 1.0) {
     for (auto& v : rep.values) v *= rep.scale_factor;
   }
@@ -299,19 +255,18 @@ SvdReport svd_values_report(ConstMatrixView<T> a, const SvdConfig& config,
   // has m rows and n columns (m for Full); V is n x n. A wide input swaps
   // the roles (a^T's V is a's U and vice versa). auto_scale only rescales
   // values — vectors are scale-invariant.
-  const bool full = config.job == SvdJob::Full;
   Matrix<double>& udest = wide ? rep.vt : rep.u;
   Matrix<double>& vdest = wide ? rep.u : rep.vt;
-  const index_t ucols = full ? m : n;
+  const index_t ucols = config.job == SvdJob::Full ? m : n;
   udest = wide ? Matrix<double>(ucols, m) : Matrix<double>(m, ucols);
   vdest = Matrix<double>(n, n);
   const auto q1 = qr::band_reflectors(square.view(), tau.view(), ts, false);
   const auto p1 = qr::band_reflectors(square.view(), tau.view(), ts, true);
   const qr::SweepReflectors<T> qpanel{panel.view(), panel_tau.view(), 0};
   back_transform<T, CT>(backend, std::move(bfac.ut), log.left, q1,
-                        panel.rows() > 0 ? &qpanel : nullptr, n, full,
-                        config.kernels, rep, udest, wide);
-  back_transform<T, CT>(backend, std::move(bfac.vt), log.right, p1, nullptr, n, full,
+                        panel.rows() > 0 ? &qpanel : nullptr, config.kernels, rep,
+                        udest, wide);
+  back_transform<T, CT>(backend, std::move(bfac.vt), log.right, p1, nullptr,
                         config.kernels, rep, vdest, !wide);
   return rep;
 }

@@ -7,8 +7,9 @@
 ///
 /// Pipeline: pad to a TILESIZE multiple -> Stage 1 tiled QR/LQ band
 /// reduction (GPU-model kernels on the selected backend) -> Stage 2 Givens
-/// bulge chasing to bidiagonal -> Stage 3 bidiagonal QR iteration. FP16
-/// inputs compute in FP32 and round at stores (the paper's upcast policy).
+/// bulge chasing to bidiagonal, after which the padding is dropped ->
+/// Stage 3 bidiagonal QR iteration on the real n. FP16 inputs compute in
+/// FP32 and round at stores (the paper's upcast policy).
 ///
 /// Usage:
 ///   unisvd::Matrix<float> a = ...;
@@ -34,9 +35,7 @@ namespace unisvd {
 /// bidiagonal QR (src/bidiag), Thin and Full run divide-and-conquer
 /// (src/dc) and then the back-transformation.
 enum class SvdJob {
-  ValuesOnly,  ///< singular values only — the fast path, bit-identical to
-               ///< the historic svd_values behaviour wherever its
-               ///< per-value Stage-3 sweep cap never fired (no sweep's
+  ValuesOnly,  ///< singular values only — the fast path (no sweep's
                ///< reflectors or rotations are kept, no vector kernels
                ///< launch)
   Thin,        ///< U is m x min(m, n), Vt is min(m, n) x n — the economy
@@ -76,11 +75,10 @@ struct SvdConfig {
   /// unaffected.
   bool auto_scale = false;
   /// Whether to compute singular vectors (see SvdJob). ValuesOnly keeps
-  /// the historic fast path byte-for-byte wherever its per-value Stage-3
-  /// sweep cap never fired; Thin/Full keep each stage's
-  /// reflectors and rotations, build the vectors in one back-transformation
-  /// after Stage 3 (compute precision, Stage::VectorAccumulation timing) and
-  /// fill SvdReport::u / SvdReport::vt. Thin and Full values are bit-identical;
+  /// nothing for vectors; Thin/Full keep each stage's reflectors and
+  /// rotations, build the vectors in one back-transformation after Stage 3
+  /// (compute precision, Stage::VectorAccumulation timing) and fill
+  /// SvdReport::u / SvdReport::vt. Thin and Full values are bit-identical;
   /// they agree with the ValuesOnly solve within the accuracy gates
   /// (50*eps*n), not bitwise, because Stage 3 runs divide-and-conquer
   /// for vector jobs and implicit QR for values-only ones.

@@ -427,14 +427,14 @@ namespace detail {
 
 template <class CT>
 DcResult<CT> bidiag_svd_dc(std::vector<CT> d, std::vector<CT> e, index_t qr_leaf,
-                           const DcOptions& opts, DcStats* stats) {
+                           ka::Backend* backend, DcStats* stats) {
   const auto n = static_cast<index_t>(d.size());
   UNISVD_REQUIRE(n >= 1, "bidiag_svd_dc: empty input");
   UNISVD_REQUIRE(e.size() + 1 == d.size(),
                  "bidiag_svd_dc: e must have length n-1");
   UNISVD_REQUIRE(qr_leaf >= 1, "bidiag_svd_dc: qr_leaf must be >= 1");
   ka::SerialBackend serial;
-  ka::Backend& be = opts.backend != nullptr ? *opts.backend : serial;
+  ka::Backend& be = backend != nullptr ? *backend : serial;
   UNISVD_REQUIRE(be.executes(), "bidiag_svd_dc: backend does not execute kernels");
 
   // Embed the square problem as [B 0]: the appended zero coupling adds an
@@ -464,10 +464,10 @@ DcResult<CT> bidiag_svd_dc(std::vector<CT> d, std::vector<CT> e, index_t qr_leaf
 }
 
 template DcResult<float> bidiag_svd_dc<float>(std::vector<float>, std::vector<float>,
-                                              index_t, const DcOptions&, DcStats*);
+                                              index_t, ka::Backend*, DcStats*);
 template DcResult<double> bidiag_svd_dc<double>(std::vector<double>,
                                                 std::vector<double>, index_t,
-                                                const DcOptions&, DcStats*);
+                                                ka::Backend*, DcStats*);
 
 }  // namespace detail
 

@@ -44,15 +44,6 @@ namespace unisvd::dc {
 /// kernel instead of recursing further.
 inline constexpr index_t kQrLeaf = 48;
 
-struct DcOptions {
-  /// The solve's backend: it runs the composition GEMM launches, and its
-  /// pool (batch_pool(), if any) runs sub-problems, secular roots and
-  /// vector rows in parallel. Nested use (from inside a batched solve)
-  /// follows the enclosing job, as every other pipeline stage does.
-  /// nullptr runs everything on the calling thread.
-  ka::Backend* backend = nullptr;
-};
-
 /// Numerical events of one solve (reported on SvdReport::dc_stats).
 struct DcStats {
   index_t merges = 0;         ///< secular merge steps performed
@@ -76,17 +67,23 @@ namespace detail {
 /// passes kQrLeaf; tests pass less to recurse deeper.
 template <class CT>
 DcResult<CT> bidiag_svd_dc(std::vector<CT> d, std::vector<CT> e, index_t qr_leaf,
-                           const DcOptions& opts, DcStats* stats);
+                           ka::Backend* backend, DcStats* stats);
 
 }  // namespace detail
 
 /// Divide-and-conquer bidiagonal SVD: d is the n-point diagonal, e the
 /// (n-1)-point superdiagonal. Values and factors are computed in double and
 /// narrowed once to CT.
+///
+/// `backend` runs the composition GEMM launches, and its pool
+/// (batch_pool(), if any) runs sub-problems, secular roots and vector rows
+/// in parallel. Nested use (from inside a batched solve) follows the
+/// enclosing job, as every other pipeline stage does. nullptr runs
+/// everything on the calling thread.
 template <class CT>
 DcResult<CT> bidiag_svd_dc(std::vector<CT> d, std::vector<CT> e,
-                           const DcOptions& opts = {}, DcStats* stats = nullptr) {
-  return detail::bidiag_svd_dc(std::move(d), std::move(e), kQrLeaf, opts, stats);
+                           ka::Backend* backend = nullptr, DcStats* stats = nullptr) {
+  return detail::bidiag_svd_dc(std::move(d), std::move(e), kQrLeaf, backend, stats);
 }
 
 }  // namespace unisvd::dc

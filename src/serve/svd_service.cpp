@@ -341,18 +341,21 @@ void SvdService::run_wave(std::vector<JobPtr> wave) {
   }
   BatchConfig bc = config_.batch;
   bc.on_error = ErrorPolicy::Isolate;  // solve() classifies; it never throws
+  // Each job is charged its own completion time, not the wave's.
+  std::vector<double> done_at(wave.size());
   batch::run_scheduled_batch(extents, bc, *backend_, [&](std::size_t p) {
     wave[p]->solve(*backend_, p);  // publishes + notifies the handle's cv
+    done_at[p] = now();
   });
 
-  const double t = now();
   LockGuard lock(mu_);
   stats_.waves += 1;
-  for (const JobPtr& job : wave) {
+  for (std::size_t p = 0; p < wave.size(); ++p) {
+    const JobPtr& job = wave[p];
     stats_.completed += 1;
     auto& ts = stats_.tenants[job->tenant];
     ts.completed += 1;
-    const double latency = t - job->submit_time;
+    const double latency = done_at[p] - job->submit_time;
     ts.total_latency_seconds += latency;
     ts.max_latency_seconds = std::max(ts.max_latency_seconds, latency);
 

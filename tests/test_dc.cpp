@@ -96,7 +96,7 @@ void check_dc_kernel(std::vector<double> d, std::vector<double> e,
                      dc::DcStats* stats_out = nullptr) {
   const auto n = static_cast<index_t>(d.size());
   dc::DcStats stats;
-  const auto res = dc::detail::bidiag_svd_dc<double>(d, e, qr_leaf, {}, &stats);
+  const auto res = dc::detail::bidiag_svd_dc<double>(d, e, qr_leaf, nullptr, &stats);
   if (stats_out != nullptr) *stats_out = stats;
   const std::vector<double>& s = res.values;
   const Matrix<double>& ut = res.ut;
@@ -235,15 +235,13 @@ TEST(DcKernel, PoolParallelismMatchesSerial) {
   const auto d = random_vec(n, 41);
   const auto e = random_vec(n - 1, 42);
   dc::DcStats serial_stats;
-  const auto r1 = dc::detail::bidiag_svd_dc<double>(d, e, leaf, {}, &serial_stats);
+  const auto r1 = dc::detail::bidiag_svd_dc<double>(d, e, leaf, nullptr, &serial_stats);
   EXPECT_EQ(serial_stats.merges, 63);
 
   for (const unsigned width : {2u, 3u, 4u}) {
     ka::CpuBackend be(width);
-    dc::DcOptions par;
-    par.backend = &be;
     dc::DcStats stats;
-    const auto r2 = dc::detail::bidiag_svd_dc<double>(d, e, leaf, par, &stats);
+    const auto r2 = dc::detail::bidiag_svd_dc<double>(d, e, leaf, &be, &stats);
     EXPECT_EQ(stats.merges, serial_stats.merges) << width;
     EXPECT_EQ(stats.deflated, serial_stats.deflated) << width;
     EXPECT_EQ(stats.secular_roots, serial_stats.secular_roots) << width;

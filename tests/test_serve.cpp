@@ -495,6 +495,25 @@ TEST(Serve, SheddingDisabledSolvesExpiredJobs) {
   EXPECT_EQ(svc.stats().expired, 0u);
 }
 
+TEST(Serve, EachJobIsChargedItsOwnCompletionTime) {
+  // A serial backend solves the wave in claim order (tenant 0, then 1), so
+  // the tiny job completes long before the large one. Charging every job
+  // the wave's end would bill the tiny job the large job's solve.
+  ka::SerialBackend serial;
+  SvdService svc(manual_config(), serial);
+  const Matrix<float> tiny = test_matrix(8, 8, 301);
+  const Matrix<float> large = test_matrix(384, 384, 302);
+  JobHandle t0 = svc.submit<float>(tiny.view(), SvdConfig{}, SubmitOptions{.tenant = 0});
+  JobHandle t1 = svc.submit<float>(large.view(), SvdConfig{}, SubmitOptions{.tenant = 1});
+  ASSERT_EQ(svc.drain_once(), 2u);
+  ASSERT_EQ(t0.status(), SvdStatus::Ok);
+  ASSERT_EQ(t1.status(), SvdStatus::Ok);
+  const ServeStats s = svc.stats();
+  EXPECT_EQ(s.waves, 1u);
+  EXPECT_LT(s.tenants.at(0).max_latency_seconds,
+            0.5 * s.tenants.at(1).max_latency_seconds);
+}
+
 TEST(Serve, StatsConservationAndQueueGauges) {
   ServeConfig cfg = manual_config();
   cfg.queue_capacity = 4;

@@ -4,8 +4,9 @@
 /// at each precision's storage epsilon (FP16 accumulates vectors on its
 /// FP32 compute path), Thin and Full values bit-identical and within
 /// 50*eps*n of svd_values, agreement with
-/// the baseline::jacobi oracle, and batched vectors under
-/// ErrorPolicy::Isolate.
+/// the baseline::jacobi oracle, exact zero singular values beside the tile
+/// padding, a non-finite input solved with check_finite off, and batched
+/// vectors under ErrorPolicy::Isolate.
 
 #include <gtest/gtest.h>
 
@@ -210,6 +211,57 @@ TYPED_TEST(SvdVectorsTyped, ValuesAgreeAcrossJobs) {
       EXPECT_NEAR(static_cast<double>(plain[i]), static_cast<double>(thin.values[i]), tol)
           << "m=" << m << " n=" << n << " i=" << i;
     }
+  }
+}
+
+TYPED_TEST(SvdVectorsTyped, PaddedExactZeroSingularValues) {
+  // Exact zero singular values beside the tile padding's: the zero matrix,
+  // exact zero columns and a diagonal with zeros, on padded square, tall
+  // and wide shapes. The vectors of the zero values must still be real
+  // orthonormal directions, and Thin and Full must share their values.
+  const std::pair<index_t, index_t> shapes[] = {{21, 21}, {37, 21}, {21, 37}};
+  for (const auto& [m, n] : shapes) {
+    const index_t k = std::min(m, n);
+    Matrix<double> zero(m, n, 0.0);
+    Matrix<double> zero_cols =
+        testutil::random_matrix(m, n, 640 + static_cast<std::uint64_t>(m));
+    for (const index_t j : {index_t{0}, index_t{5}, n - 1}) {
+      for (index_t i = 0; i < m; ++i) zero_cols(i, j) = 0.0;
+    }
+    Matrix<double> diag(m, n, 0.0);
+    for (index_t i = 0; i < k; ++i) {
+      diag(i, i) = i % 3 == 1 ? 0.0 : static_cast<double>(i + 1);
+    }
+    const std::pair<const char*, const Matrix<double>*> inputs[] = {
+        {"zero", &zero}, {"zero columns", &zero_cols}, {"diagonal", &diag}};
+    for (const auto& [name, ad] : inputs) {
+      const auto a = testutil::convert<TypeParam>(*ad);
+      for (const int ts : {8, 32}) {
+        const std::string tag = std::string(name) + " " + std::to_string(m) + "x" +
+                                std::to_string(n) + " ts" + std::to_string(ts);
+        const auto thin = svd_report<TypeParam>(a.view(), vec_config(SvdJob::Thin, ts));
+        const auto full = svd_report<TypeParam>(a.view(), vec_config(SvdJob::Full, ts));
+        EXPECT_GT(thin.padded_n, k) << tag;
+        expect_valid_svd<TypeParam>(a.view(), thin, SvdJob::Thin, tag.c_str());
+        expect_valid_svd<TypeParam>(a.view(), full, SvdJob::Full, tag.c_str());
+        EXPECT_EQ(thin.values, full.values) << tag;
+      }
+    }
+  }
+}
+
+TEST(SvdVectors, NonFiniteInputWithoutCheckFailsCleanly) {
+  // check_finite off hands a NaN to the pipeline, and Stage 1 spreads it
+  // into the tile padding, so NaN chase rotations land on padding
+  // coordinates that the n x n factors do not have. The solve must fail
+  // with an Error, never replay them outside the factor.
+  for (const index_t n : {index_t{70}, index_t{100}}) {
+    Matrix<float> a = testutil::convert<float>(
+        testutil::random_matrix(n, n, 650 + static_cast<std::uint64_t>(n)));
+    a(3, 5) = std::numeric_limits<float>::quiet_NaN();
+    SvdConfig cfg = vec_config(SvdJob::Thin, 32);
+    cfg.check_finite = false;
+    EXPECT_THROW((void)svd_report<float>(a.view(), cfg), Error) << "n=" << n;
   }
 }
 
